@@ -174,8 +174,8 @@ def cmd_rays(args) -> int:
     if args.big_m is not None:
         d = truncate_big_m(_metric_of(kind, obj), args.big_m)
         kind = "metric"
-    else:
-        d = _metric_of(kind, obj)
+    elif kind == "metric":
+        d = obj
 
     entries = []
     mismatch = False

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .model import DirectedMetric
 from .polyhedron import Side, membership
-from .tropical import TropVector, min_plus_apply, neg, tmin_all, tmul
+from .tropical import TropVector, min_plus_apply
 
 
 def map_a(d: DirectedMetric, y: TropVector) -> TropVector:
@@ -58,19 +58,11 @@ def dual_decompose(d: DirectedMetric, k: int) -> DualityReport:
     """
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")
-    n = d.n
-    primal = TropVector(
-        tmin_all(tmul(d[j, k], d[i, j]) for j in range(n)) for i in range(n)
-    )
+    col = TropVector(d.mat.column(k))
+    primal = min_plus_apply(d.mat, col)
     assert primal.coords == d.mat.column(k)
 
-    negated = TropVector(
-        (
-            tmin_all(tmul(neg(d[j, k]), d[j, i]) for j in range(n))
-            for i in range(n)
-        ),
-        extended=True,
-    )
-    expected = TropVector(d.mat.column(k)).negated()
+    negated = map_b(d, col)
+    expected = col.negated()
     assert negated == expected
     return DualityReport(index=k, yoneda=primal, negated=negated)

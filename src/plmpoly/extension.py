@@ -1,7 +1,8 @@
 """Embedding small models into larger ones and retracting back.
 
 The retraction onto the span of a chosen subset S of generators is itself
-a (min,+) matrix, R[i,k] = min over s in S of d[i,s] + d[s,k].  It is
+a (min,+) matrix, R[i,k] = min over s in S of d[i,s] + d[s,k]: the product
+of d with the copy of d whose rows outside S are set to +inf.  It is
 idempotent, fixes the chosen generators, and never increases Funk
 distances.  Boltzmann smoothing replaces the hard minimum in a span by a
 temperature-T soft minimum with an explicit error bound.
@@ -18,6 +19,7 @@ from .model import DirectedMetric, Plm, metric_from_plm
 from .polyhedron import yoneda
 from .tropical import (
     ExtReal,
+    POS_INF,
     TropMatrix,
     TropVector,
     neg,
@@ -66,14 +68,10 @@ def retraction_from_subset(
     for s in sub:
         if not 0 <= s < d.n:
             raise ValueError(f"index {s} out of range")
-    n = d.n
-    mat = TropMatrix(
-        (
-            tmin_all(tmul(d[i, s], d[s, k]) for s in sub)
-            for k in range(n)
-        )
-        for i in range(n)
+    rows_in_s = TropMatrix(
+        row if i in sub else (POS_INF,) * d.n for i, row in enumerate(d.mat.rows)
     )
+    mat = d.mat.compose_min(rows_in_s)
     assert mat.compose_min(mat) == mat
     for k in sub:
         assert mat.column(k) == d.mat.column(k)
@@ -93,11 +91,10 @@ class Embedding:
         """Push a lower-side vector along the inclusion: span with x's weights."""
         if len(x) != self.sub.n:
             raise ValueError("dimension mismatch")
-        coords = tuple(
-            tmin_all(tmul(xm, self.big[i, f]) for xm, f in zip(x.coords, self.mapping))
-            for i in range(self.big.n)
-        )
-        return TropVector(coords, extended=x.extended)
+        weights = [POS_INF] * self.big.n
+        for xm, f in zip(x.coords, self.mapping):
+            weights[f] = xm
+        return TropVector(self.big.mat.apply_min(weights), extended=x.extended)
 
 
 def embed_model(
@@ -150,9 +147,8 @@ def word_decompose(
         raise ValueError("text contains none of the listed words")
     r = retraction_from_subset(d, ws)
     expected = r.matrix.column(text)
-    combo = tuple(
-        tmin_all(tmul(lam, d[i, w]) for w, lam in below) for i in range(m.n)
-    )
+    weights = [d[w, text] if w in ws else POS_INF for w in range(m.n)]
+    combo = d.mat.apply_min(weights)
     assert combo == expected
     return below
 
@@ -187,8 +183,9 @@ def boltzmann(
             raise ValueError("weights and vectors must avoid -inf")
         if len(v) != n:
             raise ValueError("dimension mismatch")
+    entries = [[tmul(lam, v[c]) for lam, v in terms] for c in range(n)]
     target = TropVector(
-        (tmin_all(tmul(lam, v[c]) for lam, v in terms) for c in range(n)),
+        (tmin_all(es) for es in entries),
         extended=True,  # tolerate all-(+inf) coordinates in the hard limit
     )
     t = float(temperature)
@@ -196,21 +193,20 @@ def boltzmann(
     mult: list = []
     readback: list[float] = []
     for c in range(n):
-        entries = [tmul(lam, v[c]) for lam, v in terms]
         m = target[c]
         if m.is_pos_inf:
             mult.append(Fraction(0) if t == 1.0 else 0.0)
             readback.append(math.inf)
             continue
         if t == 1.0:
-            total = sum((e.mult for e in entries), Fraction(0))
+            total = sum((e.mult for e in entries[c]), Fraction(0))
             mult.append(total)
             readback.append(ExtReal(total).log)
         else:
             # shift by the hard minimum so the largest summand is exactly 1
             s = sum(
                 math.exp(-tmul(e, neg(m)).log / t)
-                for e in entries
+                for e in entries[c]
                 if not e.is_pos_inf
             )
             mult.append(math.exp(-m.log / t) * s)

@@ -71,11 +71,8 @@ class PartialOrder:
                         raise ValueError(f"relation not transitive at ({i},{j})")
         down = [0] * n
         for i in range(n):
-            m = up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in bits(up[i]):
                 down[j] |= 1 << i
-                m &= m - 1
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_down", tuple(down))
@@ -94,19 +91,7 @@ class PartialOrder:
                 raise ValueError(f"pair ({i},{j}) out of range")
             up[i] |= 1 << j
         if close:
-            changed = True
-            while changed:
-                changed = False
-                for i in range(n):
-                    m = up[i]
-                    acc = m
-                    while m:
-                        j = (m & -m).bit_length() - 1
-                        acc |= up[j]
-                        m &= m - 1
-                    if acc != up[i]:
-                        up[i] = acc
-                        changed = True
+            up = [reach(up, 1 << i, (1 << n) - 1) for i in range(n)]
         return PartialOrder(n, up)
 
     @staticmethod
@@ -149,43 +134,45 @@ class PartialOrder:
 
     def connected(self, mask: int) -> bool:
         """Is the comparability graph induced on the masked subset connected?"""
-        if mask == 0:
-            return False
-        start = (mask & -mask).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                i = (m & -m).bit_length() - 1
-                nxt |= self._adj[i] & mask
-                m &= m - 1
-            nxt &= ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen == mask
+        return mask != 0 and reach(self._adj, mask & -mask, mask) == mask
 
     def components(self) -> list[tuple[int, ...]]:
-        left = (1 << self.n) - 1
-        comps = []
-        while left:
-            start = (left & -left).bit_length() - 1
-            seen = 1 << start
-            frontier = seen
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    i = (m & -m).bit_length() - 1
-                    nxt |= self._adj[i] & left
-                    m &= m - 1
-                nxt &= ~seen
-                seen |= nxt
-                frontier = nxt
-            comps.append(tuple(i for i in range(self.n) if (seen >> i) & 1))
-            left &= ~seen
-        return comps
+        return [bits(c) for c in components_of(self._adj, (1 << self.n) - 1)]
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def reach(adj: Sequence[int], seed: int, mask: int) -> int:
+    """Bitmask of the vertices of `mask` reachable from `seed` inside `mask`.
+
+    `adj[i]` is the neighbour bitmask of vertex i; the walk advances one
+    whole frontier per round.
+    """
+    seen = frontier = seed & mask
+    while frontier:
+        nxt = 0
+        for i in bits(frontier):
+            nxt |= adj[i]
+        frontier = nxt & mask & ~seen
+        seen |= frontier
+    return seen
+
+
+def components_of(adj: Sequence[int], mask: int) -> list[int]:
+    """Connected components of the graph induced on `mask`, by least member."""
+    comps = []
+    while mask:
+        comp = reach(adj, mask & -mask, mask)
+        comps.append(comp)
+        mask &= ~comp
+    return comps
 
 
 class Plm:
@@ -486,39 +473,43 @@ class Potential:
     values: dict[int, Fraction]
 
 
-def potentials(m: Plm, refs: Mapping[int, int] | None = None) -> list[Potential]:
-    """Path-weight potentials per component, ref defaulting to the least index.
+def potential(
+    order: PartialOrder,
+    pr: Mapping[tuple[int, int], Fraction],
+    mask: int,
+    ref: int,
+) -> dict[int, Fraction]:
+    """Path-weight potential on the part of `mask` connected to `ref`.
 
     Walking up an order edge multiplies by the edge probability, walking
     down divides by it; path independence is checked on every closing edge.
     """
-    order = m.order
+    values: dict[int, Fraction] = {ref: Fraction(1)}
+    stack = [ref]
+    while stack:
+        i = stack.pop()
+        for j in bits(order._adj[i] & mask):
+            w = values[i] * pr[(i, j)] if order.leq(i, j) else values[i] / pr[(j, i)]
+            if j in values:
+                if values[j] != w:
+                    raise ValueError(
+                        f"path-dependent potential: cycle through edge ({i},{j})"
+                    )
+            else:
+                values[j] = w
+                stack.append(j)
+    return values
+
+
+def potentials(m: Plm, refs: Mapping[int, int] | None = None) -> list[Potential]:
+    """Path-weight potentials per component, ref defaulting to the least index."""
     out = []
-    for comp_id, comp in enumerate(order.components()):
+    for comp_id, mask in enumerate(components_of(m.order._adj, (1 << m.n) - 1)):
+        comp = bits(mask)
         ref = comp[0] if refs is None else refs.get(comp_id, comp[0])
         if ref not in comp:
             raise ValueError(f"reference {ref} is not in component {comp}")
-        values: dict[int, Fraction] = {ref: Fraction(1)}
-        stack = [ref]
-        while stack:
-            i = stack.pop()
-            adj = order._adj[i]
-            while adj:
-                j = (adj & -adj).bit_length() - 1
-                adj &= adj - 1
-                w = (
-                    values[i] * m.pr[(i, j)]
-                    if order.leq(i, j)
-                    else values[i] / m.pr[(j, i)]
-                )
-                if j in values:
-                    if values[j] != w:
-                        raise ValueError(
-                            f"path-dependent potential: cycle through edge ({i},{j})"
-                        )
-                else:
-                    values[j] = w
-                    stack.append(j)
+        values = potential(m.order, m.pr, mask, ref)
         out.append(Potential(members=comp, ref=ref, values=values))
     return out
 
@@ -615,6 +606,8 @@ def metric_from_dict(
         rows = data["metric"]
         labels = [str(x) for x in data.get("labels", range(len(rows)))]
         mat = TropMatrix.from_probs([[Fraction(str(v)) for v in row] for row in rows])
+        if len(labels) != mat.n:
+            raise ValueError(f"{len(labels)} labels for a {mat.n}x{mat.n} metric")
         extended = any(e.is_finite and e.mult > 1 for row in mat.rows for e in row)
         return DirectedMetric(mat, extended=extended, require_projector=require_projector), labels
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

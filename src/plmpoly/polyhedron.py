@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .model import DirectedMetric
+from .model import DirectedMetric, components_of
 from .tropical import (
     ExtReal,
     POS_INF,
@@ -23,7 +23,6 @@ from .tropical import (
     _as_fraction,
     funk,
     min_plus_apply,
-    tmin_all,
     tmul,
 )
 
@@ -211,25 +210,11 @@ class SaturationGraph:
         return self._count(self.support) + (self.n - len(self.support))
 
     def _count(self, verts: frozenset[int]) -> int:
-        adj: dict[int, set[int]] = {v: set() for v in verts}
+        adj = [0] * self.n
         for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        seen: set[int] = set()
-        count = 0
-        for v in verts:
-            if v in seen:
-                continue
-            count += 1
-            stack = [v]
-            seen.add(v)
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return count
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return len(components_of(adj, sum(1 << v for v in verts)))
 
 
 def saturation_graph(
@@ -263,11 +248,8 @@ def terminal_decompose(
     g = saturation_graph(x, d, side)
     terms = g.terminals
     weights = tuple(x[i] for i in terms)
-    dm = side_metric(d, side)
-    rebuilt = tuple(
-        tmin_all(tmul(w, dm[i, t]) for w, t in zip(weights, terms))
-        for i in range(d.n)
-    )
+    lams = [x[i] if i in terms else POS_INF for i in range(d.n)]
+    rebuilt = side_metric(d, side).mat.apply_min(lams)
     assert rebuilt == x.coords
     return TerminalDecomposition(terminals=terms, weights=weights, graph=g)
 

@@ -15,9 +15,17 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .model import DirectedMetric, PartialOrder, Plm, ValidationFailed, potentials, validate_plm
+from .model import (
+    DirectedMetric,
+    PartialOrder,
+    Plm,
+    bits,
+    metric_from_plm,
+    potential,
+    potentials,
+)
 from .polyhedron import QVector, SaturationGraph, Side, saturation_graph, membership
-from .tropical import ExtReal, TropVector, neg, tmin_all, tmul
+from .tropical import POS_INF, ExtReal, TropVector, neg
 
 Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
 
@@ -30,7 +38,6 @@ class ResourceCapExceeded(RuntimeError):
 class LowerSet:
     members: tuple[int, ...]
     mask: int
-    connected: bool
 
 
 def enumerate_connected_lower_sets(order: PartialOrder, cap: int = 24) -> list[LowerSet]:
@@ -54,14 +61,7 @@ def enumerate_connected_lower_sets(order: PartialOrder, cap: int = 24) -> list[L
 
     rec(0, 0)
     masks.sort()
-    return [
-        LowerSet(
-            members=tuple(i for i in range(n) if (m >> i) & 1),
-            mask=m,
-            connected=True,
-        )
-        for m in masks
-    ]
+    return [LowerSet(members=bits(m), mask=m) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -113,31 +113,6 @@ def diagonal_scaling(
     return w
 
 
-def _component_potential(
-    order: PartialOrder,
-    pr: Mapping[tuple[int, int], Fraction],
-    members: Sequence[int],
-) -> dict[int, Fraction]:
-    """Path-weight potential inside one connected induced subposet."""
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    ref = min(members)
-    values = {ref: Fraction(1)}
-    stack = [ref]
-    while stack:
-        i = stack.pop()
-        adj = order._adj[i] & mask
-        while adj:
-            j = (adj & -adj).bit_length() - 1
-            adj &= adj - 1
-            wj = values[i] * pr[(i, j)] if order.leq(i, j) else values[i] / pr[(j, i)]
-            if j not in values:
-                values[j] = wj
-                stack.append(j)
-    return values
-
-
 def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) -> Ray:
     """Characteristic vector of the carrier, diagonally rescaled, with certificate."""
     order, pr = _side_order_pr(m, side)
@@ -155,7 +130,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     if not order.connected(mask):
         raise ValueError("carrier is not connected")
 
-    pot = _component_potential(order, pr, mem)
+    pot = potential(order, pr, mask, mem[0])
     coords = [Fraction(0)] * m.n
     for i in mem:
         coords[i] = 1 / pot[i]
@@ -214,17 +189,12 @@ def _rank(rows: list[tuple[Fraction, ...]], n: int) -> int:
 
 def enumerate_rays(m: Plm, side: Side = Side.LOWER, cap: int = 24) -> list[Ray]:
     """Theory route: one ray per nonempty connected lower set of the side's order."""
-    rep = validate_plm(m)
-    if not rep.ok:
-        raise ValidationFailed(rep)
+    d = metric_from_plm(m)
     order, _ = _side_order_pr(m, side)
     rays = [
         ray_from_lower_set(m, ls.members, side)
         for ls in enumerate_connected_lower_sets(order, cap)
     ]
-    from .model import metric_from_plm
-
-    d = metric_from_plm(m)
     for r in rays:
         assert membership(r.generator.to_trop(), d, side)
     return rays
@@ -346,8 +316,6 @@ def cross_check_rays(rays: Sequence[Ray], oracle: Sequence[QVector]) -> bool:
 
 def ray_saturation_edges(r: Ray, m: Plm) -> SaturationGraph:
     """Saturation graph of a ray: all comparable pairs inside its carrier."""
-    from .model import metric_from_plm
-
     d = metric_from_plm(m)
     g = saturation_graph(r.generator.to_trop(), d, r.side)
     order, _ = _side_order_pr(m, r.side)
@@ -371,8 +339,6 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
         raise ValueError("model has no empty text")
     if r.side is not Side.LOWER:
         raise ValueError("text combinations are defined for lower rays")
-    from .model import metric_from_plm
-
     d = metric_from_plm(m)
     maximal = [
         i for i in r.carrier if not any(j != i and m.order.leq(i, j) for j in r.carrier)
@@ -380,9 +346,8 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
     maximal.sort()
     a0 = m.texts.index(())
     out = [(b, neg(d[a0, b])) for b in maximal]
-    combo = tuple(
-        tmin_all(tmul(lam, d[i, b]) for b, lam in out) for i in range(m.n)
-    )
+    weights = [neg(d[a0, i]) if i in maximal else POS_INF for i in range(m.n)]
+    combo = d.mat.apply_min(weights)
     rebuilt = QVector.from_trop(TropVector(combo, extended=True))
     assert rebuilt.proportional(r.generator)
     return out

@@ -11,6 +11,15 @@ Two addition conventions coexist and are kept as separate operations:
 * ``tmax_mul`` -- (max,+): -inf is absorbing, (+inf) + (-inf) = -inf.
 
 In the multiplicative mirror these read "zero absorbs" vs "infinity absorbs".
+
+``TropMatrix.apply_min`` is the one (min,+) product: projection, spans,
+retractions, extensions, the duality identities and ``compose_min`` (one
+``apply_min`` per column) all go through it.  It iterates only over the
+argument's coordinates that are not +inf.  Skipping them is exact: under
+``tmul`` a +inf operand absorbs the term, even against -inf, and a minimum
+over no terms is +inf, so those terms never change a coordinate.  For the
+metric of a text model, which is +inf off the order, this makes the
+product sparse.
 """
 
 from __future__ import annotations
@@ -305,12 +314,14 @@ class TropMatrix:
         return TropMatrix(zip(*self.rows))
 
     def apply_min(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
-        """(min,+) matrix-vector product, returned as raw coordinates."""
+        """(min,+) matrix-vector product, returned as raw coordinates.
+
+        Only the coordinates that are not +inf contribute a term.
+        """
         if len(coords) != self.n:
             raise ValueError("dimension mismatch")
-        return tuple(
-            tmin_all(tmul(a, x) for a, x in zip(row, coords)) for row in self.rows
-        )
+        live = [(j, x) for j, x in enumerate(coords) if not x.is_pos_inf]
+        return tuple(tmin_all(tmul(row[j], x) for j, x in live) for row in self.rows)
 
     def apply_max(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
         """(max,+) matrix-vector product, returned as raw coordinates."""
@@ -321,14 +332,10 @@ class TropMatrix:
         )
 
     def compose_min(self, other: "TropMatrix") -> "TropMatrix":
-        """(min,+) matrix product self * other."""
+        """(min,+) matrix product self * other, one apply_min per column."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        cols = other.transpose().rows
-        return TropMatrix(
-            (tmin_all(tmul(a, b) for a, b in zip(row, col)) for col in cols)
-            for row in self.rows
-        )
+        return TropMatrix(zip(*(self.apply_min(col) for col in zip(*other.rows))))
 
     def column(self, j: int) -> tuple[ExtReal, ...]:
         return tuple(row[j] for row in self.rows)

@@ -334,6 +334,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, "check", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["check", "dual", "rays"])
+    def test_labels_do_not_match_metric(self, capsys, tmp_path, command):
+        data = {"labels": ["a"], "metric": [["1", "1/2"], ["0", "1"]]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, command, str(path))
+        assert code == 1 and err.startswith("error:") and "labels" in err
+
     def test_invalid_model_via_rays(self, capsys, tmp_path):
         bad = {
             "texts": [["a"], ["a", "b"]],

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plmpoly import (
     ExtReal,
@@ -22,7 +23,21 @@ from plmpoly import (
     word_decompose,
     yoneda,
 )
+from plmpoly.tropical import POS_INF, tmin, tmul
 from conftest import seeded
+
+
+@given(st.integers(0, 10**6), st.integers(1, 7), st.data())
+def test_retraction_matches_subset_formula(seed, n, data):
+    d = metric_from_plm(random_plm(seeded(seed), n))
+    subset = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    mat = retraction_from_subset(d, subset).matrix
+    for i in range(n):
+        for k in range(n):
+            best = POS_INF
+            for s in subset:
+                best = tmin(best, tmul(d[i, s], d[s, k]))
+            assert mat[i, k] == best
 
 
 class TestRetraction:

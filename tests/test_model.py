@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plmpoly import (
     DirectedMetric,
@@ -29,6 +30,7 @@ from plmpoly import (
     validate_plm,
     write_json_atomic,
 )
+from plmpoly.model import bits, components_of
 
 
 def test_is_subtext():
@@ -64,6 +66,57 @@ class TestPartialOrder:
         assert not o.connected(0b0101)
         assert not o.connected(0)
         assert o.components() == [(0, 1), (2, 3)]
+
+
+def set_components(n, edges, verts):
+    """Set-based reference: components of the undirected graph on verts."""
+    nbrs = {v: set() for v in verts}
+    for i, j in edges:
+        if i in nbrs and j in nbrs:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    comps, seen = [], set()
+    for v in sorted(verts):
+        if v in seen:
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            for w in nbrs[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=2 * n))
+    verts = draw(st.sets(st.integers(0, n - 1)))
+    return n, edges, verts
+
+
+@given(graphs())
+def test_components_of_matches_set_reference(g):
+    n, edges, verts = g
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    comps = components_of(adj, sum(1 << v for v in verts))
+    assert [set(bits(c)) for c in comps] == set_components(n, edges, verts)
+
+
+@given(graphs())
+def test_order_connectivity_matches_set_reference(g):
+    n, edges, verts = g
+    order = PartialOrder.from_pairs(n, [(min(e), max(e)) for e in edges], close=True)
+    comparable = order.strict_pairs()
+    mask = sum(1 << v for v in verts)
+    assert order.connected(mask) == (len(set_components(n, comparable, verts)) == 1)
+    assert [set(c) for c in order.components()] == set_components(n, comparable, range(n))
 
 
 class TestPlm:

@@ -156,6 +156,61 @@ def test_matrix_products():
     assert ident.compose_min(m) == m
 
 
+# Dense references for the sparse (min,+) products: every term, no skipping.
+
+
+def dense_min(terms):
+    best = POS_INF
+    for t in terms:
+        best = tmin(best, t)
+    return best
+
+
+def dense_apply_min(m, coords):
+    return tuple(dense_min(tmul(a, x) for a, x in zip(row, coords)) for row in m.rows)
+
+
+def dense_compose_min(a, b):
+    n = a.n
+    return tuple(
+        tuple(dense_min(tmul(a[i, j], b[j, k]) for j in range(n)) for k in range(n))
+        for i in range(n)
+    )
+
+
+@st.composite
+def square_matrices(draw, n):
+    row = st.lists(extreals, min_size=n, max_size=n)
+    return TropMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def matrix_and_vector(draw):
+    n = draw(st.integers(1, 5))
+    coords = draw(
+        st.one_of(st.just([POS_INF] * n), st.lists(extreals, min_size=n, max_size=n))
+    )
+    return draw(square_matrices(n)), coords
+
+
+@st.composite
+def matrix_pair(draw):
+    n = draw(st.integers(1, 5))
+    return draw(square_matrices(n)), draw(square_matrices(n))
+
+
+@given(matrix_and_vector())
+def test_sparse_apply_min_matches_dense(mx):
+    m, coords = mx
+    assert m.apply_min(coords) == dense_apply_min(m, coords)
+
+
+@given(matrix_pair())
+def test_sparse_compose_min_matches_dense(ab):
+    a, b = ab
+    assert a.compose_min(b).rows == dense_compose_min(a, b)
+
+
 def test_funk_frozen_values():
     # max{y_i - x_i over x_i finite}; empty admissible set gives -inf
     x = TropVector.from_logs([0.0, math.inf])
