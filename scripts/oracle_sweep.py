@@ -2,7 +2,7 @@
 """Randomized cross-check of combinatorial ray enumeration vs. the oracle.
 
 Draws random models, runs both the order-theoretic enumeration (connected
-lower sets) and the constraint-basis oracle on both polyhedra, verifies the
+lower sets) and the double-description oracle on both polyhedra, verifies the
 ray sets agree exactly, and records timings per model in a CSV.
 """
 

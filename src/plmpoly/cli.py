@@ -178,14 +178,14 @@ def cmd_rays(args) -> int:
         d = obj
 
     entries = []
-    mismatch = False
+    mismatch = None
     if kind == "plm":
         rays = enumerate_rays(obj, side)
         method = "lower-sets"
         if args.oracle:
             qs = oracle_rays(plm_cone_constraints(obj, side), obj.n)
             if not cross_check_rays(rays, qs):
-                mismatch = True
+                mismatch = _ray_differences(rays, qs, labels, as_float)
             method = "lower-sets+oracle"
         for r in sorted(rays, key=lambda r: tuple(sorted(r.carrier))):
             entries.append(
@@ -222,8 +222,8 @@ def cmd_rays(args) -> int:
     payload = _ray_payload(args, side, labels, entries, method)
     if args.big_m is not None:
         payload["bigM"] = args.big_m
-    if mismatch:
-        payload["oracleMismatch"] = True
+    if mismatch is not None:
+        payload["oracleMismatch"] = mismatch
         sys.stderr.write("ray enumeration disagrees with the oracle\n")
     if args.out:
         write_text_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -233,7 +233,24 @@ def cmd_rays(args) -> int:
         write_text_atomic(stem + ".csv", _csv_text(header, rows))
     else:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 2 if mismatch else 0
+    return 2 if mismatch is not None else 0
+
+
+def _ray_differences(rays, qs, labels, as_float: bool) -> dict:
+    """The rays only one route found, each with its carrier and generator."""
+    theory = {r.generator.canonical().coords: r.generator for r in rays}
+    oracle = {q.canonical().coords: q for q in qs}
+
+    def listed(only: dict, other: dict) -> list[dict]:
+        return [
+            {
+                "carrier": [labels[i] for i, c in enumerate(key) if c != 0],
+                "generator": _qvec_out(only[key], as_float),
+            }
+            for key in sorted(only.keys() - other.keys())
+        ]
+
+    return {"theoryOnly": listed(theory, oracle), "oracleOnly": listed(oracle, theory)}
 
 
 def cmd_dual(args) -> int:

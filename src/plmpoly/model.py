@@ -63,12 +63,11 @@ class PartialOrder:
             if not (up[i] >> i) & 1:
                 raise ValueError(f"relation not reflexive at {i}")
         for i in range(n):
-            for j in range(n):
-                if i != j and (up[i] >> j) & 1:
-                    if (up[j] >> i) & 1:
-                        raise ValueError(f"relation not antisymmetric at ({i},{j})")
-                    if up[j] & ~up[i]:
-                        raise ValueError(f"relation not transitive at ({i},{j})")
+            for j in bits(up[i] & ~(1 << i)):
+                if (up[j] >> i) & 1:
+                    raise ValueError(f"relation not antisymmetric at ({i},{j})")
+                if up[j] & ~up[i]:
+                    raise ValueError(f"relation not transitive at ({i},{j})")
         down = [0] * n
         for i in range(n):
             for j in bits(up[i]):
@@ -96,12 +95,28 @@ class PartialOrder:
 
     @staticmethod
     def from_texts(texts: Sequence[Text], order_mode: str) -> "PartialOrder":
-        n = len(texts)
-        up = [
-            sum(1 << j for j in range(n) if i == j or is_subtext(texts[i], texts[j], order_mode))
-            for i in range(n)
-        ]
-        return PartialOrder(n, up)
+        """Subtext order, found by listing each text's own sub-windows.
+
+        A text's sub-windows are its prefixes (one-sided) or its contiguous
+        windows (two-sided), the empty window included; the ones that are
+        texts of the model lie below it.  This agrees with `is_subtext` on
+        every pair without comparing all pairs.
+        """
+        if order_mode not in ("one-sided", "two-sided"):
+            raise ValueError(f"unknown order mode {order_mode!r}")
+        index = {t: i for i, t in enumerate(texts)}
+        if len(index) != len(texts):
+            raise ValueError("texts must be distinct")
+        up = [0] * len(texts)
+        for j, t in enumerate(texts):
+            lt = len(t)
+            starts = (0,) if order_mode == "one-sided" else range(lt + 1)
+            for a in starts:
+                for b in range(a, lt + 1):
+                    i = index.get(t[a:b])
+                    if i is not None:
+                        up[i] |= 1 << j
+        return PartialOrder(len(texts), up)
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self._up[i] >> j) & 1)
@@ -113,12 +128,7 @@ class PartialOrder:
         return self._down[i]
 
     def strict_pairs(self) -> list[tuple[int, int]]:
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self.leq(i, j)
-        ]
+        return [(i, j) for i in range(self.n) for j in bits(self._up[i] & ~(1 << i))]
 
     def covers(self) -> list[tuple[int, int]]:
         """Edges of the Hasse diagram."""
@@ -536,12 +546,10 @@ def ingest_corpus(
     if include_empty:
         occ[()] = len(toks) + 1  # one occurrence per boundary position
     texts = sorted(occ, key=lambda t: (len(t), t))
-    idx = {t: i for i, t in enumerate(texts)}
-    pr = {}
-    for a in texts:
-        for b in texts:
-            if a != b and is_subtext(a, b, order_mode):
-                pr[(idx[a], idx[b])] = Fraction(occ[b], occ[a])
+    pr = {
+        (i, j): Fraction(occ[texts[j]], occ[texts[i]])
+        for i, j in PartialOrder.from_texts(texts, order_mode).strict_pairs()
+    }
     return Plm(texts, order_mode, pr)
 
 

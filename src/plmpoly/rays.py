@@ -4,8 +4,12 @@ On the lower side the cone is {z >= 0 : z_i >= Pr(a_j|a_i) z_j for a_i <= a_j};
 its extremal rays correspond one-to-one with the nonempty connected lower
 sets of the order.  The upper side is the same statement in the opposite
 order.  `oracle_rays` recomputes rays of an arbitrary such constraint system
-from scratch (saturated-subset enumeration over exact rationals) and knows
-nothing about orders, so the two routes check each other.
+from scratch by the double description method: it starts from the unit
+rays of the orthant and adds one constraint at a time, combining a ray on
+the constraint's positive side with one on its negative side whenever the
+two are adjacent, which a bitmask of their tight constraints decides
+exactly.  It works in integers and knows nothing about orders, so the two
+routes check each other.
 """
 
 from __future__ import annotations
@@ -201,93 +205,125 @@ def enumerate_rays(m: Plm, side: Side = Side.LOWER, cap: int = 24) -> list[Ray]:
 
 
 # ---------------------------------------------------------------------------
-# the oracle: saturated-subset enumeration, independent of any order theory
+# the oracle: double description, independent of any order theory
+
+ORACLE_CAP = 2000  # rays held between two double-description steps
 
 
 def oracle_rays(
-    constraints: Sequence[Constraint], n: int, bound: int = 12
+    constraints: Sequence[Constraint], n: int, cap: int = ORACLE_CAP
 ) -> list[QVector]:
     """Extremal rays of {z >= 0 : z_i >= p z_j for each constraint}.
 
-    Every linearly independent (n-1)-subset of saturated-constraint
-    gradients (facets z_i = 0 included) pins down a candidate line; the
-    feasible nonnegative ones, deduped, are exactly the extremal rays.
-    Integer fraction-free elimination keeps everything exact.
+    Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  The
+    orthant's n unit rays generate {z >= 0}; the rows den*z_i - num*z_j >= 0
+    (p = num/den) are then added one at a time, each step taking the
+    pending row with the fewest positive-negative ray pairs.  Every ray is
+    an integer vector divided by its gcd and carries a bitmask of the
+    facets z_i >= 0 and rows it makes tight.  A row keeps the rays on its
+    nonnegative side and replaces the negative ones by the points where it
+    cuts the edges between a positive and a negative ray.  Two rays span
+    an edge exactly when no third ray is tight on every constraint the two
+    share (they must share at least n-2, which is checked first).  Nothing
+    here knows about orders, so this is an independent second route.
+
+    The result is canonical (largest coordinate 1), deduplicated and
+    sorted.  `ResourceCapExceeded` is raised when more than `cap` rays
+    would be held between two steps; that bounds memory and the
+    pairs-times-rays work of a step.
     """
-    if n > bound:
-        raise ResourceCapExceeded(f"dimension {n} exceeds the oracle bound {bound}")
-    rows: list[tuple[int, ...]] = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        rows.append(tuple(row))
-    cons = [(i, j, Fraction(p)) for i, j, p in constraints]
-    for i, j, p in cons:
+    rows: list[tuple[int, int, int, int]] = []
+    for i, j, p in constraints:
+        p = Fraction(p)
         if p <= 0:
             raise ValueError("constraint coefficients must be positive")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("constraint index out of range")
-        row = [0] * n
-        row[i] = p.denominator
-        row[j] += -p.numerator  # i == j allowed: collapses to one coefficient
-        rows.append(tuple(r for r in row))
-    m_rows = len(rows)
-    target = n - 1
-    found: dict[tuple[Fraction, ...], QVector] = {}
-
-    def emit(candidate: list[Fraction]) -> None:
-        if all(c <= 0 for c in candidate):
-            candidate = [-c for c in candidate]
-        if any(c < 0 for c in candidate):
-            return
-        if all(c == 0 for c in candidate):
-            return
-        for i, j, p in cons:
-            if candidate[i] < p * candidate[j]:
-                return
-        q = QVector(candidate).canonical()
+        rows.append((i, j, p.denominator, p.numerator))  # i == j allowed
+    # Largest p first among equally cheap rows: where probabilities
+    # multiply along chains, a row implied by two others has a smaller p
+    # than both, so it comes after them and cuts nothing.
+    rows.sort(key=lambda r: Fraction(r[3], r[2]), reverse=True)
+    if n > cap:
+        raise ResourceCapExceeded(f"{n} unit rays exceed the oracle cap {cap}")
+    facets = (1 << n) - 1
+    rays = [
+        (tuple(int(k == i) for k in range(n)), facets & ~(1 << i)) for i in range(n)
+    ]
+    for step in range(len(rows)):
+        i, j, den, num = rows.pop(_next_row(rows, rays))
+        bit = 1 << (n + step)
+        kept: list[tuple[tuple[int, ...], int]] = []
+        pos: list[tuple[int, tuple[int, ...], int]] = []
+        negs: list[tuple[int, tuple[int, ...], int]] = []
+        for z, tight in rays:
+            v = den * z[i] - num * z[j]
+            if v > 0:
+                pos.append((v, z, tight))
+                kept.append((z, tight))
+            elif v < 0:
+                negs.append((v, z, tight))
+            else:
+                kept.append((z, tight | bit))
+        holders = _holders(rays) if pos and negs else {}
+        everyone = (1 << len(rays)) - 1
+        for vp, zp, tp in pos:
+            for vq, zq, tq in negs:
+                common = tp & tq
+                if common.bit_count() < n - 2:
+                    continue
+                if not _spans_edge(common, holders, everyone):
+                    continue
+                w = [vp * b - vq * a for a, b in zip(zp, zq)]
+                g = gcd(*w)
+                kept.append((tuple(x // g for x in w), common | bit))
+                if len(kept) > cap:
+                    raise ResourceCapExceeded(
+                        f"more than {cap} rays after {step + 1} of "
+                        f"{step + 1 + len(rows)} constraints (oracle cap)"
+                    )
+        rays = kept
+    found = {}
+    for z, _ in rays:
+        q = QVector(z).canonical()
         found[q.coords] = q
-
-    def nullvec(ech: list[tuple[int, tuple[int, ...]]]) -> list[Fraction]:
-        pivots = {col for col, _ in ech}
-        free = next(c for c in range(n) if c not in pivots)
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
-        for col, row in reversed(ech):
-            s = sum((Fraction(row[c]) * v[c] for c in range(n) if c != col), Fraction(0))
-            v[col] = -s / row[col]
-        return v
-
-    def reduced(ech: list[tuple[int, tuple[int, ...]]], row: tuple[int, ...]):
-        r = list(row)
-        for col, piv in ech:
-            if r[col]:
-                a, b = piv[col], r[col]
-                r = [a * x - b * y for x, y in zip(r, piv)]
-        lead = next((c for c in range(n) if r[c]), None)
-        if lead is None:
-            return None
-        g = 0
-        for x in r:
-            g = gcd(g, abs(x))
-        if g > 1:
-            r = [x // g for x in r]
-        return (lead, tuple(r))
-
-    def rec(start: int, ech: list[tuple[int, tuple[int, ...]]]) -> None:
-        if len(ech) == target:
-            emit(nullvec(ech))
-            return
-        for idx in range(start, m_rows - (target - len(ech)) + 1):
-            nr = reduced(ech, rows[idx])
-            if nr is None:
-                continue
-            ech.append(nr)
-            rec(idx + 1, ech)
-            ech.pop()
-
-    rec(0, [])
     return [found[key] for key in sorted(found)]
+
+
+def _next_row(rows, rays) -> int:
+    """Index of the row with fewest positive-negative ray pairs to combine."""
+    best, best_idx = None, 0
+    for idx, (i, j, den, num) in enumerate(rows):
+        npos = nneg = 0
+        for z, _ in rays:
+            v = den * z[i] - num * z[j]
+            if v > 0:
+                npos += 1
+            elif v < 0:
+                nneg += 1
+        score = npos * nneg
+        if score == 0:
+            return idx
+        if best is None or score < best:
+            best, best_idx = score, idx
+    return best_idx
+
+
+def _holders(rays) -> dict[int, int]:
+    """Constraint bit -> bitmask of the indices of the rays tight on it."""
+    holders: dict[int, int] = {}
+    for k, (_, tight) in enumerate(rays):
+        for c in bits(tight):
+            holders[c] = holders.get(c, 0) | (1 << k)
+    return holders
+
+
+def _spans_edge(common: int, holders: Mapping[int, int], everyone: int) -> bool:
+    """Only the two rays that share `common` are tight on all of it."""
+    shared = everyone
+    for c in bits(common):
+        shared &= holders[c]
+    return shared.bit_count() == 2
 
 
 def certify_ray(z: QVector, constraints: Sequence[Constraint], n: int) -> int:

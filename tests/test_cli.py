@@ -11,7 +11,14 @@ from plmpoly import (
     model_to_dict,
     write_json_atomic,
 )
+from plmpoly import cli
 from plmpoly.cli import main
+
+
+def write_metric(tmp_path, rows, name="metric.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"labels": [str(i) for i in range(len(rows))], "metric": rows}))
+    return str(path)
 
 
 @pytest.fixture
@@ -130,6 +137,25 @@ class TestRays:
         rows = list(csv.reader(io.StringIO(csv_path.read_text())))
         assert rows[0] == ["carrier", "r", "c", "r c"]
         assert len(rows) == 4
+
+    def test_oracle_mismatch_names_the_differing_rays(self, capsys, ex1_file, monkeypatch):
+        real = cli.oracle_rays
+        monkeypatch.setattr(cli, "oracle_rays", lambda cons, n: real(cons, n)[1:])
+        code, out, err = run(capsys, "rays", ex1_file, "--oracle")
+        assert code == 2 and "disagrees with the oracle" in err
+        payload = json.loads(out)
+        assert payload["oracleMismatch"] == {
+            "theoryOnly": [{"carrier": ["c"], "generator": ["0", "1", "0"]}],
+            "oracleOnly": [],
+        }
+
+    def test_metric_file_beyond_twelve_texts(self, capsys, tmp_path):
+        # a chain of 13 texts: one ray per nonempty lower set
+        rows = [
+            ["0" if j < i else f"1/{2 ** (j - i)}" for j in range(13)] for i in range(13)
+        ]
+        code, out, _ = run(capsys, "rays", write_metric(tmp_path, rows))
+        assert code == 0 and json.loads(out)["count"] == 13
 
     def test_float_output(self, capsys, ex1_file):
         code, out, _ = run(capsys, "rays", ex1_file, "--float")
@@ -309,6 +335,14 @@ class TestCrosssection:
         rows = list(csv.reader(io.StringIO(out_path.read_text())))
         assert rows[0] == ["side", "bigM", "vertex", "r", "c", "r c"]
         assert len(rows) == 1 + 6 * 4  # two sides x two M values x 6 vertices
+
+    def test_beyond_twelve_texts(self, capsys, tmp_path):
+        # all distances zero: every cone is the single ray (1, ..., 1)
+        path = write_metric(tmp_path, [["1"] * 13 for _ in range(13)])
+        code, out, _ = run(capsys, "crosssection", path, "--big-m", "10")
+        assert code == 0
+        assert "side lower: 1 vertices at M=10, 1 at M=100" in out
+        assert "side upper: 1 vertices at M=10, 1 at M=100" in out
 
     def test_bad_m(self, capsys, ex1_file):
         code, _, _ = run(capsys, "crosssection", ex1_file, "--big-m", "-3")

@@ -44,6 +44,17 @@ def test_is_subtext():
         is_subtext((), (), "explicit")
 
 
+@given(
+    st.lists(st.lists(st.sampled_from("ab"), max_size=4).map(tuple), min_size=1, unique=True),
+    st.sampled_from(["one-sided", "two-sided"]),
+)
+def test_from_texts_matches_all_pairs_reference(texts, mode):
+    order = PartialOrder.from_texts(texts, mode)
+    for i, a in enumerate(texts):
+        for j, b in enumerate(texts):
+            assert order.leq(i, j) == is_subtext(a, b, mode)
+
+
 class TestPartialOrder:
     def test_from_pairs_validates(self):
         with pytest.raises(ValueError, match="antisymmetric"):

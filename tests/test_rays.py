@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
     PartialOrder,
@@ -18,12 +20,14 @@ from plmpoly import (
     metric_from_plm,
     oracle_rays,
     plm_cone_constraints,
+    random_forest_plm,
     random_plm,
     ray_as_text_combination,
     ray_from_lower_set,
     ray_saturation_edges,
     truncate_big_m,
 )
+from basis_reference import MAX_N, basis_rays
 from conftest import make_d2, seeded
 
 
@@ -113,7 +117,15 @@ class TestRayFromLowerSet:
 class TestOracle:
     def test_dimension_cap(self):
         with pytest.raises(ResourceCapExceeded):
-            oracle_rays([], 13)
+            oracle_rays([], 13, cap=12)
+
+    def test_cap_counts_rays_not_dimension(self):
+        assert len(oracle_rays([], 13)) == 13
+        # all distances equal: 2^n - 2 rays, refused by a cap below that
+        cons = metric_cone_constraints(make_d2(F(1, 2), n=6), Side.LOWER)
+        assert len(oracle_rays(cons, 6)) == 62
+        with pytest.raises(ResourceCapExceeded):
+            oracle_rays(cons, 6, cap=40)
 
     def test_bad_constraints(self):
         with pytest.raises(ValueError):
@@ -144,6 +156,40 @@ class TestOracle:
             rays = enumerate_rays(m, side)
             qs = oracle_rays(plm_cone_constraints(m, side), m.n)
             assert cross_check_rays(rays, qs)
+
+
+@st.composite
+def constraint_systems(draw):
+    """Random systems with i == j rows, mutual p = 1 pairs and duplicates."""
+    n = draw(st.integers(1, MAX_N))
+    index = st.integers(0, n - 1)
+    prob = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+    cons = draw(st.lists(st.tuples(index, index, prob), max_size=8))
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
+        cons += [(i, j, F(1)), (j, i, F(1))]
+    if cons:
+        cons += draw(st.lists(st.sampled_from(cons), max_size=2))
+    return draw(st.permutations(cons)), n
+
+
+class TestOracleAgainstBasisReference:
+    @settings(deadline=None)
+    @given(constraint_systems())
+    def test_random_systems(self, system):
+        cons, n = system
+        assert oracle_rays(cons, n) == basis_rays(cons, n)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, MAX_N),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+    )
+    def test_model_cones(self, seed, n, draw_model, side):
+        m = draw_model(random.Random(seed), n)
+        cons = plm_cone_constraints(m, side)
+        assert oracle_rays(cons, n) == basis_rays(cons, n)
 
 
 class TestDiagonalScaling:
