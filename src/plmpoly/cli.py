@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -135,16 +136,14 @@ def cmd_check(args) -> int:
         ok_proj = check_projector(d.mat)
         rows.append(("projector", ok_proj, ""))
         n = d.n
+        lower = [yoneda(d, i) for i in range(n)]
         ok_lower = all(
-            funk(yoneda(d, i), yoneda(d, j)) == d[i, j]
-            for i in range(n)
-            for j in range(n)
+            funk(lower[i], lower[j]) == d[i, j] for i in range(n) for j in range(n)
         )
         rows.append(("yoneda-isometry", ok_lower, ""))
+        upper = [co_yoneda(d, i) for i in range(n)]
         ok_upper = all(
-            funk(co_yoneda(d, j), co_yoneda(d, i)) == d[i, j]
-            for i in range(n)
-            for j in range(n)
+            funk(upper[j], upper[i]) == d[i, j] for i in range(n) for j in range(n)
         )
         rows.append(("co-yoneda-isometry", ok_upper, ""))
     width = max(len(name) for name, _, _ in rows)
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="validate a model and its metric identities")
     sp.add_argument("model")
     common(sp)
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("rays", help="extremal rays of a side's cone")
     sp.add_argument("model")
@@ -451,12 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", action="store_true", help="cross-check with the oracle")
     sp.add_argument("--big-m", type=float, default=None, help="truncate +inf to M first")
     common(sp)
-    sp.set_defaults(func=cmd_rays)
 
     sp = sub.add_parser("dual", help="negation pairing and span identities per text")
     sp.add_argument("model")
     common(sp)
-    sp.set_defaults(func=cmd_dual)
 
     sp = sub.add_parser("isbell", help="Isbell membership tests")
     sp.add_argument("model")
@@ -467,13 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="report closure vectors outside the Isbell span",
     )
     common(sp)
-    sp.set_defaults(func=cmd_isbell)
 
     sp = sub.add_parser("embed", help="verify a sub-model embeds isometrically")
     sp.add_argument("model")
     sp.add_argument("--sub", required=True, help="sub-model file")
     common(sp)
-    sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("retract", help="retract every generator onto a sub-span")
     sp.add_argument("model")
@@ -481,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=None, help="keep texts up to this length")
     sp.add_argument("--temperature", type=float, default=None, help="Boltzmann output")
     common(sp)
-    sp.set_defaults(func=cmd_retract)
 
     sp = sub.add_parser("ingest", help="build a model from a token corpus")
     sp.add_argument("corpus")
@@ -489,21 +482,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-len", type=int, default=2)
     sp.add_argument("--include-empty", action="store_true")
     common(sp)
-    sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("crosssection", help="truncated-cone vertices at M and 10M")
     sp.add_argument("model")
     sp.add_argument("--big-m", type=float, required=True)
     common(sp)
-    sp.set_defaults(func=cmd_crosssection)
 
     return p
 
 
+# built on the first call, so importing the module does not pay for it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a wrapped cmd_* module attribute is used
+        return globals()[f"cmd_{args.command}"](args)
     except ResourceCapExceeded as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return 3

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .model import DirectedMetric
 from .polyhedron import Side, membership
-from .tropical import TropVector, min_plus_apply
+from .tropical import TropVector, min_plus_apply, verify
 
 
 def map_a(d: DirectedMetric, y: TropVector) -> TropVector:
@@ -60,9 +60,9 @@ def dual_decompose(d: DirectedMetric, k: int) -> DualityReport:
         raise IndexError(f"index {k} out of range")
     col = TropVector(d.mat.column(k))
     primal = min_plus_apply(d.mat, col)
-    assert primal.coords == d.mat.column(k)
+    verify(primal.coords == d.mat.column(k))
 
     negated = map_b(d, col)
     expected = col.negated()
-    assert negated == expected
+    verify(negated == expected)
     return DualityReport(index=k, yoneda=primal, negated=negated)

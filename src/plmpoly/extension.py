@@ -25,6 +25,7 @@ from .tropical import (
     neg,
     tmin_all,
     tmul,
+    verify,
 )
 
 
@@ -72,9 +73,9 @@ def retraction_from_subset(
         row if i in sub else (POS_INF,) * d.n for i, row in enumerate(d.mat.rows)
     )
     mat = d.mat.compose_min(rows_in_s)
-    assert mat.compose_min(mat) == mat
+    verify(mat.compose_min(mat) == mat)
     for k in sub:
-        assert mat.column(k) == d.mat.column(k)
+        verify(mat.column(k) == d.mat.column(k))
     return RetractionOp(matrix=mat, subset=sub)
 
 
@@ -119,7 +120,7 @@ def embed_model(
         mapping=phi, sub=ds, big=db, retraction=retraction_from_subset(db, phi)
     )
     for a in range(ds.n):
-        assert emb.extend(yoneda(ds, a)) == yoneda(db, phi[a])
+        verify(emb.extend(yoneda(ds, a)) == yoneda(db, phi[a]))
     return emb
 
 
@@ -149,7 +150,7 @@ def word_decompose(
     expected = r.matrix.column(text)
     weights = [d[w, text] if w in ws else POS_INF for w in range(m.n)]
     combo = d.mat.apply_min(weights)
-    assert combo == expected
+    verify(combo == expected)
     return below
 
 
@@ -212,8 +213,8 @@ def boltzmann(
             mult.append(math.exp(-m.log / t) * s)
             readback.append(m.log - t * math.log(s))
         slack = 1e-9 * max(1.0, abs(m.log))
-        assert readback[c] <= m.log + slack
-        assert m.log - readback[c] <= bound + slack
+        verify(readback[c] <= m.log + slack)
+        verify(m.log - readback[c] <= bound + slack)
     return BoltzmannResult(
         temperature=t,
         mult=tuple(mult),
@@ -236,5 +237,5 @@ def filtration_retractions(m: Plm) -> list[tuple[int, RetractionOp]]:
         subset = [i for i, t in enumerate(m.texts) if len(t) <= k]
         out.append((k, retraction_from_subset(d, subset)))
     for (_, r1), (_, r2) in zip(out, out[1:]):
-        assert r2.matrix.compose_min(r1.matrix) == r1.matrix
+        verify(r2.matrix.compose_min(r1.matrix) == r1.matrix)
     return out

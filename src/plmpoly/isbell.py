@@ -14,7 +14,7 @@ from typing import Iterable
 from .model import DirectedMetric
 from .polyhedron import Side, membership
 from .rays import ResourceCapExceeded
-from .tropical import TropVector, max_plus_apply
+from .tropical import TropVector, max_plus_apply, verify
 
 
 def map_l(d: DirectedMetric, y: TropVector) -> TropVector:
@@ -67,7 +67,7 @@ def max_closure(
                 for cand in cands:
                     if cand.coords in seen:
                         continue
-                    assert membership(cand, d, Side.LOWER)
+                    verify(membership(cand, d, Side.LOWER))
                     seen.add(cand.coords)
                     work.append(cand)
                     changed = True

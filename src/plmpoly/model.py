@@ -23,6 +23,7 @@ from .tropical import (
     TropMatrix,
     Rational,
     _as_fraction,
+    verify,
 )
 
 Text = tuple[str, ...]
@@ -381,6 +382,16 @@ def check_projector(mat: TropMatrix) -> bool:
 
 
 def metric_from_plm(m: Plm) -> DirectedMetric:
+    """The metric d(i,k) = -log Pr(a_k|a_i) of a valid model, +inf off the order.
+
+    d is a projector (d o d == d) by validation alone, so it is not checked
+    again.  A finite term d(i,j) + d(j,k) of (d o d)(i,k) needs a chain
+    i <= j <= k.  For j = i or j = k the zero diagonal makes it d(i,k); for
+    the others `validate_plm` has checked Pr(k|i) = Pr(k|j) Pr(j|i), so it
+    equals d(i,k) too.  The term j = i is always there, so the minimum is
+    d(i,k) when i <= k.  When i is not below k, no chain exists, every term
+    is +inf and so is the entry.
+    """
     rep = validate_plm(m)
     if not rep.ok:
         raise ValidationFailed(rep)
@@ -397,7 +408,7 @@ def metric_from_plm(m: Plm) -> DirectedMetric:
                 row.append(POS_INF)
         rows.append(row)
     extended = any(p > 1 for p in m.pr.values())
-    return DirectedMetric(TropMatrix(rows), extended=extended)
+    return DirectedMetric(TropMatrix(rows), extended=extended, require_projector=False)
 
 
 def order_from_metric(d: DirectedMetric) -> PartialOrder:
@@ -464,7 +475,7 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
     out = DirectedMetric(TropMatrix(rows), extended=d.extended, require_projector=False)
     ok = check_projector(out.mat)
     if minp is None or eps.mult <= minp * minp:
-        assert ok, "idempotency must hold for M >= 2 * max finite entry"
+        verify(ok, "idempotency must hold for M >= 2 * max finite entry")
     elif not ok:
         warnings.warn("truncated matrix is not idempotent (M too small)", stacklevel=2)
     return out
@@ -639,20 +650,11 @@ def load_model_file(path: str, require_projector: bool = True):
 
 
 def write_json_atomic(path: str, data) -> None:
-    """Serialize with a temp file + rename so readers never see partial output."""
-    dir_ = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dir_, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write through a temp file + rename so readers never see partial output."""
     dir_ = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dir_, suffix=".tmp")
     try:

@@ -24,6 +24,7 @@ from .tropical import (
     funk,
     min_plus_apply,
     tmul,
+    verify,
 )
 
 
@@ -120,7 +121,7 @@ def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> boo
         for j in range(d.n)
         if i != j
     )
-    assert ok == (project(x, d, side) == x)
+    verify(ok == (project(x, d, side) == x))
     return ok
 
 
@@ -154,7 +155,7 @@ def coordinates_as_distances(
     if not membership(x, d, side):
         raise ValueError("vector is not in the polyhedron")
     dists = tuple(funk(generator(d, i, side), x) for i in range(d.n))
-    assert dists == x.coords
+    verify(dists == x.coords)
     return TropVector(dists, extended=x.extended)
 
 
@@ -166,7 +167,7 @@ def span_decompose(
         raise ValueError("vector is not in the polyhedron")
     lams = list(x.coords)
     combo = combine(d, lams, side)
-    assert combo == x
+    verify(combo == x)
     return lams
 
 
@@ -250,7 +251,7 @@ def terminal_decompose(
     weights = tuple(x[i] for i in terms)
     lams = [x[i] if i in terms else POS_INF for i in range(d.n)]
     rebuilt = side_metric(d, side).mat.apply_min(lams)
-    assert rebuilt == x.coords
+    verify(rebuilt == x.coords)
     return TerminalDecomposition(terminals=terms, weights=weights, graph=g)
 
 

@@ -24,12 +24,13 @@ from .model import (
     PartialOrder,
     Plm,
     bits,
+    components_of,
     metric_from_plm,
     potential,
     potentials,
 )
 from .polyhedron import QVector, SaturationGraph, Side, saturation_graph, membership
-from .tropical import POS_INF, ExtReal, TropVector, neg
+from .tropical import POS_INF, ExtReal, TropVector, neg, verify
 
 Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
 
@@ -113,8 +114,39 @@ def diagonal_scaling(
         w.update(pot.values)
     for (i, j), p in m.pr.items():
         if i != j:
-            assert w[j] == p * w[i], f"scaling fails on edge ({i},{j})"
+            verify(w[j] == p * w[i], f"scaling fails on edge ({i},{j})")
     return w
+
+
+def certify_ray(z: QVector, constraints: Sequence[Constraint], n: int) -> int:
+    """Rank of the rows of {z_k >= 0} and the constraints that z makes tight.
+
+    The rank is n-1 exactly when z spans an extremal ray, and it is
+    n minus the number of components of the graph of tight constraints
+    induced on the support of z:
+
+    * each zero coordinate k gives the unit row e_k;
+    * a tight row z_i = p z_j (p > 0) with one zero end has both ends zero,
+      so its row e_i - p e_j lies in the span of the unit rows;
+    * on a component C the remaining rows form a weighted incidence matrix
+      of a connected graph; v_i = p v_j on every edge fixes v on C from one
+      coordinate, so its kernel on C is spanned by z|C and its rank is
+      |C| - 1 (a row with i == j is then the zero row).
+
+    The unit rows and the blocks of the components act on disjoint
+    coordinates, so the ranks add up to (n - |supp z|) + sum (|C| - 1).
+    Every comparison is exact.
+    """
+    support = 0
+    for k in range(n):
+        if z[k] != 0:
+            support |= 1 << k
+    adj = [0] * n
+    for i, j, p in constraints:
+        if z[i] == p * z[j]:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return n - len(components_of(adj, support))
 
 
 def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) -> Ray:
@@ -140,9 +172,9 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
         coords[i] = 1 / pot[i]
     gen = QVector(coords).canonical()
 
-    rank = _saturated_rank(gen, order, pr, mask)
+    rank = certify_ray(gen, plm_cone_constraints(m, side), m.n)
     expected = m.n - 1
-    assert rank == expected, f"certificate rank {rank} != {expected}"
+    verify(rank == expected, f"certificate rank {rank} != {expected}")
 
     principal = None
     for k in mem:
@@ -158,39 +190,6 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     )
 
 
-def _saturated_rank(
-    z: QVector, order: PartialOrder, pr: Mapping[tuple[int, int], Fraction], mask: int
-) -> int:
-    n = len(z)
-    rows: list[tuple[Fraction, ...]] = []
-    for i in range(n):
-        if not (mask >> i) & 1:
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            rows.append(tuple(row))
-    for i, j in order.strict_pairs():
-        if z[i] == pr[(i, j)] * z[j]:
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            row[j] = -pr[(i, j)]
-            rows.append(tuple(row))
-    return _rank(rows, n)
-
-
-def _rank(rows: list[tuple[Fraction, ...]], n: int) -> int:
-    ech: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        r = list(row)
-        for col, piv in ech:
-            if r[col]:
-                f = r[col] / piv[col]
-                r = [a - f * b for a, b in zip(r, piv)]
-        lead = next((c for c in range(n) if r[c]), None)
-        if lead is not None:
-            ech.append((lead, r))
-    return len(ech)
-
-
 def enumerate_rays(m: Plm, side: Side = Side.LOWER, cap: int = 24) -> list[Ray]:
     """Theory route: one ray per nonempty connected lower set of the side's order."""
     d = metric_from_plm(m)
@@ -200,7 +199,7 @@ def enumerate_rays(m: Plm, side: Side = Side.LOWER, cap: int = 24) -> list[Ray]:
         for ls in enumerate_connected_lower_sets(order, cap)
     ]
     for r in rays:
-        assert membership(r.generator.to_trop(), d, side)
+        verify(membership(r.generator.to_trop(), d, side))
     return rays
 
 
@@ -326,23 +325,6 @@ def _spans_edge(common: int, holders: Mapping[int, int], everyone: int) -> bool:
     return shared.bit_count() == 2
 
 
-def certify_ray(z: QVector, constraints: Sequence[Constraint], n: int) -> int:
-    """Rank of the saturated system at z (n-1 exactly when z is extremal)."""
-    rows: list[tuple[Fraction, ...]] = []
-    for i in range(n):
-        if z[i] == 0:
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            rows.append(tuple(row))
-    for i, j, p in constraints:
-        if z[i] == Fraction(p) * z[j]:
-            row = [Fraction(0)] * n
-            row[i] += Fraction(1)
-            row[j] += -Fraction(p)
-            rows.append(tuple(row))
-    return _rank(rows, n)
-
-
 def cross_check_rays(rays: Sequence[Ray], oracle: Sequence[QVector]) -> bool:
     """Same ray sets up to scale (both routes canonicalize, so: equality)."""
     mine = sorted(r.generator.canonical().coords for r in rays)
@@ -361,7 +343,7 @@ def ray_saturation_edges(r: Ray, m: Plm) -> SaturationGraph:
         for j in r.carrier
         if i != j and order.leq(i, j)
     )
-    assert g.edges == expected
+    verify(g.edges == expected)
     return g
 
 
@@ -385,5 +367,5 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
     weights = [neg(d[a0, i]) if i in maximal else POS_INF for i in range(m.n)]
     combo = d.mat.apply_min(weights)
     rebuilt = QVector.from_trop(TropVector(combo, extended=True))
-    assert rebuilt.proportional(r.generator)
+    verify(rebuilt.proportional(r.generator))
     return out

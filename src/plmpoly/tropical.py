@@ -31,6 +31,16 @@ from typing import Iterable, Sequence, Union
 Rational = Union[Fraction, int, str]
 
 
+class VerificationError(AssertionError):
+    """A self-check of an exact identity failed: the library has a fault."""
+
+
+def verify(ok: bool, message: str = "") -> None:
+    """Raise `VerificationError` unless `ok`; unlike `assert`, -O keeps it."""
+    if not ok:
+        raise VerificationError(message)
+
+
 def _as_fraction(value: Rational) -> Fraction:
     f = Fraction(value)
     if f < 0:

@@ -1,10 +1,13 @@
-"""Slow exact reference for `oracle_rays`: enumeration of constraint bases.
+"""Slow exact references for `oracle_rays` and `certify_ray`.
 
-Every linearly independent (n-1)-subset of constraint gradients (facets
-z_i = 0 included) pins down a line; the feasible nonnegative ones,
-deduplicated, are exactly the extremal rays.  Fraction-free integer
-elimination keeps it exact.  The number of subsets grows as
-C(rows, n-1), so it is only used for n <= 5.
+`basis_rays` enumerates constraint bases: every linearly independent
+(n-1)-subset of constraint gradients (facets z_i = 0 included) pins down
+a line; the feasible nonnegative ones, deduplicated, are exactly the
+extremal rays.  Fraction-free integer elimination keeps it exact.  The
+number of subsets grows as C(rows, n-1), so it is only used for n <= 5.
+
+`saturated_rank` is the rank of the rows that z makes tight, by
+`Fraction` Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -81,3 +84,28 @@ def basis_rays(constraints, n: int) -> list[QVector]:
 
     rec(0, [])
     return [found[key] for key in sorted(found)]
+
+
+def saturated_rank(z, constraints, n: int) -> int:
+    rows: list[list[Fraction]] = []
+    for i in range(n):
+        if z[i] == 0:
+            row = [Fraction(0)] * n
+            row[i] = Fraction(1)
+            rows.append(row)
+    for i, j, p in constraints:
+        if z[i] == Fraction(p) * z[j]:
+            row = [Fraction(0)] * n
+            row[i] += 1
+            row[j] -= Fraction(p)
+            rows.append(row)
+    ech: list[tuple[int, list[Fraction]]] = []
+    for r in rows:
+        for col, piv in ech:
+            if r[col]:
+                f = r[col] / piv[col]
+                r = [a - f * b for a, b in zip(r, piv)]
+        lead = next((c for c in range(n) if r[c]), None)
+        if lead is not None:
+            ech.append((lead, r))
+    return len(ech)

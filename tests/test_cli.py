@@ -11,7 +11,7 @@ from plmpoly import (
     model_to_dict,
     write_json_atomic,
 )
-from plmpoly import cli
+from plmpoly import cli, rays
 from plmpoly.cli import main
 
 
@@ -137,6 +137,12 @@ class TestRays:
         rows = list(csv.reader(io.StringIO(csv_path.read_text())))
         assert rows[0] == ["carrier", "r", "c", "r c"]
         assert len(rows) == 4
+
+    def test_failed_certificate_exits_2(self, capsys, ex1_file, monkeypatch):
+        monkeypatch.setattr(rays, "certify_ray", lambda z, cons, n: 0)
+        code, out, err = run(capsys, "rays", ex1_file)
+        assert code == 2 and out == ""
+        assert err == "verification failed: certificate rank 0 != 2\n"
 
     def test_oracle_mismatch_names_the_differing_rays(self, capsys, ex1_file, monkeypatch):
         real = cli.oracle_rays
@@ -386,3 +392,11 @@ class TestExitCodes:
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "rays", str(path))
         assert code == 1 and "missing" in err
+
+
+def test_dispatch_uses_the_module_attribute(capsys, ex1_file, monkeypatch):
+    assert run(capsys, "check", ex1_file)[0] == 0  # the parser now exists
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.model) or 5)
+    assert run(capsys, "check", ex1_file)[0] == 5
+    assert seen == [ex1_file]

@@ -27,7 +27,7 @@ from plmpoly import (
     ray_saturation_edges,
     truncate_big_m,
 )
-from basis_reference import MAX_N, basis_rays
+from basis_reference import MAX_N, basis_rays, saturated_rank
 from conftest import make_d2, seeded
 
 
@@ -190,6 +190,58 @@ class TestOracleAgainstBasisReference:
         m = draw_model(random.Random(seed), n)
         cons = plm_cone_constraints(m, side)
         assert oracle_rays(cons, n) == basis_rays(cons, n)
+
+
+@st.composite
+def tight_systems(draw):
+    """z >= 0 with zeros and ties, and rows that z often makes tight.
+
+    Most p are ratios of z's own coordinates; the rest are random.  Rows
+    with i == j, duplicate rows and mutual p = 1 pairs are drawn too.
+    """
+    n = draw(st.integers(1, 7))
+    values = st.sampled_from([0, 0, 1, 1, 2, 3, F(1, 2)])
+    coords = draw(st.lists(values, min_size=n, max_size=n))
+    if not any(coords):
+        coords[draw(st.integers(0, n - 1))] = 1
+    z = QVector(coords)
+    index = st.integers(0, n - 1)
+    ratio = st.tuples(index, index).map(
+        lambda ij: z[ij[0]] / z[ij[1]] if z[ij[0]] and z[ij[1]] else F(1)
+    )
+    prob = st.one_of(ratio, ratio, st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    cons = draw(st.lists(st.tuples(index, index, prob), max_size=12))
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
+        cons += [(i, j, F(1)), (j, i, F(1))]
+    if cons:
+        cons += draw(st.lists(st.sampled_from(cons), max_size=2))
+    return z, draw(st.permutations(cons)), n
+
+
+class TestCertifyAgainstRankReference:
+    @settings(deadline=None)
+    @given(tight_systems())
+    def test_random_systems(self, system):
+        z, cons, n = system
+        assert certify_ray(z, cons, n) == saturated_rank(z, cons, n)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 8),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+    )
+    def test_model_cones(self, seed, n, draw_model, side):
+        m = draw_model(random.Random(seed), n)
+        cons = plm_cone_constraints(m, side)
+        qs = oracle_rays(cons, n)
+        for q in qs:
+            assert certify_ray(q, cons, n) == saturated_rank(q, cons, n) == n - 1
+        for a, b in zip(qs, qs[1:]):
+            mid = QVector([x + y for x, y in zip(a, b)])
+            rank = certify_ray(mid, cons, n)
+            assert rank == saturated_rank(mid, cons, n) < n - 1
 
 
 class TestDiagonalScaling:
