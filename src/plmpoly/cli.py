@@ -19,10 +19,9 @@ from fractions import Fraction
 
 from .duality import dual_decompose
 from .extension import IsometryError, boltzmann, embed_model, retraction_from_subset
-from .isbell import isbell_member, max_closure
+from .isbell import isbell_member, map_l, map_r, max_closure
 from .model import (
     DirectedMetric,
-    Plm,
     check_projector,
     ingest_corpus,
     load_model_file,
@@ -51,7 +50,6 @@ from .rays import (
     oracle_rays,
     plm_cone_constraints,
 )
-from .tropical import funk
 
 
 def _float_str(x: float) -> str:
@@ -135,16 +133,10 @@ def cmd_check(args) -> int:
     if d is not None:
         ok_proj = check_projector(d.mat)
         rows.append(("projector", ok_proj, ""))
-        n = d.n
-        lower = [yoneda(d, i) for i in range(n)]
-        ok_lower = all(
-            funk(lower[i], lower[j]) == d[i, j] for i in range(n) for j in range(n)
-        )
+        # term by term, map_r(d, y_i)_j = funk(y_i, y_j), map_l(d, c_j)_i = funk(c_j, c_i)
+        ok_lower = all(map_r(d, yoneda(d, i)) == co_yoneda(d, i) for i in range(d.n))
         rows.append(("yoneda-isometry", ok_lower, ""))
-        upper = [co_yoneda(d, i) for i in range(n)]
-        ok_upper = all(
-            funk(upper[j], upper[i]) == d[i, j] for i in range(n) for j in range(n)
-        )
+        ok_upper = all(map_l(d, co_yoneda(d, j)) == yoneda(d, j) for j in range(d.n))
         rows.append(("co-yoneda-isometry", ok_upper, ""))
     width = max(len(name) for name, _, _ in rows)
     lines = []

@@ -184,7 +184,9 @@ def boltzmann(
             raise ValueError("weights and vectors must avoid -inf")
         if len(v) != n:
             raise ValueError("dimension mismatch")
-    entries = [[tmul(lam, v[c]) for lam, v in terms] for c in range(n)]
+    # a +inf weight adds only +inf entries; the bound still counts its term
+    live = [(lam, v) for lam, v in terms if not lam.is_pos_inf]
+    entries = [[tmul(lam, v[c]) for lam, v in live] for c in range(n)]
     target = TropVector(
         (tmin_all(es) for es in entries),
         extended=True,  # tolerate all-(+inf) coordinates in the hard limit

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
 
 from .model import DirectedMetric, PartialOrder, Plm
 from .polyhedron import Side, combine

@@ -39,8 +39,9 @@ def max_closure(
 ) -> list[TropVector]:
     """Close a family of members under pointwise max and min.
 
-    Every vector produced along the way is re-verified to be a member;
-    blowing past `cap` distinct vectors aborts the closure.
+    Each vector is paired once with every vector listed before it, and new
+    vectors join the end of the list.  Each new vector is re-verified to be
+    a member; blowing past `cap` distinct vectors aborts the closure.
     """
     work: list[TropVector] = []
     seen: set[tuple] = set()
@@ -52,25 +53,21 @@ def max_closure(
             work.append(v)
     if not work:
         raise ValueError("empty input family")
-    changed = True
-    while changed:
-        changed = False
-        k = len(work)
-        for a in range(k):
-            for b in range(a + 1, k):
-                u, v = work[a], work[b]
-                cands = [u.min_with(v)]
-                if any(i in set(v.support) for i in u.support):
-                    cands.append(u.max_with(v))
-                # disjoint supports: the pointwise max is the all-(+inf)
-                # point, which sits outside the polyhedron by definition
-                for cand in cands:
-                    if cand.coords in seen:
-                        continue
-                    verify(membership(cand, d, Side.LOWER))
-                    seen.add(cand.coords)
-                    work.append(cand)
-                    changed = True
-                    if len(work) > cap:
-                        raise ResourceCapExceeded(f"closure exceeded {cap} vectors")
+    supports = [set(v.support) for v in work]
+    for b, v in enumerate(work):  # `work` grows inside the loop
+        for a, u in enumerate(work[:b]):
+            cands = [u.min_with(v)]
+            if not supports[a].isdisjoint(supports[b]):
+                cands.append(u.max_with(v))
+            # disjoint supports: the pointwise max is the all-(+inf)
+            # point, which sits outside the polyhedron by definition
+            for cand in cands:
+                if cand.coords in seen:
+                    continue
+                verify(membership(cand, d, Side.LOWER))
+                seen.add(cand.coords)
+                work.append(cand)
+                supports.append(set(cand.support))
+                if len(work) > cap:
+                    raise ResourceCapExceeded(f"closure exceeded {cap} vectors")
     return work

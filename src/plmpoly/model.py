@@ -122,9 +122,6 @@ class PartialOrder:
     def leq(self, i: int, j: int) -> bool:
         return bool((self._up[i] >> j) & 1)
 
-    def up_mask(self, i: int) -> int:
-        return self._up[i]
-
     def down_mask(self, i: int) -> int:
         return self._down[i]
 

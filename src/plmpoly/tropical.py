@@ -12,14 +12,16 @@ Two addition conventions coexist and are kept as separate operations:
 
 In the multiplicative mirror these read "zero absorbs" vs "infinity absorbs".
 
-``TropMatrix.apply_min`` is the one (min,+) product: projection, spans,
-retractions, extensions, the duality identities and ``compose_min`` (one
-``apply_min`` per column) all go through it.  It iterates only over the
-argument's coordinates that are not +inf.  Skipping them is exact: under
-``tmul`` a +inf operand absorbs the term, even against -inf, and a minimum
-over no terms is +inf, so those terms never change a coordinate.  For the
-metric of a text model, which is +inf off the order, this makes the
-product sparse.
+``TropMatrix.apply_min`` is the one (min,+) product: projection (and with
+it membership), spans, retractions, extensions, the duality identities and
+``compose_min`` (one ``apply_min`` per column) all go through it.
+``TropMatrix.apply_max`` is the one (max,+) product, behind the Isbell maps.
+Each iterates only over the argument's live coordinates.  ``apply_min``
+skips +inf ones: under ``tmul`` +inf absorbs a term even against -inf, and
+a minimum over no terms is +inf.  ``apply_max`` skips -inf ones: under
+``tmax_mul`` -inf absorbs a term even against +inf, and a maximum over no
+terms is -inf.  A text model's metric is +inf off the order, so both are
+sparse on its Yoneda vectors and on their negations.
 """
 
 from __future__ import annotations
@@ -334,12 +336,14 @@ class TropMatrix:
         return tuple(tmin_all(tmul(row[j], x) for j, x in live) for row in self.rows)
 
     def apply_max(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
-        """(max,+) matrix-vector product, returned as raw coordinates."""
+        """(max,+) matrix-vector product, returned as raw coordinates.
+
+        Only the coordinates that are not -inf contribute a term.
+        """
         if len(coords) != self.n:
             raise ValueError("dimension mismatch")
-        return tuple(
-            tmax_all(tmax_mul(a, x) for a, x in zip(row, coords)) for row in self.rows
-        )
+        live = [(j, x) for j, x in enumerate(coords) if not x.is_neg_inf]
+        return tuple(tmax_all(tmax_mul(row[j], x) for j, x in live) for row in self.rows)
 
     def compose_min(self, other: "TropMatrix") -> "TropMatrix":
         """(min,+) matrix product self * other, one apply_min per column."""

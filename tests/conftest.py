@@ -3,7 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from plmpoly import DirectedMetric, ExtReal, Plm, TropMatrix
+from plmpoly import (
+    POS_INF,
+    ZERO,
+    DirectedMetric,
+    ExtReal,
+    Plm,
+    TropMatrix,
+    kleene_closure,
+    metric_from_plm,
+    random_forest_plm,
+    random_plm,
+)
 
 
 @pytest.fixture
@@ -50,3 +61,26 @@ def d2(request):
 
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+METRIC_KINDS = ("plm", "forest", "kleene")
+
+
+def random_metric(rng: random.Random, kind: str) -> DirectedMetric:
+    """A directed metric on 1-6 points: of a `random_plm` model, of a
+    `random_forest_plm` model, or the Kleene closure of a random matrix
+    with zero diagonal and entries in {+inf} | [0, log 8]."""
+    n = rng.randint(1, 6)
+    if kind == "plm":
+        return metric_from_plm(random_plm(rng, n))
+    if kind == "forest":
+        return metric_from_plm(random_forest_plm(rng, n))
+
+    def entry(i: int, j: int) -> ExtReal:
+        if i == j:
+            return ZERO
+        if rng.random() < 0.4:
+            return POS_INF
+        return ExtReal.from_prob(F(rng.randint(1, 8), 8))
+
+    return kleene_closure(TropMatrix([[entry(i, j) for j in range(n)] for i in range(n)]))

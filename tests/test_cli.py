@@ -85,7 +85,9 @@ class TestCheck:
         path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "check", str(path))
         assert code == 2
-        assert "projector" in out and "FAIL" in out
+        marks = dict(line.split()[:2] for line in out.splitlines())
+        for row in ("projector", "yoneda-isometry", "co-yoneda-isometry"):
+            assert marks[row] == "FAIL"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/x.json")

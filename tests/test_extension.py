@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -175,6 +176,17 @@ class TestBoltzmann:
             boltzmann([], 1.0)
         with pytest.raises(ValueError):
             boltzmann([(ExtReal(None), yoneda(d, 0))], 1.0)
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from([1.0, 0.1]))
+    def test_inf_weight_terms_change_only_the_bound(self, seed, n, t):
+        # the terms `retract --temperature` passes: one per text, most at +inf
+        rng = seeded(seed)
+        d = metric_from_plm(random_plm(rng, n))
+        k = rng.randrange(n)
+        terms = [(d[s, k], yoneda(d, s)) for s in range(n)]
+        finite = [(lam, v) for lam, v in terms if not lam.is_pos_inf]
+        res = boltzmann(terms, t)
+        assert res == dataclasses.replace(boltzmann(finite, t), bound=t * math.log(n))
 
     def test_random_bound(self):
         rng = seeded(59)

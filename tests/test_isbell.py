@@ -1,12 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
     ExtReal,
     ResourceCapExceeded,
     Side,
     TropVector,
+    co_yoneda,
+    funk,
     isbell_member,
     map_l,
     map_r,
@@ -14,11 +17,13 @@ from plmpoly import (
     membership,
     metric_from_plm,
     random_extended_vector,
+    random_forest_plm,
     random_member,
     random_plm,
     yoneda,
 )
-from conftest import make_d2, seeded
+from conftest import METRIC_KINDS, make_d2, random_metric, seeded
+from dense_reference import closure_reference
 
 
 def test_triple_composites_random():
@@ -30,6 +35,16 @@ def test_triple_composites_random():
             x = random_extended_vector(rng, d.n)
             assert map_l(d, map_r(d, map_l(d, x))) == map_l(d, x)
             assert map_r(d, map_l(d, map_r(d, x))) == map_r(d, x)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS))
+def test_isometry_rows_are_funk_rows(seed, kind):
+    d = random_metric(seeded(seed), kind)
+    ys = [yoneda(d, i) for i in range(d.n)]
+    cs = [co_yoneda(d, i) for i in range(d.n)]
+    for i in range(d.n):
+        assert map_r(d, ys[i]).coords == tuple(funk(ys[i], y) for y in ys)
+        assert map_l(d, cs[i]).coords == tuple(funk(cs[i], c) for c in cs)
 
 
 def test_generators_are_isbell_fixed(ex1):
@@ -68,6 +83,38 @@ def test_closure_cap(ex1):
     d = metric_from_plm(ex1)
     with pytest.raises(ResourceCapExceeded):
         max_closure([yoneda(d, k) for k in range(3)], d, cap=4)
+
+
+def _closure_or_cap(closure, gens, d, cap):
+    try:
+        return {v.coords for v in closure(gens, d, cap=cap)}
+    except ResourceCapExceeded:
+        return None
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([random_plm, random_forest_plm]),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_closure_matches_round_reference(seed, family, n, data):
+    rng = seeded(seed)
+    d = metric_from_plm(family(rng, n))
+    picked = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    gens = [yoneda(d, k).scaled(ExtReal.from_prob(F(rng.randint(1, 4), 4))) for k in picked]
+    gens += gens[: data.draw(st.integers(0, 1))]  # a repeated input is kept once
+    ref = closure_reference(gens, d)
+    got = max_closure(gens, d)
+    assert len(got) == len(ref)
+    assert {v.coords for v in got} == {v.coords for v in ref}
+    # the cap: raise iff the closure adds a vector beyond `cap` distinct ones
+    cap = data.draw(st.integers(1, len(ref) + 1))
+    outcome = _closure_or_cap(max_closure, gens, d, cap)
+    assert outcome == _closure_or_cap(closure_reference, gens, d, cap)
+    inputs = len({v.coords for v in gens})
+    assert (outcome is None) == (len(ref) > max(cap, inputs))
 
 
 def test_d2_witnesses(d2):

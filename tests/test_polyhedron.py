@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from plmpoly import (
     ExtReal,
+    NEG_INF,
     POS_INF,
     QVector,
     Side,
@@ -18,8 +19,10 @@ from plmpoly import (
     metric_from_plm,
     normalize_to_simplex,
     project,
+    random_extended_vector,
     random_member,
     random_plm,
+    random_weight,
     saturation_graph,
     span_decompose,
     terminal_decompose,
@@ -27,7 +30,8 @@ from plmpoly import (
     vector_to_strings,
     yoneda,
 )
-from conftest import seeded
+from conftest import METRIC_KINDS, random_metric, seeded
+from dense_reference import membership_reference
 
 
 class TestQVector:
@@ -87,6 +91,33 @@ class TestMembership:
         py = project(y, d)
         assert membership(py, d)
         assert py != y
+
+
+def _perturbed(rng, x: TropVector) -> TropVector:
+    """x with one coordinate halved, doubled, redrawn or set to -inf."""
+    coords = list(x.coords)
+    i = rng.randrange(len(coords))
+    c = coords[i]
+    choice = rng.randrange(4)
+    if choice < 2 and c.is_finite:
+        coords[i] = ExtReal(c.mult * (F(1, 2) if choice else 2))
+    elif choice == 3:
+        coords[i] = NEG_INF
+    else:
+        coords[i] = random_weight(rng)
+    return TropVector(coords, extended=True)
+
+
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.sampled_from(list(Side)))
+def test_membership_matches_reference(seed, kind, side):
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    xs = [TropVector([POS_INF] * d.n, extended=True), random_extended_vector(rng, d.n)]
+    for _ in range(3):
+        x = random_member(rng, d, side)
+        xs += [x, _perturbed(rng, x)]
+    for x in xs:
+        assert membership(x, d, side) == membership_reference(x, d, side)
 
 
 def test_projection_random_idempotent():

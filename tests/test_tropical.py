@@ -156,7 +156,7 @@ def test_matrix_products():
     assert ident.compose_min(m) == m
 
 
-# Dense references for the sparse (min,+) products: every term, no skipping.
+# Dense references for the sparse products: every term, no skipping.
 
 
 def dense_min(terms):
@@ -166,8 +166,19 @@ def dense_min(terms):
     return best
 
 
+def dense_max(terms):
+    best = NEG_INF
+    for t in terms:
+        best = tmax(best, t)
+    return best
+
+
 def dense_apply_min(m, coords):
     return tuple(dense_min(tmul(a, x) for a, x in zip(row, coords)) for row in m.rows)
+
+
+def dense_apply_max(m, coords):
+    return tuple(dense_max(tmax_mul(a, x) for a, x in zip(row, coords)) for row in m.rows)
 
 
 def dense_compose_min(a, b):
@@ -187,9 +198,8 @@ def square_matrices(draw, n):
 @st.composite
 def matrix_and_vector(draw):
     n = draw(st.integers(1, 5))
-    coords = draw(
-        st.one_of(st.just([POS_INF] * n), st.lists(extreals, min_size=n, max_size=n))
-    )
+    constant = st.sampled_from([POS_INF, NEG_INF]).map(lambda c: [c] * n)
+    coords = draw(st.one_of(constant, st.lists(extreals, min_size=n, max_size=n)))
     return draw(square_matrices(n)), coords
 
 
@@ -203,6 +213,12 @@ def matrix_pair(draw):
 def test_sparse_apply_min_matches_dense(mx):
     m, coords = mx
     assert m.apply_min(coords) == dense_apply_min(m, coords)
+
+
+@given(matrix_and_vector())
+def test_sparse_apply_max_matches_dense(mx):
+    m, coords = mx
+    assert m.apply_max(coords) == dense_apply_max(m, coords)
 
 
 @given(matrix_pair())
