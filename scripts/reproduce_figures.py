@@ -28,7 +28,6 @@ from pathlib import Path
 from plmpoly import (
     DirectedMetric,
     Plm,
-    QVector,
     Side,
     TropMatrix,
     TropVector,
@@ -104,9 +103,9 @@ def emit_rays(cfg: FigureConfig, m: Plm) -> None:
                 "" if r.principal_of is None else labels[r.principal_of],
                 str(r.certificate_rank),
             ]
-            rows.append(meta + [str(c) for c in r.generator.coords])
+            rows.append(meta + [str(c) for c in r.generator.mults()])
             simplex_rows.append(
-                meta + [str(c) for c in normalize_to_simplex(r.generator).coords]
+                meta + [str(c) for c in normalize_to_simplex(r.generator).mults()]
             )
     write_csv(cfg, "rays.csv", header, rows)
     write_csv(cfg, "simplex.csv", header, simplex_rows)
@@ -115,7 +114,7 @@ def emit_rays(cfg: FigureConfig, m: Plm) -> None:
 def emit_crosssection(cfg: FigureConfig, m: Plm) -> None:
     d = metric_from_plm(m)
     labels = m.labels()
-    runs: dict[tuple[str, float], list[QVector]] = {}
+    runs: dict[tuple[str, float], list[TropVector]] = {}
     for big_m in sorted(set(cfg.big_m) | {10 * max(cfg.big_m)}):
         dm = truncate_big_m(d, big_m)
         rows = []
@@ -126,7 +125,7 @@ def emit_crosssection(cfg: FigureConfig, m: Plm) -> None:
             ]
             runs[(side.value, big_m)] = qs
             for idx, q in enumerate(qs):
-                rows.append([side.value, str(idx)] + [str(c) for c in q.coords])
+                rows.append([side.value, str(idx)] + [str(c) for c in q.mults()])
         if big_m in cfg.big_m:
             write_csv(
                 cfg,
@@ -144,10 +143,10 @@ def emit_crosssection(cfg: FigureConfig, m: Plm) -> None:
                 continue
             for idx, q in enumerate(coarse):
                 drift = min(
-                    max(abs(float(a) - float(b)) for a, b in zip(q.coords, p.coords))
+                    max(abs(float(a) - float(b)) for a, b in zip(q.mults(), p.mults()))
                     for p in fine
                 )
-                exact = any(p.coords == q.coords for p in fine)
+                exact = q in fine
                 lines.append(
                     f"  vertex {idx}: drift to M={10 * big_m:g} is {drift:.3g}"
                     + (" (exact)" if exact else "")
@@ -160,12 +159,12 @@ def emit_uniform_rays(cfg: FigureConfig) -> None:
     rows = []
     for t in cfg.uniform_t:
         d2 = uniform_metric(t)
-        cols = [QVector.from_trop(yoneda(d2, k)) for k in range(3)]
+        cols = [yoneda(d2, k) for k in range(3)]
         for idx, q in enumerate(oracle_rays(metric_cone_constraints(d2, Side.LOWER), 3)):
             principal = any(q.proportional(c) for c in cols)
             rows.append(
                 [str(t), str(idx), "yes" if principal else "no"]
-                + [str(c) for c in q.coords]
+                + [str(c) for c in q.mults()]
             )
     write_csv(cfg, "uniform_rays.csv", header, rows)
 

@@ -32,9 +32,9 @@ from .model import (
     write_text_atomic,
 )
 from .polyhedron import (
-    QVector,
     Side,
     co_yoneda,
+    generator,
     membership,
     normalize_to_simplex,
     vector_from_strings,
@@ -50,6 +50,7 @@ from .rays import (
     oracle_rays,
     plm_cone_constraints,
 )
+from .tropical import TropVector
 
 
 def _float_str(x: float) -> str:
@@ -80,8 +81,9 @@ def _vec_out(x, as_float: bool) -> list[str]:
     return out
 
 
-def _qvec_out(q: QVector, as_float: bool) -> list[str]:
-    return [_frac_out(c, as_float) for c in q.coords]
+def _mult_out(z, as_float: bool) -> list[str]:
+    """A cone point's multiplicative coordinates; +inf reads 0."""
+    return [_frac_out(c, as_float) for c in z.mults()]
 
 
 def _emit(args, text: str) -> None:
@@ -181,8 +183,8 @@ def cmd_rays(args) -> int:
         for r in sorted(rays, key=lambda r: tuple(sorted(r.carrier))):
             entries.append(
                 {
-                    "generator": _qvec_out(r.generator, as_float),
-                    "vertex": _qvec_out(normalize_to_simplex(r.generator), as_float),
+                    "generator": _mult_out(r.generator, as_float),
+                    "vertex": _mult_out(normalize_to_simplex(r.generator), as_float),
                     "carrier": [labels[i] for i in sorted(r.carrier)],
                     "principal": None if r.principal_of is None else labels[r.principal_of],
                     "certificateRank": r.certificate_rank,
@@ -196,15 +198,14 @@ def cmd_rays(args) -> int:
         for q in qs:
             principal = None
             for k in range(d.n):
-                col = yoneda(d, k) if side is Side.LOWER else co_yoneda(d, k)
-                if q.proportional(QVector.from_trop(col)):
+                if q.proportional(generator(d, k, side)):
                     principal = labels[k]
                     break
             entries.append(
                 {
-                    "generator": _qvec_out(q, as_float),
-                    "vertex": _qvec_out(normalize_to_simplex(q), as_float),
-                    "carrier": [labels[i] for i, c in enumerate(q.coords) if c != 0],
+                    "generator": _mult_out(q, as_float),
+                    "vertex": _mult_out(normalize_to_simplex(q), as_float),
+                    "carrier": [labels[i] for i in q.support],
                     "principal": principal,
                     "certificateRank": certify_ray(q, cons, d.n),
                 }
@@ -229,14 +230,14 @@ def cmd_rays(args) -> int:
 
 def _ray_differences(rays, qs, labels, as_float: bool) -> dict:
     """The rays only one route found, each with its carrier and generator."""
-    theory = {r.generator.canonical().coords: r.generator for r in rays}
-    oracle = {q.canonical().coords: q for q in qs}
+    theory = {r.generator.canonical().mults(): r.generator for r in rays}
+    oracle = {q.canonical().mults(): q for q in qs}
 
     def listed(only: dict, other: dict) -> list[dict]:
         return [
             {
-                "carrier": [labels[i] for i, c in enumerate(key) if c != 0],
-                "generator": _qvec_out(only[key], as_float),
+                "carrier": [labels[i] for i in only[key].support],
+                "generator": _mult_out(only[key], as_float),
             }
             for key in sorted(only.keys() - other.keys())
         ]
@@ -274,6 +275,8 @@ def cmd_isbell(args) -> int:
         try:
             with open(args.vector, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+            if not isinstance(data, list):
+                raise ValueError("the file must hold a JSON list")
             x = vector_from_strings(data)
         except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot read vector file: {exc}") from exc
@@ -376,7 +379,7 @@ def cmd_crosssection(args) -> int:
     if args.big_m is None or args.big_m <= 0:
         raise ValueError("--big-m must be positive")
     as_float = bool(args.float)
-    runs: dict[tuple[str, float], list[QVector]] = {}
+    runs: dict[tuple[str, float], list[TropVector]] = {}
     for m_val in (args.big_m, 10 * args.big_m):
         dm = truncate_big_m(d, m_val)
         for side in (Side.LOWER, Side.UPPER):
@@ -386,7 +389,7 @@ def cmd_crosssection(args) -> int:
     rows = []
     for (side_v, m_val), verts in sorted(runs.items()):
         for idx, q in enumerate(verts):
-            rows.append([side_v, _float_str(m_val), str(idx)] + _qvec_out(q, as_float))
+            rows.append([side_v, _float_str(m_val), str(idx)] + _mult_out(q, as_float))
     drift_lines = []
     for side in ("lower", "upper"):
         a = runs[(side, args.big_m)]
@@ -396,13 +399,13 @@ def cmd_crosssection(args) -> int:
             f"{len(b)} at M={_float_str(10 * args.big_m)}"
         )
         for idx, q in enumerate(a):
-            qf = [float(c) for c in q.coords]
+            qf = [float(c) for c in q.mults()]
             best, best_dist = None, math.inf
             for p in b:
-                dist = max(abs(x - float(c)) for x, c in zip(qf, p.coords))
+                dist = max(abs(x - float(c)) for x, c in zip(qf, p.mults()))
                 if dist < best_dist:
                     best, best_dist = p, dist
-            exact = best is not None and best.coords == q.coords
+            exact = best == q
             drift_lines.append(
                 f"  vertex {idx}: drift {_float_str(best_dist)}"
                 + (" (interior: exact match)" if exact else "")

@@ -174,8 +174,8 @@ class BoltzmannResult:
 def boltzmann(
     terms: Sequence[tuple[ExtReal, TropVector]], temperature: float
 ) -> BoltzmannResult:
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     if not terms:
         raise ValueError("no terms")
     n = len(terms[0][1])

@@ -314,13 +314,13 @@ def validate_plm(m: Plm) -> ValidationReport:
 class DirectedMetric:
     """Square matrix of one-way distances: zero diagonal, triangle exact.
 
-    Entries live in [0, +inf]; `extended=True` admits finite negative
-    entries (probabilities above 1).
+    Entries live in (-inf, +inf]; a finite negative entry is a probability
+    above 1.
     """
 
-    __slots__ = ("mat", "extended")
+    __slots__ = ("mat",)
 
-    def __init__(self, mat: TropMatrix, extended: bool = False, require_projector: bool = True):
+    def __init__(self, mat: TropMatrix, require_projector: bool = True):
         n = mat.n
         for i in range(n):
             if mat[i, i] != ZERO:
@@ -330,12 +330,9 @@ class DirectedMetric:
                 e = mat[i, j]
                 if e.is_neg_inf:
                     raise ValueError(f"-inf entry at ({i},{j})")
-                if not extended and e.is_finite and e.mult > 1:
-                    raise ValueError(f"negative entry at ({i},{j}); pass extended=True")
         if require_projector and not check_projector(mat):
             raise ValueError("triangle inequality fails: d o d != d")
         object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "extended", extended)
 
     def __setattr__(self, *a):
         raise AttributeError("DirectedMetric is immutable")
@@ -360,7 +357,6 @@ class DirectedMetric:
     def transpose(self) -> "DirectedMetric":
         t = DirectedMetric.__new__(DirectedMetric)
         object.__setattr__(t, "mat", self.mat.transpose())
-        object.__setattr__(t, "extended", self.extended)
         return t
 
     def min_finite_prob(self) -> Fraction | None:
@@ -404,8 +400,7 @@ def metric_from_plm(m: Plm) -> DirectedMetric:
             else:
                 row.append(POS_INF)
         rows.append(row)
-    extended = any(p > 1 for p in m.pr.values())
-    return DirectedMetric(TropMatrix(rows), extended=extended, require_projector=False)
+    return DirectedMetric(TropMatrix(rows), require_projector=False)
 
 
 def order_from_metric(d: DirectedMetric) -> PartialOrder:
@@ -445,8 +440,7 @@ def kleene_closure(c: TropMatrix) -> DirectedMetric:
     for _ in range(n + 1):
         nxt = cur.compose_min(c)
         if nxt == cur:
-            extended = any(e.is_finite and e.mult > 1 for row in cur.rows for e in row)
-            return DirectedMetric(cur, extended=extended)
+            return DirectedMetric(cur)
         cur = nxt
     raise ValueError("closure does not stabilize: negative cycle present")
 
@@ -469,7 +463,7 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
     rows = [
         [eps if e.is_pos_inf else e for e in row] for row in d.mat.rows
     ]
-    out = DirectedMetric(TropMatrix(rows), extended=d.extended, require_projector=False)
+    out = DirectedMetric(TropMatrix(rows), require_projector=False)
     ok = check_projector(out.mat)
     if minp is None or eps.mult <= minp * minp:
         verify(ok, "idempotency must hold for M >= 2 * max finite entry")
@@ -587,6 +581,8 @@ def model_to_dict(m: Plm) -> dict:
 def model_from_dict(data: dict) -> Plm:
     try:
         texts = [tuple(t) for t in data["texts"]]
+        if not all(isinstance(tok, str) for t in texts for tok in t):
+            raise ValueError("text tokens must be strings")
         order_mode = data.get("orderMode", "two-sided")
         pr = {}
         for row in data.get("pr", []):
@@ -624,8 +620,7 @@ def metric_from_dict(
         mat = TropMatrix.from_probs([[Fraction(str(v)) for v in row] for row in rows])
         if len(labels) != mat.n:
             raise ValueError(f"{len(labels)} labels for a {mat.n}x{mat.n} metric")
-        extended = any(e.is_finite and e.mult > 1 for row in mat.rows for e in row)
-        return DirectedMetric(mat, extended=extended, require_projector=require_projector), labels
+        return DirectedMetric(mat, require_projector=require_projector), labels
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad metric data: {exc}") from exc
 

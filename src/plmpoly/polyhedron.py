@@ -4,8 +4,8 @@ The lower-side polyhedron is the set of vectors x (not all +inf) with
 x_i <= d_ij + x_j for all i,j; equivalently the fixed points, and also the
 image, of the (min,+) projector x -> d x; `membership` tests it as that
 fixed point.  The upper side is the same thing for the transposed metric.
-Multiplicative-domain points z = exp(-x) form the corresponding cone and
-are kept as exact rational vectors.
+Multiplicative-domain points z = exp(-x) form the corresponding cone; a
+standard `TropVector` is such a point too, read exactly by its `mults`.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import DirectedMetric, components_of
 from .tropical import (
     ExtReal,
     POS_INF,
-    Rational,
     TropVector,
-    _as_fraction,
     funk,
     min_plus_apply,
     tmul,
@@ -46,67 +44,9 @@ def side_metric(d: DirectedMetric, side: Side) -> DirectedMetric:
     return d if side is Side.LOWER else d.transpose()
 
 
-class QVector:
-    """Exact rational point of the multiplicative cone (nonneg, not all zero)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Iterable[Rational]):
-        cs = tuple(_as_fraction(c) for c in coords)
-        if not cs:
-            raise ValueError("empty vector")
-        if all(c == 0 for c in cs):
-            raise ValueError("all-zero vector")
-        object.__setattr__(self, "coords", cs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("QVector is immutable")
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coords[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, QVector) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return "QVector(%s)" % ", ".join(str(c) for c in self.coords)
-
-    def total(self) -> Fraction:
-        return sum(self.coords, Fraction(0))
-
-    def scaled(self, factor: Rational) -> "QVector":
-        f = Fraction(factor)
-        if f <= 0:
-            raise ValueError("scale factor must be positive")
-        return QVector(c * f for c in self.coords)
-
-    def canonical(self) -> "QVector":
-        """Representative of the ray through self with largest coordinate 1."""
-        return self.scaled(1 / max(self.coords))
-
-    def proportional(self, other: "QVector") -> bool:
-        return len(self) == len(other) and self.canonical() == other.canonical()
-
-    def to_trop(self) -> TropVector:
-        return TropVector(ExtReal(c) for c in self.coords)
-
-    @staticmethod
-    def from_trop(x: TropVector) -> "QVector":
-        return QVector(c.mult for c in x.coords)
-
-
-def normalize_to_simplex(z: QVector) -> QVector:
-    """Scale z so its coordinates sum to 1 (the simplex cross-section point)."""
-    return z.scaled(1 / z.total())
+def normalize_to_simplex(z: TropVector) -> TropVector:
+    """Scale z so its multiplicative coordinates sum to 1 (the simplex point)."""
+    return z.scaled(ExtReal(1 / sum(z.mults())))
 
 
 def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> bool:

@@ -29,7 +29,7 @@ from .model import (
     potential,
     potentials,
 )
-from .polyhedron import QVector, SaturationGraph, Side, saturation_graph, membership
+from .polyhedron import SaturationGraph, Side, saturation_graph, membership
 from .tropical import POS_INF, ExtReal, TropVector, neg, verify
 
 Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
@@ -73,7 +73,7 @@ def enumerate_connected_lower_sets(order: PartialOrder, cap: int = 24) -> list[L
 class Ray:
     """One extremal ray: exact generator plus its combinatorial certificate."""
 
-    generator: QVector  # canonical: largest coordinate is 1
+    generator: TropVector  # canonical: largest multiplicative coordinate is 1
     carrier: frozenset[int]
     side: Side
     principal_of: int | None
@@ -106,8 +106,9 @@ def diagonal_scaling(
 ) -> dict[int, Fraction]:
     """Per-text weights w with w_j = Pr(a_j|a_i) w_i on every order edge.
 
-    Rescaling z_i -> z_i / w_i turns every cone constraint into plain
-    z~_i >= z~_j; the verification below is exact on all constraints.
+    Substituting z_i = z~_i / w_i turns every cone constraint
+    z_i >= p z_j into plain z~_i >= z~_j; the verification below is exact
+    on all constraints.
     """
     w: dict[int, Fraction] = {}
     for pot in potentials(m, refs):
@@ -118,7 +119,7 @@ def diagonal_scaling(
     return w
 
 
-def certify_ray(z: QVector, constraints: Sequence[Constraint], n: int) -> int:
+def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int:
     """Rank of the rows of {z_k >= 0} and the constraints that z makes tight.
 
     The rank is n-1 exactly when z spans an extremal ray, and it is
@@ -137,13 +138,11 @@ def certify_ray(z: QVector, constraints: Sequence[Constraint], n: int) -> int:
     coordinates, so the ranks add up to (n - |supp z|) + sum (|C| - 1).
     Every comparison is exact.
     """
-    support = 0
-    for k in range(n):
-        if z[k] != 0:
-            support |= 1 << k
+    support = sum(1 << k for k in z.support)
+    zm = z.mults()
     adj = [0] * n
     for i, j, p in constraints:
-        if z[i] == p * z[j]:
+        if zm[i] == p * zm[j]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return n - len(components_of(adj, support))
@@ -167,10 +166,10 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
         raise ValueError("carrier is not connected")
 
     pot = potential(order, pr, mask, mem[0])
-    coords = [Fraction(0)] * m.n
+    coords = [POS_INF] * m.n
     for i in mem:
-        coords[i] = 1 / pot[i]
-    gen = QVector(coords).canonical()
+        coords[i] = ExtReal(1 / pot[i])
+    gen = TropVector(coords).canonical()
 
     rank = certify_ray(gen, plm_cone_constraints(m, side), m.n)
     expected = m.n - 1
@@ -199,7 +198,7 @@ def enumerate_rays(m: Plm, side: Side = Side.LOWER, cap: int = 24) -> list[Ray]:
         for ls in enumerate_connected_lower_sets(order, cap)
     ]
     for r in rays:
-        verify(membership(r.generator.to_trop(), d, side))
+        verify(membership(r.generator, d, side))
     return rays
 
 
@@ -211,7 +210,7 @@ ORACLE_CAP = 2000  # rays held between two double-description steps
 
 def oracle_rays(
     constraints: Sequence[Constraint], n: int, cap: int = ORACLE_CAP
-) -> list[QVector]:
+) -> list[TropVector]:
     """Extremal rays of {z >= 0 : z_i >= p z_j for each constraint}.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  The
@@ -282,11 +281,8 @@ def oracle_rays(
                         f"{step + 1 + len(rows)} constraints (oracle cap)"
                     )
         rays = kept
-    found = {}
-    for z, _ in rays:
-        q = QVector(z).canonical()
-        found[q.coords] = q
-    return [found[key] for key in sorted(found)]
+    found = {TropVector.from_probs(z).canonical() for z, _ in rays}
+    return sorted(found, key=TropVector.mults)
 
 
 def _next_row(rows, rays) -> int:
@@ -325,17 +321,17 @@ def _spans_edge(common: int, holders: Mapping[int, int], everyone: int) -> bool:
     return shared.bit_count() == 2
 
 
-def cross_check_rays(rays: Sequence[Ray], oracle: Sequence[QVector]) -> bool:
+def cross_check_rays(rays: Sequence[Ray], oracle: Sequence[TropVector]) -> bool:
     """Same ray sets up to scale (both routes canonicalize, so: equality)."""
-    mine = sorted(r.generator.canonical().coords for r in rays)
-    theirs = sorted(q.canonical().coords for q in oracle)
+    mine = sorted(r.generator.canonical().mults() for r in rays)
+    theirs = sorted(q.canonical().mults() for q in oracle)
     return mine == theirs
 
 
 def ray_saturation_edges(r: Ray, m: Plm) -> SaturationGraph:
     """Saturation graph of a ray: all comparable pairs inside its carrier."""
     d = metric_from_plm(m)
-    g = saturation_graph(r.generator.to_trop(), d, r.side)
+    g = saturation_graph(r.generator, d, r.side)
     order, _ = _side_order_pr(m, r.side)
     expected = frozenset(
         (i, j)
@@ -366,6 +362,5 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
     out = [(b, neg(d[a0, b])) for b in maximal]
     weights = [neg(d[a0, i]) if i in maximal else POS_INF for i in range(m.n)]
     combo = d.mat.apply_min(weights)
-    rebuilt = QVector.from_trop(TropVector(combo, extended=True))
-    verify(rebuilt.proportional(r.generator))
+    verify(TropVector(combo).proportional(r.generator))
     return out

@@ -207,7 +207,9 @@ class TropVector:
 
     Standard vectors forbid -inf coordinates and the all-(+inf) point;
     ``extended=True`` lifts both restrictions (the scratch space used by
-    the duality and Isbell maps).
+    the duality and Isbell maps).  A standard vector x is at once the
+    point z = exp(-x) of the multiplicative cone (nonnegative, not all
+    zero), which ``mults`` reads exactly; ray generators are kept so.
     """
 
     __slots__ = ("coords", "extended")
@@ -273,6 +275,22 @@ class TropVector:
 
     def negated(self) -> "TropVector":
         return TropVector((neg(c) for c in self.coords), extended=True)
+
+    def canonical(self) -> "TropVector":
+        """The same ray scaled so its largest multiplicative coordinate is 1.
+
+        The smallest log coordinate is the largest multiplicative one, so
+        adding its negation makes that coordinate 0; +inf ones stay +inf.
+        """
+        return self.scaled(neg(tmin_all(self.coords)))
+
+    def proportional(self, other: "TropVector") -> bool:
+        """Whether both span the same ray (differ by one additive shift)."""
+        return len(self) == len(other) and self.canonical() == other.canonical()
+
+    def mults(self) -> tuple[Fraction, ...]:
+        """Exact multiplicative coordinates exp(-x_i): +inf reads 0."""
+        return tuple(c.mult for c in self.coords)
 
     def logs(self) -> tuple[float, ...]:
         return tuple(c.log for c in self.coords)

@@ -6,8 +6,8 @@ a line; the feasible nonnegative ones, deduplicated, are exactly the
 extremal rays.  Fraction-free integer elimination keeps it exact.  The
 number of subsets grows as C(rows, n-1), so it is only used for n <= 5.
 
-`saturated_rank` is the rank of the rows that z makes tight, by
-`Fraction` Gaussian elimination.
+`saturated_rank` is the rank of the rows that a cone point z (a standard
+`TropVector`) makes tight, by `Fraction` Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from plmpoly import QVector
+from plmpoly import TropVector
 
 MAX_N = 5
 
 
-def basis_rays(constraints, n: int) -> list[QVector]:
+def basis_rays(constraints, n: int) -> list[TropVector]:
     if not 1 <= n <= MAX_N:
         raise ValueError(f"the basis reference is for 1 <= n <= {MAX_N}")
     rows: list[tuple[int, ...]] = []
@@ -39,7 +39,7 @@ def basis_rays(constraints, n: int) -> list[QVector]:
         row[j] += -p.numerator  # i == j collapses to one coefficient
         rows.append(tuple(row))
     target = n - 1
-    found: dict[tuple[Fraction, ...], QVector] = {}
+    found: set[TropVector] = set()
 
     def emit(candidate: list[Fraction]) -> None:
         if all(c <= 0 for c in candidate):
@@ -48,8 +48,7 @@ def basis_rays(constraints, n: int) -> list[QVector]:
             return
         if any(candidate[i] < p * candidate[j] for i, j, p in cons):
             return
-        q = QVector(candidate).canonical()
-        found[q.coords] = q
+        found.add(TropVector.from_probs(candidate).canonical())
 
     def nullvec(ech: list[tuple[int, tuple[int, ...]]]) -> list[Fraction]:
         pivots = {col for col, _ in ech}
@@ -83,10 +82,11 @@ def basis_rays(constraints, n: int) -> list[QVector]:
                 rec(idx + 1, ech + [nr])
 
     rec(0, [])
-    return [found[key] for key in sorted(found)]
+    return sorted(found, key=TropVector.mults)
 
 
 def saturated_rank(z, constraints, n: int) -> int:
+    z = z.mults()
     rows: list[list[Fraction]] = []
     for i in range(n):
         if z[i] == 0:

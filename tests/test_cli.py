@@ -218,6 +218,12 @@ class TestIsbell:
         code, _, err = run(capsys, "isbell", ex1_file, "--vector", str(vec))
         assert code == 1
 
+    def test_vector_file_not_a_list(self, capsys, ex1_file, tmp_path):
+        vec = tmp_path / "v.json"
+        vec.write_text("5")
+        code, _, err = run(capsys, "isbell", ex1_file, "--vector", str(vec))
+        assert code == 1 and err.startswith("error:") and "JSON list" in err
+
 
 class TestEmbed:
     def test_isometric(self, capsys, ex1_file, ex1_full_file):
@@ -286,6 +292,13 @@ class TestRetract:
     def test_unknown_label(self, capsys, ex1_full_file):
         code, _, err = run(capsys, "retract", ex1_full_file, "--subset", "zz")
         assert code == 1 and "unknown texts" in err
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_non_finite_temperature(self, capsys, ex1_full_file, temperature):
+        code, _, err = run(
+            capsys, "retract", ex1_full_file, "--subset", "r,c", "--temperature", temperature
+        )
+        assert code == 1 and err.startswith("error:") and "finite" in err
 
 
 class TestIngest:
@@ -394,6 +407,13 @@ class TestExitCodes:
         path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "rays", str(path))
         assert code == 1 and "missing" in err
+
+    @pytest.mark.parametrize("command", ["check", "rays", "dual"])
+    def test_non_string_tokens(self, capsys, tmp_path, command):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"texts": [[1], [1, 2]]}))
+        code, _, err = run(capsys, command, str(path))
+        assert code == 1 and err.startswith("error: bad model data") and "strings" in err
 
 
 def test_dispatch_uses_the_module_attribute(capsys, ex1_file, monkeypatch):

@@ -196,7 +196,6 @@ class TestMetric:
             [F(0), F(0), F(1)],
         ]
         assert math.isclose(d[0, 2].log, math.log(2))
-        assert not d.extended
         assert d.min_finite_prob() == F(1, 3)
 
     def test_invalid_model_raises(self):
@@ -218,13 +217,6 @@ class TestMetric:
                     [["1", "1/2", "1/16"], ["0", "1", "1/2"], ["0", "0", "1"]]
                 )
             )
-
-    def test_extended_flag_gate(self):
-        mat = TropMatrix.from_probs([["1", "2"], ["0", "1"]])
-        with pytest.raises(ValueError, match="negative entry"):
-            DirectedMetric(mat)
-        d = DirectedMetric(mat, extended=True)
-        assert d.prob(0, 1) == 2
 
     def test_order_round_trip(self, ex1):
         d = metric_from_plm(ex1)

@@ -8,7 +8,6 @@ from plmpoly import (
     ExtReal,
     NEG_INF,
     POS_INF,
-    QVector,
     Side,
     TropVector,
     co_yoneda,
@@ -34,32 +33,28 @@ from conftest import METRIC_KINDS, random_metric, seeded
 from dense_reference import membership_reference
 
 
-class TestQVector:
+class TestConePoint:
+    """Standard vectors read as points z = exp(-x) of the multiplicative cone."""
+
     def test_constraints(self):
         with pytest.raises(ValueError):
-            QVector([])
+            TropVector.from_probs([])
         with pytest.raises(ValueError):
-            QVector([0, 0])
+            TropVector.from_probs([0, 0])
         with pytest.raises(ValueError):
-            QVector([1, F(-1, 2)])
+            TropVector.from_probs([1, F(-1, 2)])
 
     def test_canonical_and_proportional(self):
-        q = QVector([F(1, 2), F(1, 3), 1])
+        q = TropVector.from_probs([F(1, 2), F(1, 3), 1])
         assert q.canonical() == q
-        assert q.scaled(7).canonical() == q
-        assert q.proportional(q.scaled(F(3, 5)))
-        assert not q.proportional(QVector([1, 1, 1]))
+        assert q.scaled(ExtReal.from_prob(7)).canonical() == q
+        assert q.proportional(q.scaled(ExtReal.from_prob(F(3, 5))))
+        assert not q.proportional(TropVector.from_probs([1, 1, 1]))
 
     def test_simplex_frozen(self):
-        v = normalize_to_simplex(QVector([F(1, 2), F(1, 3), 1]))
-        assert v.coords == (F(3, 11), F(2, 11), F(6, 11))
-        assert v.total() == 1
-
-    def test_trop_round_trip(self):
-        q = QVector([F(1, 2), 0, 1])
-        x = q.to_trop()
-        assert x[1].is_pos_inf
-        assert QVector.from_trop(x) == q
+        v = normalize_to_simplex(TropVector.from_probs([F(1, 2), F(1, 3), 1]))
+        assert v.mults() == (F(3, 11), F(2, 11), F(6, 11))
+        assert sum(v.mults()) == 1
 
 
 class TestMembership:

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from plmpoly import (
     PartialOrder,
     Plm,
-    QVector,
     ResourceCapExceeded,
     Side,
+    TropVector,
     ValidationFailed,
     certify_ray,
     cross_check_rays,
@@ -58,7 +58,7 @@ class TestExampleRays:
     def test_lower_frozen(self, ex1):
         rays = enumerate_rays(ex1, Side.LOWER)
         got = {
-            tuple(sorted(r.carrier)): (r.generator.coords, r.principal_of)
+            tuple(sorted(r.carrier)): (r.generator.mults(), r.principal_of)
             for r in rays
         }
         assert got == {
@@ -71,7 +71,7 @@ class TestExampleRays:
     def test_upper_frozen(self, ex1):
         rays = enumerate_rays(ex1, Side.UPPER)
         got = {
-            tuple(sorted(r.carrier)): (r.generator.coords, r.principal_of)
+            tuple(sorted(r.carrier)): (r.generator.mults(), r.principal_of)
             for r in rays
         }
         # the full-carrier upper ray (2,3,1) is extremal but not principal
@@ -135,7 +135,7 @@ class TestOracle:
 
     def test_free_cone(self):
         qs = oracle_rays([], 3)
-        assert [q.coords for q in qs] == [
+        assert [q.mults() for q in qs] == [
             (F(0), F(0), F(1)),
             (F(0), F(1), F(0)),
             (F(1), F(0), F(0)),
@@ -146,7 +146,7 @@ class TestOracle:
         for q in oracle_rays(cons, 3):
             assert certify_ray(q, cons, 3) == 2
         # an interior point saturates nothing beyond its own positivity
-        assert certify_ray(QVector([1, 1, 1]), cons, 3) == 0
+        assert certify_ray(TropVector.from_probs([1, 1, 1]), cons, 3) == 0
 
     def test_random_equivalence(self):
         rng = seeded(21)
@@ -204,10 +204,11 @@ def tight_systems(draw):
     coords = draw(st.lists(values, min_size=n, max_size=n))
     if not any(coords):
         coords[draw(st.integers(0, n - 1))] = 1
-    z = QVector(coords)
+    z = TropVector.from_probs(coords)
+    zm = z.mults()
     index = st.integers(0, n - 1)
     ratio = st.tuples(index, index).map(
-        lambda ij: z[ij[0]] / z[ij[1]] if z[ij[0]] and z[ij[1]] else F(1)
+        lambda ij: zm[ij[0]] / zm[ij[1]] if zm[ij[0]] and zm[ij[1]] else F(1)
     )
     prob = st.one_of(ratio, ratio, st.builds(F, st.integers(1, 9), st.integers(1, 9)))
     cons = draw(st.lists(st.tuples(index, index, prob), max_size=12))
@@ -239,7 +240,7 @@ class TestCertifyAgainstRankReference:
         for q in qs:
             assert certify_ray(q, cons, n) == saturated_rank(q, cons, n) == n - 1
         for a, b in zip(qs, qs[1:]):
-            mid = QVector([x + y for x, y in zip(a, b)])
+            mid = TropVector.from_probs([x + y for x, y in zip(a.mults(), b.mults())])
             rank = certify_ray(mid, cons, n)
             assert rank == saturated_rank(mid, cons, n) < n - 1
 
@@ -252,7 +253,7 @@ class TestDiagonalScaling:
     def test_rescaled_constraints_trivial(self, ex1):
         w = diagonal_scaling(ex1)
         for i, j, p in plm_cone_constraints(ex1, Side.LOWER):
-            # substituting z_i = w_i ztilde_i turns z_i >= p z_j into
+            # substituting z_i = ztilde_i / w_i turns z_i >= p z_j into
             # ztilde_i >= ztilde_j exactly when w_j == p w_i
             assert w[j] == p * w[i]
 
@@ -268,7 +269,7 @@ class TestD2:
             cols = {
                 tuple(1 if i == k else t for i in range(3)) for k in range(3)
             }
-            got = {q.coords for q in qs}
+            got = {q.mults() for q in qs}
             assert cols <= got
             extras = got - cols
             assert all(sorted(q) == sorted((t, 1, 1)) for q in extras)
@@ -297,7 +298,7 @@ class TestBigMRays:
             (F(1), eps, F(1, 2)),
             (F(1), eps, F(1)),
         }
-        assert {q.coords for q in upper} == expected_upper
+        assert {q.mults() for q in upper} == expected_upper
         expected_lower = {
             (eps, F(1), eps),
             (eps, F(1), 2 * eps),
@@ -306,7 +307,7 @@ class TestBigMRays:
             (F(1), eps, 3 * eps),
             (F(1), F(1), eps),
         }
-        assert {q.coords for q in lower} == expected_lower
+        assert {q.mults() for q in lower} == expected_lower
 
     def test_original_rays_survive_within_eps(self, ex1):
         d = metric_from_plm(ex1)
@@ -318,7 +319,7 @@ class TestBigMRays:
             for orig in originals:
                 # some truncated ray matches coordinatewise within a few eps
                 assert any(
-                    all(abs(q[i] - orig[i]) <= 3 * eps for i in range(3))
+                    all(abs(a - b) <= 3 * eps for a, b in zip(q.mults(), orig.mults()))
                     for q in truncated
                 )
 

@@ -1,0 +1,86 @@
+"""The scripts under scripts/ run end to end and write what they promise."""
+
+import csv
+import os
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from plmpoly import Side, enumerate_rays
+
+ROOT = Path(__file__).resolve().parents[1]
+FIGURE_FILES = {
+    "rays.csv",
+    "simplex.csv",
+    "crosssection_M10.csv",
+    "crosssection_M100.csv",
+    "crosssection_drift.txt",
+    "uniform_rays.csv",
+    "isbell.txt",
+    "retract.csv",
+    "boltzmann.csv",
+    "potentials.csv",
+}
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.fixture(scope="module")
+def figures(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("figures")
+    done = run_script("reproduce_figures.py", "--out-dir", str(out_dir), cwd=out_dir)
+    assert done.returncode == 0, done.stderr
+    return out_dir, done.stdout
+
+
+def test_reproduce_figures_writes_every_artifact(figures):
+    out_dir, stdout = figures
+    assert {p.name for p in out_dir.iterdir()} == FIGURE_FILES
+    assert {Path(line.split()[-1]).name for line in stdout.splitlines()} == FIGURE_FILES
+
+
+def test_rays_csv_matches_enumerate_rays(figures, ex1):
+    out_dir, _ = figures
+    with (out_dir / "rays.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    labels = ex1.labels()
+    assert header[5:] == labels
+    got = {
+        (row[0], row[2]): ([F(c) for c in row[5:]], row[3], int(row[4])) for row in rows
+    }
+    expected = {
+        (side.value, "|".join(labels[i] for i in sorted(r.carrier))): (
+            list(r.generator.mults()),
+            "" if r.principal_of is None else labels[r.principal_of],
+            r.certificate_rank,
+        )
+        for side in Side
+        for r in enumerate_rays(ex1, side)
+    }
+    assert len(rows) == len(got)
+    assert got == expected
+
+
+def test_oracle_sweep_matches(tmp_path):
+    done = run_script(
+        "oracle_sweep.py", "--models", "5", "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path
+    )
+    assert done.returncode == 0, done.stderr
+    assert "5 models, 10 enumerations: all match" in done.stdout
+    with (tmp_path / "sweep.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[-1] == "match"
+    assert len(rows) == 10 and all(row[-1] == "yes" for row in rows)

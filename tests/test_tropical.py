@@ -145,6 +145,60 @@ def test_vector_ops():
     assert x.logs() == (math.log(2), 0.0)
 
 
+# Cone points: a standard vector x is z = exp(-x), nonnegative, not all 0.
+
+cone_points = (
+    st.lists(st.sampled_from([0, 0, 1, 2, 3, F(1, 2), F(2, 3), F(7, 5)]), min_size=1, max_size=6)
+    .filter(any)
+    .map(TropVector.from_probs)
+)
+
+
+def canonical_reference(z):
+    """Fraction reference: divide by the largest coordinate."""
+    top = max(z.mults())
+    return tuple(c / top for c in z.mults())
+
+
+def proportional_reference(a, b):
+    """Fraction reference: every cross product a_i b_j equals a_j b_i."""
+    za, zb = a.mults(), b.mults()
+    return len(za) == len(zb) and all(
+        x * zb[j] == za[j] * y for x, y in zip(za, zb) for j in range(len(za))
+    )
+
+
+@st.composite
+def cone_point_pairs(draw):
+    """A cone point and a second one: rescaled, rescaled and altered, or drawn anew."""
+    a = draw(cone_points)
+    b = a.scaled(ExtReal.from_prob(draw(rationals)))
+    how = draw(st.sampled_from(["scaled", "altered", "fresh"]))
+    if how == "altered":
+        zb = list(b.mults())
+        zb[draw(st.integers(0, len(zb) - 1))] = draw(st.sampled_from([0, 1, F(5, 3)]))
+        b = TropVector.from_probs(zb) if any(zb) else b
+    elif how == "fresh":
+        b = draw(cone_points)
+    return a, b
+
+
+@given(cone_points, rationals)
+def test_canonical_matches_fraction_reference(z, factor):
+    c = z.canonical()
+    assert c.mults() == canonical_reference(z)
+    assert [k for k, m in enumerate(c.mults()) if m == 0] == [
+        k for k, x in enumerate(z.coords) if x.is_pos_inf
+    ]
+    assert z.scaled(ExtReal.from_prob(factor)).canonical() == c
+
+
+@given(cone_point_pairs())
+def test_proportional_matches_fraction_reference(ab):
+    a, b = ab
+    assert a.proportional(b) == proportional_reference(a, b) == b.proportional(a)
+
+
 def test_matrix_products():
     m = TropMatrix.from_probs([["1", "1/2"], ["0", "1"]])
     assert m[0, 1].mult == F(1, 2)
