@@ -192,7 +192,7 @@ def emit_retraction(cfg: FigureConfig, m: Plm) -> None:
     header = ["text"] + labels
     rows = []
     for k in range(d.n):
-        col = TropVector(r.matrix.column(k), extended=True)
+        col = TropVector(r.matrix.column(k))
         rows.append([labels[k]] + vector_to_strings(col))
     write_csv(cfg, "retract.csv", header, rows)
 

@@ -12,17 +12,17 @@ from dataclasses import dataclass
 
 from .model import DirectedMetric
 from .polyhedron import Side, membership
-from .tropical import TropVector, min_plus_apply, verify
+from .tropical import TropVector, verify
 
 
 def map_a(d: DirectedMetric, y: TropVector) -> TropVector:
     """A(y) = d applied (min,+) to the negated vector."""
-    return min_plus_apply(d.mat, y.negated())
+    return TropVector(d.mat.apply_min(y.negated().coords))
 
 
 def map_b(d: DirectedMetric, x: TropVector) -> TropVector:
     """B(x) = transposed d applied (min,+) to the negated vector."""
-    return min_plus_apply(d.mat.transpose(), x.negated())
+    return TropVector(d.mat.transpose().apply_min(x.negated().coords))
 
 
 def side_map(d: DirectedMetric, x: TropVector, side: Side) -> TropVector:
@@ -59,7 +59,7 @@ def dual_decompose(d: DirectedMetric, k: int) -> DualityReport:
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")
     col = TropVector(d.mat.column(k))
-    primal = min_plus_apply(d.mat, col)
+    primal = TropVector(d.mat.apply_min(col.coords))
     verify(primal.coords == d.mat.column(k))
 
     negated = map_b(d, col)

@@ -56,7 +56,7 @@ class RetractionOp:
         coords = self.matrix.apply_min(x.coords)
         if all(c.is_pos_inf for c in coords):
             return None
-        return TropVector(coords, extended=x.extended)
+        return TropVector(coords)
 
 
 def retraction_from_subset(
@@ -95,7 +95,7 @@ class Embedding:
         weights = [POS_INF] * self.big.n
         for xm, f in zip(x.coords, self.mapping):
             weights[f] = xm
-        return TropVector(self.big.mat.apply_min(weights), extended=x.extended)
+        return TropVector(self.big.mat.apply_min(weights))
 
 
 def embed_model(
@@ -187,10 +187,8 @@ def boltzmann(
     # a +inf weight adds only +inf entries; the bound still counts its term
     live = [(lam, v) for lam, v in terms if not lam.is_pos_inf]
     entries = [[tmul(lam, v[c]) for lam, v in live] for c in range(n)]
-    target = TropVector(
-        (tmin_all(es) for es in entries),
-        extended=True,  # tolerate all-(+inf) coordinates in the hard limit
-    )
+    # the hard limit: all +inf when every weight is +inf, since no term survives
+    target = TropVector(tmin_all(es) for es in entries)
     t = float(temperature)
     bound = t * math.log(len(terms))
     mult: list = []

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from .model import DirectedMetric, PartialOrder, Plm
-from .polyhedron import Side, combine
+from .polyhedron import Side, project
 from .tropical import ExtReal, POS_INF, NEG_INF, TropVector
 
 
@@ -96,11 +96,11 @@ def random_member(
     while True:
         lams = [random_weight(rng) for _ in range(d.n)]
         if any(not l.is_pos_inf for l in lams):
-            return combine(d, lams, side)
+            return project(TropVector(lams), d, side)
 
 
 def random_extended_vector(rng: random.Random, n: int) -> TropVector:
-    """Coordinates drawn from {-inf} | finite | {+inf}, in extended mode."""
+    """Coordinates drawn from {-inf} | finite | {+inf}."""
     coords = []
     for _ in range(n):
         u = rng.random()
@@ -110,4 +110,4 @@ def random_extended_vector(rng: random.Random, n: int) -> TropVector:
             coords.append(POS_INF)
         else:
             coords.append(ExtReal(Fraction(rng.randint(1, 12), rng.randint(1, 12))))
-    return TropVector(coords, extended=True)
+    return TropVector(coords)

@@ -14,17 +14,17 @@ from typing import Iterable
 from .model import DirectedMetric
 from .polyhedron import Side, membership
 from .rays import ResourceCapExceeded
-from .tropical import TropVector, max_plus_apply, verify
+from .tropical import TropVector, verify
 
 
 def map_l(d: DirectedMetric, y: TropVector) -> TropVector:
     """L(y)_i = max_j (d_ij - y_j), differences in the (max,+) convention."""
-    return max_plus_apply(d.mat, y.negated())
+    return TropVector(d.mat.apply_max(y.negated().coords))
 
 
 def map_r(d: DirectedMetric, x: TropVector) -> TropVector:
     """R(x)_j = max_i (d_ij - x_i)."""
-    return max_plus_apply(d.mat.transpose(), x.negated())
+    return TropVector(d.mat.transpose().apply_max(x.negated().coords))
 
 
 def isbell_member(d: DirectedMetric, x: TropVector) -> bool:

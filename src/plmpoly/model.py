@@ -128,15 +128,6 @@ class PartialOrder:
     def strict_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in bits(self._up[i] & ~(1 << i))]
 
-    def covers(self) -> list[tuple[int, int]]:
-        """Edges of the Hasse diagram."""
-        out = []
-        for i, j in self.strict_pairs():
-            between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-            if not between:
-                out.append((i, j))
-        return out
-
     def opposite(self) -> "PartialOrder":
         return PartialOrder(self.n, self._down)
 
@@ -214,6 +205,9 @@ class Plm:
             order = PartialOrder.from_texts(tts, order_mode)
         if order.n != len(tts):
             raise ValueError("order size does not match text count")
+        for i, j in pr:
+            if not (0 <= i < len(tts) and 0 <= j < len(tts)):
+                raise ValueError(f"pair ({i},{j}) out of range")
         self.texts = tts
         self.order_mode = order_mode
         self.order = order
@@ -232,13 +226,6 @@ class Plm:
 
     def labels(self) -> list[str]:
         return [self.label(i) for i in range(self.n)]
-
-    def index_of_label(self, label: str) -> int:
-        toks = tuple(label.split())
-        try:
-            return self.texts.index(toks)
-        except ValueError:
-            raise ValueError(f"no text with label {label!r}") from None
 
 
 @dataclass
@@ -580,7 +567,10 @@ def model_to_dict(m: Plm) -> dict:
 
 def model_from_dict(data: dict) -> Plm:
     try:
-        texts = [tuple(t) for t in data["texts"]]
+        texts = data["texts"]
+        if not isinstance(texts, list) or not all(isinstance(t, list) for t in texts):
+            raise ValueError("texts must be a list of token lists")
+        texts = [tuple(t) for t in texts]
         if not all(isinstance(tok, str) for t in texts for tok in t):
             raise ValueError("text tokens must be strings")
         order_mode = data.get("orderMode", "two-sided")
@@ -616,7 +606,10 @@ def metric_from_dict(
 ) -> tuple[DirectedMetric, list[str]]:
     try:
         rows = data["metric"]
-        labels = [str(x) for x in data.get("labels", range(len(rows)))]
+        labels = data.get("labels", list(range(len(rows))))
+        if not isinstance(labels, list):
+            raise ValueError("labels must be a list")
+        labels = [str(x) for x in labels]
         mat = TropMatrix.from_probs([[Fraction(str(v)) for v in row] for row in rows])
         if len(labels) != mat.n:
             raise ValueError(f"{len(labels)} labels for a {mat.n}x{mat.n} metric")

@@ -5,7 +5,8 @@ x_i <= d_ij + x_j for all i,j; equivalently the fixed points, and also the
 image, of the (min,+) projector x -> d x; `membership` tests it as that
 fixed point.  The upper side is the same thing for the transposed metric.
 Multiplicative-domain points z = exp(-x) form the corresponding cone; a
-standard `TropVector` is such a point too, read exactly by its `mults`.
+`TropVector` with no -inf coordinate, not all +inf, is such a point, read
+exactly by its `mults`.
 """
 
 from __future__ import annotations
@@ -15,16 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import DirectedMetric, components_of
-from .tropical import (
-    ExtReal,
-    POS_INF,
-    TropVector,
-    funk,
-    min_plus_apply,
-    tmul,
-    verify,
-)
+from .model import DirectedMetric
+from .tropical import ExtReal, POS_INF, TropVector, funk, tmul, verify
 
 
 class Side(enum.Enum):
@@ -65,7 +58,7 @@ def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> boo
 
 def project(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> TropVector:
     """Nearest-point projection: one (min,+) application of the metric."""
-    return min_plus_apply(side_metric(d, side).mat, x)
+    return TropVector(side_metric(d, side).mat.apply_min(x.coords))
 
 
 def yoneda(d: DirectedMetric, k: int) -> TropVector:
@@ -94,7 +87,7 @@ def coordinates_as_distances(
         raise ValueError("vector is not in the polyhedron")
     dists = tuple(funk(generator(d, i, side), x) for i in range(d.n))
     verify(dists == x.coords)
-    return TropVector(dists, extended=x.extended)
+    return TropVector(dists)
 
 
 def span_decompose(
@@ -103,22 +96,8 @@ def span_decompose(
     """Coefficients writing x as a (min,+) combination of the generators."""
     if not membership(x, d, side):
         raise ValueError("vector is not in the polyhedron")
-    lams = list(x.coords)
-    combo = combine(d, lams, side)
-    verify(combo == x)
-    return lams
-
-
-def combine(
-    d: DirectedMetric, lams: Sequence[ExtReal], side: Side = Side.LOWER
-) -> TropVector:
-    """(min,+) combination of generators with the given coefficients."""
-    if len(lams) != d.n:
-        raise ValueError("dimension mismatch")
-    dm = side_metric(d, side)
-    coords = dm.mat.apply_min(tuple(lams))
-    extended = any(c.is_neg_inf for c in coords)
-    return TropVector(coords, extended=extended)
+    verify(project(x, d, side) == x)
+    return list(x.coords)
 
 
 @dataclass(frozen=True)
@@ -126,9 +105,7 @@ class SaturationGraph:
     """Directed graph of tight inequalities x_i = d_ij + x_j.
 
     Loops sit on every vertex and are left implicit; recorded edges run
-    between support elements at finite distance only.  Component counts
-    come in two flavors: within the support, and with the off-support
-    vertices counted as isolated.
+    between support elements at finite distance only.
     """
 
     n: int
@@ -139,21 +116,6 @@ class SaturationGraph:
     def terminals(self) -> tuple[int, ...]:
         outs = {i for i, _ in self.edges}
         return tuple(sorted(i for i in self.support if i not in outs))
-
-    @property
-    def components_support(self) -> int:
-        return self._count(self.support)
-
-    @property
-    def components_total(self) -> int:
-        return self._count(self.support) + (self.n - len(self.support))
-
-    def _count(self, verts: frozenset[int]) -> int:
-        adj = [0] * self.n
-        for i, j in self.edges:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return len(components_of(adj, sum(1 << v for v in verts)))
 
 
 def saturation_graph(
@@ -209,7 +171,7 @@ def vector_to_strings(x: TropVector) -> list[str]:
     return out
 
 
-def vector_from_strings(items: Sequence, extended: bool = True) -> TropVector:
+def vector_from_strings(items: Sequence) -> TropVector:
     coords = []
     for s in items:
         token = str(s).strip()
@@ -219,4 +181,4 @@ def vector_from_strings(items: Sequence, extended: bool = True) -> TropVector:
             coords.append(ExtReal(None))
         else:
             coords.append(ExtReal.from_prob(Fraction(token)))
-    return TropVector(coords, extended=extended)
+    return TropVector(coords)

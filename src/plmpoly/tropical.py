@@ -203,39 +203,29 @@ def close_log(a: float, b: float, tol: float = 1e-9) -> bool:
 
 
 class TropVector:
-    """Immutable coordinate vector over ExtReal.
+    """Immutable coordinate vector over ExtReal: any nonempty tuple of them.
 
-    Standard vectors forbid -inf coordinates and the all-(+inf) point;
-    ``extended=True`` lifts both restrictions (the scratch space used by
-    the duality and Isbell maps).  A standard vector x is at once the
+    Coordinates may be -inf or +inf; the duality and Isbell maps produce
+    both.  A vector with no -inf coordinate and not all +inf is at once the
     point z = exp(-x) of the multiplicative cone (nonnegative, not all
-    zero), which ``mults`` reads exactly; ray generators are kept so.
+    zero), which ``mults`` reads exactly and ``canonical`` checks; ray
+    generators are kept so.
     """
 
-    __slots__ = ("coords", "extended")
+    __slots__ = ("coords",)
 
-    def __init__(self, coords: Iterable[ExtReal], extended: bool = False):
+    def __init__(self, coords: Iterable[ExtReal]):
         cs = tuple(coords)
         if not cs:
             raise ValueError("empty vector")
-        if not extended:
-            if any(c.is_neg_inf for c in cs):
-                raise ValueError("-inf coordinate in a standard vector")
-            if all(c.is_pos_inf for c in cs):
-                raise ValueError("all-(+inf) vector")
         object.__setattr__(self, "coords", cs)
-        object.__setattr__(self, "extended", extended)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("TropVector is immutable")
 
     @staticmethod
-    def from_probs(ps: Sequence[Rational], extended: bool = False) -> "TropVector":
-        return TropVector((ExtReal.from_prob(p) for p in ps), extended)
-
-    @staticmethod
-    def from_logs(xs: Sequence[float], extended: bool = False) -> "TropVector":
-        return TropVector((ExtReal.from_log(x) for x in xs), extended)
+    def from_probs(ps: Sequence[Rational]) -> "TropVector":
+        return TropVector(ExtReal.from_prob(p) for p in ps)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -261,28 +251,31 @@ class TropVector:
 
     def min_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        ext = self.extended or other.extended
-        return TropVector((tmin(a, b) for a, b in zip(self, other)), ext)
+        return TropVector(tmin(a, b) for a, b in zip(self, other))
 
     def max_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        ext = self.extended or other.extended
-        return TropVector((tmax(a, b) for a, b in zip(self, other)), ext)
+        return TropVector(tmax(a, b) for a, b in zip(self, other))
 
     def scaled(self, lam: ExtReal) -> "TropVector":
         """lam + self coordinatewise, (min,+) convention."""
-        return TropVector((tmul(lam, c) for c in self.coords), self.extended)
+        return TropVector(tmul(lam, c) for c in self.coords)
 
     def negated(self) -> "TropVector":
-        return TropVector((neg(c) for c in self.coords), extended=True)
+        return TropVector(neg(c) for c in self.coords)
 
     def canonical(self) -> "TropVector":
         """The same ray scaled so its largest multiplicative coordinate is 1.
 
         The smallest log coordinate is the largest multiplicative one, so
         adding its negation makes that coordinate 0; +inf ones stay +inf.
+        Only a cone point has one: the smallest coordinate is -inf when any
+        is, and +inf when all are, and either raises.
         """
-        return self.scaled(neg(tmin_all(self.coords)))
+        top = tmin_all(self.coords)
+        if not top.is_finite:
+            raise ValueError("not a cone point")
+        return self.scaled(neg(top))
 
     def proportional(self, other: "TropVector") -> bool:
         """Whether both span the same ray (differ by one additive shift)."""
@@ -291,9 +284,6 @@ class TropVector:
     def mults(self) -> tuple[Fraction, ...]:
         """Exact multiplicative coordinates exp(-x_i): +inf reads 0."""
         return tuple(c.mult for c in self.coords)
-
-    def logs(self) -> tuple[float, ...]:
-        return tuple(c.log for c in self.coords)
 
 
 def _check_len(x, y) -> None:
@@ -371,15 +361,6 @@ class TropMatrix:
 
     def column(self, j: int) -> tuple[ExtReal, ...]:
         return tuple(row[j] for row in self.rows)
-
-
-def min_plus_apply(m: TropMatrix, x: TropVector) -> TropVector:
-    """(min,+) product m x as a vector; inherits x's arithmetic mode."""
-    return TropVector(m.apply_min(x.coords), extended=x.extended)
-
-
-def max_plus_apply(m: TropMatrix, x: TropVector) -> TropVector:
-    return TropVector(m.apply_max(x.coords), extended=x.extended)
 
 
 def funk(x: TropVector, y: TropVector) -> ExtReal:

@@ -6,8 +6,8 @@ a line; the feasible nonnegative ones, deduplicated, are exactly the
 extremal rays.  Fraction-free integer elimination keeps it exact.  The
 number of subsets grows as C(rows, n-1), so it is only used for n <= 5.
 
-`saturated_rank` is the rank of the rows that a cone point z (a standard
-`TropVector`) makes tight, by `Fraction` Gaussian elimination.
+`saturated_rank` is the rank of the rows that a cone point z (a
+`TropVector` with no -inf coordinate, not all +inf) makes tight, by `Fraction` Gaussian elimination.
 """
 
 from __future__ import annotations

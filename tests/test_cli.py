@@ -408,12 +408,49 @@ class TestExitCodes:
         code, _, err = run(capsys, "rays", str(path))
         assert code == 1 and "missing" in err
 
-    @pytest.mark.parametrize("command", ["check", "rays", "dual"])
-    def test_non_string_tokens(self, capsys, tmp_path, command):
+    # (case, file, error line); the first case keeps the ids check/rays/dual
+    BAD_FILES = [
+        ("", {"texts": [[1], [1, 2]]}, "bad model data: text tokens must be strings"),
+        (
+            "pr-from-past-end",
+            {"texts": [["a"], ["b"], ["a", "b"]], "pr": [{"from": 7, "to": 2, "p": "1/2"}]},
+            "bad model data: pair (7,2) out of range",
+        ),
+        (
+            "pr-from-negative",
+            {
+                "texts": [["a"], ["b"], ["a", "b"]],
+                "pr": [{"from": -3, "to": 2, "p": "1/5"}, {"from": 0, "to": 2, "p": "1/2"}],
+            },
+            "bad model data: pair (-3,2) out of range",
+        ),
+        (
+            "pr-to-negative",
+            {"texts": [["a"], ["b"], ["a", "b"]], "pr": [{"from": 0, "to": -1, "p": "1/2"}]},
+            "bad model data: pair (0,-1) out of range",
+        ),
+        ("text-is-string", {"texts": ["ab"]}, "bad model data: texts must be a list of token lists"),
+        ("texts-is-object", {"texts": {"a": 1}}, "bad model data: texts must be a list of token lists"),
+        (
+            "labels-is-string",
+            {"labels": "ab", "metric": [["1", "0"], ["0", "1"]]},
+            "bad metric data: labels must be a list",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, data, line",
+        [
+            pytest.param(command, data, line, id="-".join(filter(None, (command, case))))
+            for case, data, line in BAD_FILES
+            for command in ("check", "rays", "dual")
+        ],
+    )
+    def test_non_string_tokens(self, capsys, tmp_path, command, data, line):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"texts": [[1], [1, 2]]}))
+        path.write_text(json.dumps(data))
         code, _, err = run(capsys, command, str(path))
-        assert code == 1 and err.startswith("error: bad model data") and "strings" in err
+        assert code == 1 and err == f"error: {line}\n"
 
 
 def test_dispatch_uses_the_module_attribute(capsys, ex1_file, monkeypatch):

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plmpoly import (
     ExtReal,
@@ -14,7 +14,6 @@ from plmpoly import (
     close_log,
     funk,
     funk_q,
-    min_plus_apply,
     neg,
     tmax,
     tmax_mul,
@@ -122,13 +121,9 @@ def test_neg_antitone(a, b):
 def test_vector_constraints():
     with pytest.raises(ValueError):
         TropVector([])
-    with pytest.raises(ValueError):
-        TropVector([POS_INF, POS_INF])
-    with pytest.raises(ValueError):
-        TropVector([ZERO, NEG_INF])
-    v = TropVector([POS_INF, POS_INF], extended=True)
+    v = TropVector([POS_INF, POS_INF])
     assert v.support == ()
-    w = TropVector([ZERO, NEG_INF], extended=True)
+    w = TropVector([ZERO, NEG_INF])
     assert w.negated().coords == (ZERO, POS_INF)
 
 
@@ -142,10 +137,10 @@ def test_vector_ops():
         ExtReal.from_prob(F(1, 10)),
         ExtReal.from_prob(F(1, 5)),
     )
-    assert x.logs() == (math.log(2), 0.0)
 
 
-# Cone points: a standard vector x is z = exp(-x), nonnegative, not all 0.
+# Cone points: a vector x with no -inf coordinate, not all +inf, is the
+# point z = exp(-x) of the cone, nonnegative and not all 0.
 
 cone_points = (
     st.lists(st.sampled_from([0, 0, 1, 2, 3, F(1, 2), F(2, 3), F(7, 5)]), min_size=1, max_size=6)
@@ -193,6 +188,20 @@ def test_canonical_matches_fraction_reference(z, factor):
     assert z.scaled(ExtReal.from_prob(factor)).canonical() == c
 
 
+@given(st.lists(st.sampled_from([POS_INF, NEG_INF, ZERO, FINITE[1]]), min_size=1, max_size=5))
+@example([POS_INF, POS_INF])
+def test_canonical_rejects_exactly_non_cone_points(coords):
+    x = TropVector(coords)
+    cone_point = not any(c.is_neg_inf for c in coords) and not all(
+        c.is_pos_inf for c in coords
+    )
+    if cone_point:
+        assert x.canonical().mults() == canonical_reference(x)
+    else:
+        with pytest.raises(ValueError, match="not a cone point"):
+            x.canonical()
+
+
 @given(cone_point_pairs())
 def test_proportional_matches_fraction_reference(ab):
     a, b = ab
@@ -205,7 +214,7 @@ def test_matrix_products():
     assert m.transpose()[1, 0].mult == F(1, 2)
     assert m.compose_min(m) == m
     x = TropVector.from_probs([1, 1])
-    assert min_plus_apply(m, x).coords == (ZERO, ZERO)
+    assert m.apply_min(x.coords) == (ZERO, ZERO)
     ident = TropMatrix.identity(2)
     assert ident.compose_min(m) == m
 
@@ -283,10 +292,10 @@ def test_sparse_compose_min_matches_dense(ab):
 
 def test_funk_frozen_values():
     # max{y_i - x_i over x_i finite}; empty admissible set gives -inf
-    x = TropVector.from_logs([0.0, math.inf])
-    y = TropVector.from_logs([5.0, 1.0])
+    x = TropVector(map(ExtReal.from_log, [0.0, math.inf]))
+    y = TropVector(map(ExtReal.from_log, [5.0, 1.0]))
     assert close_log(funk(x, y).log, 5.0)
-    x2 = TropVector([POS_INF, POS_INF], extended=True)
+    x2 = TropVector([POS_INF, POS_INF])
     assert funk(x2, y) == NEG_INF
     # one-sided: funk is not symmetric
     a = TropVector.from_probs([1, F(1, 2)])
