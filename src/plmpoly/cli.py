@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 unreadable or malformed input, 2 verification
-mismatch, 3 resource cap hit.  Numeric output is exact rational strings
-in the multiplicative domain unless --float asks for decimals; file
-writes go through a temp file and a rename.
+mismatch, 3 resource cap hit; a usage error counts as malformed input.
+Numeric output is exact rational strings in the multiplicative domain
+unless --float asks for decimals; file writes go through a temp file and
+a rename.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ from .extension import IsometryError, boltzmann, embed_model, retraction_from_su
 from .isbell import isbell_member, map_l, map_r, max_closure
 from .model import (
     DirectedMetric,
+    ValidationFailed,
     check_projector,
     ingest_corpus,
     load_model_file,
     metric_from_plm,
     model_to_dict,
     truncate_big_m,
-    validate_plm,
     write_text_atomic,
 )
 from .polyhedron import (
@@ -125,10 +126,11 @@ def cmd_check(args) -> int:
     rows: list[tuple[str, bool, str]] = []
     d = None
     if kind == "plm":
-        rep = validate_plm(obj)
-        rows.append(("validate", rep.ok, "" if rep.ok else rep.summary()))
-        if rep.ok:
+        try:
             d = metric_from_plm(obj)
+            rows.append(("validate", True, ""))
+        except ValidationFailed as exc:
+            rows.append(("validate", False, exc.report.summary()))
     else:
         rows.append(("validate", True, "general metric: no model axioms to check"))
         d = obj
@@ -149,21 +151,10 @@ def cmd_check(args) -> int:
     return 0 if all(ok for _, ok, _ in rows) else 2
 
 
-def _ray_payload(args, side: Side, labels, entries, method: str) -> dict:
-    return {
-        "command": "rays",
-        "config": {"seed": args.seed, "float": bool(args.float), "side": side.value},
-        "method": method,
-        "labels": list(labels),
-        "count": len(entries),
-        "rays": entries,
-    }
-
-
 def cmd_rays(args) -> int:
     kind, obj, labels = _load(args.model)
-    side = Side.parse(args.side)
-    as_float = bool(args.float)
+    side = Side(args.side)
+    as_float = args.float
     if args.big_m is not None:
         d = truncate_big_m(_metric_of(kind, obj), args.big_m)
         kind = "metric"
@@ -211,20 +202,25 @@ def cmd_rays(args) -> int:
                 }
             )
 
-    payload = _ray_payload(args, side, labels, entries, method)
+    payload = {
+        "command": "rays",
+        "config": {"seed": args.seed, "float": as_float, "side": side.value},
+        "method": method,
+        "labels": list(labels),
+        "count": len(entries),
+        "rays": entries,
+    }
     if args.big_m is not None:
         payload["bigM"] = args.big_m
     if mismatch is not None:
         payload["oracleMismatch"] = mismatch
         sys.stderr.write("ray enumeration disagrees with the oracle\n")
+    _emit_json(args, payload)
     if args.out:
-        write_text_atomic(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         header = ["carrier"] + list(labels)
         rows = [["+".join(e["carrier"])] + e["vertex"] for e in entries]
         write_text_atomic(stem + ".csv", _csv_text(header, rows))
-    else:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 2 if mismatch is not None else 0
 
 
@@ -248,21 +244,16 @@ def _ray_differences(rays, qs, labels, as_float: bool) -> dict:
 def cmd_dual(args) -> int:
     kind, obj, labels = _load(args.model)
     d = _metric_of(kind, obj)
-    as_float = bool(args.float)
     entries = []
-    try:
-        for k in range(d.n):
-            rep = dual_decompose(d, k)
-            entries.append(
-                {
-                    "text": labels[k],
-                    "yoneda": _vec_out(rep.yoneda, as_float),
-                    "negated": _vec_out(rep.negated, as_float),
-                }
-            )
-    except AssertionError:
-        sys.stderr.write(f"duality identities fail at index {k}\n")
-        return 2
+    for k in range(d.n):
+        rep = dual_decompose(d, k)
+        entries.append(
+            {
+                "text": labels[k],
+                "yoneda": _vec_out(rep.yoneda, args.float),
+                "negated": _vec_out(rep.negated, args.float),
+            }
+        )
     _emit_json(args, {"command": "dual", "count": len(entries), "pairs": entries})
     return 0
 
@@ -324,7 +315,7 @@ def cmd_embed(args) -> int:
 def cmd_retract(args) -> int:
     kind, obj, labels = _load(args.model)
     d = _metric_of(kind, obj)
-    as_float = bool(args.float)
+    as_float = args.float
     if args.subset:
         wanted = [s.strip() for s in args.subset.split(",") if s.strip()]
         try:
@@ -376,9 +367,7 @@ def cmd_ingest(args) -> int:
 def cmd_crosssection(args) -> int:
     kind, obj, labels = _load(args.model)
     d = _metric_of(kind, obj)
-    if args.big_m is None or args.big_m <= 0:
-        raise ValueError("--big-m must be positive")
-    as_float = bool(args.float)
+    as_float = args.float
     runs: dict[tuple[str, float], list[TropVector]] = {}
     for m_val in (args.big_m, 10 * args.big_m):
         dm = truncate_big_m(d, m_val)
@@ -411,43 +400,41 @@ def cmd_crosssection(args) -> int:
                 + (" (interior: exact match)" if exact else "")
             )
     sys.stdout.write("\n".join(drift_lines) + "\n")
-    if args.out:
-        write_text_atomic(args.out, _csv_text(header, rows))
-    else:
-        sys.stdout.write(_csv_text(header, rows))
+    _emit(args, _csv_text(header, rows))
     return 0
 
 
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so that `main` exits 1 as for bad input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="plmpoly",
         description="Exact min-plus polyhedral geometry of extension-probability text models.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
-        sp.add_argument("--seed", type=int, default=0, help="recorded in outputs")
-        sp.add_argument("--float", action="store_true", help="decimal output")
-        if out:
-            sp.add_argument("--out", default=None, help="write output to a file")
-
     sp = sub.add_parser("check", help="validate a model and its metric identities")
     sp.add_argument("model")
-    common(sp)
 
     sp = sub.add_parser("rays", help="extremal rays of a side's cone")
     sp.add_argument("model")
     sp.add_argument("--side", default="lower", choices=["lower", "upper"])
     sp.add_argument("--oracle", action="store_true", help="cross-check with the oracle")
     sp.add_argument("--big-m", type=float, default=None, help="truncate +inf to M first")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0, help="recorded in the output")
+    sp.add_argument("--float", action="store_true", help="decimal output")
 
     sp = sub.add_parser("dual", help="negation pairing and span identities per text")
     sp.add_argument("model")
-    common(sp)
+    sp.add_argument("--float", action="store_true", help="decimal output")
 
     sp = sub.add_parser("isbell", help="Isbell membership tests")
     sp.add_argument("model")
@@ -457,32 +444,31 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report closure vectors outside the Isbell span",
     )
-    common(sp)
 
     sp = sub.add_parser("embed", help="verify a sub-model embeds isometrically")
     sp.add_argument("model")
     sp.add_argument("--sub", required=True, help="sub-model file")
-    common(sp)
 
     sp = sub.add_parser("retract", help="retract every generator onto a sub-span")
     sp.add_argument("model")
     sp.add_argument("--subset", default=None, help="comma-separated text labels")
     sp.add_argument("--max-len", type=int, default=None, help="keep texts up to this length")
     sp.add_argument("--temperature", type=float, default=None, help="Boltzmann output")
-    common(sp)
+    sp.add_argument("--float", action="store_true", help="decimal output")
 
     sp = sub.add_parser("ingest", help="build a model from a token corpus")
     sp.add_argument("corpus")
     sp.add_argument("--order-mode", default="two", choices=["one", "two", "one-sided", "two-sided"])
     sp.add_argument("--max-len", type=int, default=2)
     sp.add_argument("--include-empty", action="store_true")
-    common(sp)
 
     sp = sub.add_parser("crosssection", help="truncated-cone vertices at M and 10M")
     sp.add_argument("model")
     sp.add_argument("--big-m", type=float, required=True)
-    common(sp)
+    sp.add_argument("--float", action="store_true", help="decimal output")
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, help="write output to a file")
     return p
 
 
@@ -491,8 +477,8 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         # looked up at call time, so a wrapped cmd_* module attribute is used
         return globals()[f"cmd_{args.command}"](args)
     except ResourceCapExceeded as exc:

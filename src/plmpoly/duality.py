@@ -60,9 +60,9 @@ def dual_decompose(d: DirectedMetric, k: int) -> DualityReport:
         raise IndexError(f"index {k} out of range")
     col = TropVector(d.mat.column(k))
     primal = TropVector(d.mat.apply_min(col.coords))
-    verify(primal.coords == d.mat.column(k))
+    verify(primal.coords == d.mat.column(k), f"column identity fails at index {k}")
 
     negated = map_b(d, col)
     expected = col.negated()
-    verify(negated == expected)
+    verify(negated == expected, f"negated identity fails at index {k}")
     return DualityReport(index=k, yoneda=primal, negated=negated)

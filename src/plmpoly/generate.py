@@ -59,7 +59,7 @@ def random_layered_plm(rng: random.Random, n: int) -> Plm:
         for j in range(n):
             if layer_of[j] == layer_of[i] + 1 and rng.random() < 0.5:
                 pairs.append((i, j))
-    order = PartialOrder.from_pairs(n, pairs, close=True)
+    order = PartialOrder.from_pairs(n, pairs)
     texts = tuple((f"t{i}",) for i in range(n))
     # a potential that shrinks by at least the per-step spread keeps
     # every ratio in (0, 1]
@@ -83,8 +83,8 @@ def random_plm(rng: random.Random, n: int | None = None, kind: str | None = None
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def random_weight(rng: random.Random, top_prob: float = 0.3) -> ExtReal:
-    if rng.random() < top_prob:
+def random_weight(rng: random.Random) -> ExtReal:
+    if rng.random() < 0.3:
         return POS_INF
     return ExtReal(Fraction(rng.randint(1, 12), rng.randint(1, 12)))
 

@@ -84,15 +84,18 @@ class PartialOrder:
         raise AttributeError("PartialOrder is immutable")
 
     @staticmethod
-    def from_pairs(n: int, pairs: Iterable[tuple[int, int]], close: bool = False) -> "PartialOrder":
+    def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "PartialOrder":
+        """The least partial order holding every pair (i, j) as i <= j.
+
+        The pairs are closed reflexively and transitively; a cycle among
+        them leaves the closure not antisymmetric, and that is an error.
+        """
         up = [1 << i for i in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"pair ({i},{j}) out of range")
             up[i] |= 1 << j
-        if close:
-            up = [reach(up, 1 << i, (1 << n) - 1) for i in range(n)]
-        return PartialOrder(n, up)
+        return PartialOrder(n, [reach(up, 1 << i, (1 << n) - 1) for i in range(n)])
 
     @staticmethod
     def from_texts(texts: Sequence[Text], order_mode: str) -> "PartialOrder":
@@ -439,7 +442,7 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
     for idempotency and a failure there warns as well (it is guaranteed
     only for M at least twice the largest finite entry).
     """
-    if big_m <= 0:
+    if not big_m > 0:  # NaN fails this test too
         raise ValueError("M must be positive")
     eps = ExtReal.from_log(float(big_m))
     if eps == ZERO or eps.is_pos_inf:
@@ -500,16 +503,13 @@ def potential(
     return values
 
 
-def potentials(m: Plm, refs: Mapping[int, int] | None = None) -> list[Potential]:
-    """Path-weight potentials per component, ref defaulting to the least index."""
+def potentials(m: Plm) -> list[Potential]:
+    """Path-weight potentials per component, each set to 1 at its least index."""
     out = []
-    for comp_id, mask in enumerate(components_of(m.order._adj, (1 << m.n) - 1)):
+    for mask in components_of(m.order._adj, (1 << m.n) - 1):
         comp = bits(mask)
-        ref = comp[0] if refs is None else refs.get(comp_id, comp[0])
-        if ref not in comp:
-            raise ValueError(f"reference {ref} is not in component {comp}")
-        values = potential(m.order, m.pr, mask, ref)
-        out.append(Potential(members=comp, ref=ref, values=values))
+        values = potential(m.order, m.pr, mask, comp[0])
+        out.append(Potential(members=comp, ref=comp[0], values=values))
     return out
 
 
@@ -578,14 +578,18 @@ def model_from_dict(data: dict) -> Plm:
         for row in data.get("pr", []):
             i, j = int(row["from"]), int(row["to"])
             p = Fraction(str(row["p"]))
-            if i == j and p == 1:
+            # a reflexive row says nothing; one past the texts is kept for Plm to refuse
+            if i == j and p == 1 and 0 <= i < len(texts):
                 continue
             pr[(i, j)] = p
         order = None
         if order_mode == "explicit":
-            order = PartialOrder.from_pairs(
-                len(texts), [(int(i), int(j)) for i, j in data["order"]], close=True
-            )
+            pairs = data["order"]
+            if not isinstance(pairs, list) or not all(
+                isinstance(ij, list) and len(ij) == 2 for ij in pairs
+            ):
+                raise ValueError("order must be a list of [from, to] pairs")
+            order = PartialOrder.from_pairs(len(texts), [(int(i), int(j)) for i, j in pairs])
         return Plm(texts, order_mode, pr, order=order)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad model data: {exc}") from exc
@@ -606,6 +610,8 @@ def metric_from_dict(
 ) -> tuple[DirectedMetric, list[str]]:
     try:
         rows = data["metric"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError("metric must be a list of lists")
         labels = data.get("labels", list(range(len(rows))))
         if not isinstance(labels, list):
             raise ValueError("labels must be a list")

@@ -24,13 +24,6 @@ class Side(enum.Enum):
     LOWER = "lower"
     UPPER = "upper"
 
-    @staticmethod
-    def parse(s: str) -> "Side":
-        try:
-            return Side(s)
-        except ValueError:
-            raise ValueError(f"side must be 'lower' or 'upper', got {s!r}") from None
-
 
 def side_metric(d: DirectedMetric, side: Side) -> DirectedMetric:
     """The metric whose lower side is the requested side of d."""

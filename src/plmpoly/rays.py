@@ -101,9 +101,7 @@ def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[
     ]
 
 
-def diagonal_scaling(
-    m: Plm, refs: Mapping[int, int] | None = None
-) -> dict[int, Fraction]:
+def diagonal_scaling(m: Plm) -> dict[int, Fraction]:
     """Per-text weights w with w_j = Pr(a_j|a_i) w_i on every order edge.
 
     Substituting z_i = z~_i / w_i turns every cone constraint
@@ -111,7 +109,7 @@ def diagonal_scaling(
     on all constraints.
     """
     w: dict[int, Fraction] = {}
-    for pot in potentials(m, refs):
+    for pot in potentials(m):
         w.update(pot.values)
     for (i, j), p in m.pr.items():
         if i != j:
@@ -189,13 +187,13 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     )
 
 
-def enumerate_rays(m: Plm, side: Side = Side.LOWER, cap: int = 24) -> list[Ray]:
+def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
     """Theory route: one ray per nonempty connected lower set of the side's order."""
     d = metric_from_plm(m)
     order, _ = _side_order_pr(m, side)
     rays = [
         ray_from_lower_set(m, ls.members, side)
-        for ls in enumerate_connected_lower_sets(order, cap)
+        for ls in enumerate_connected_lower_sets(order)
     ]
     for r in rays:
         verify(membership(r.generator, d, side))

@@ -1,6 +1,9 @@
+import argparse
 import csv
+import inspect
 import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +14,7 @@ from plmpoly import (
     model_to_dict,
     write_json_atomic,
 )
-from plmpoly import cli, rays
+from plmpoly import cli, duality, rays
 from plmpoly.cli import main
 
 
@@ -182,6 +185,12 @@ class TestDual:
         assert by_text["r c"]["yoneda"] == ["1/2", "1/3", "1"]
         assert by_text["r c"]["negated"] == ["2", "3", "1"]
         assert by_text["r"]["negated"] == ["1", "-inf", "-inf"]
+
+    def test_failed_identity_names_the_index(self, capsys, ex1_file, monkeypatch):
+        monkeypatch.setattr(duality, "map_b", lambda d, x: x)
+        code, out, err = run(capsys, "dual", ex1_file)
+        assert code == 2 and out == ""
+        assert err == "verification failed: negated identity fails at index 0\n"
 
 
 class TestIsbell:
@@ -365,9 +374,11 @@ class TestCrosssection:
         assert "side lower: 1 vertices at M=10, 1 at M=100" in out
         assert "side upper: 1 vertices at M=10, 1 at M=100" in out
 
-    def test_bad_m(self, capsys, ex1_file):
-        code, _, _ = run(capsys, "crosssection", ex1_file, "--big-m", "-3")
-        assert code == 1
+    @pytest.mark.parametrize("command", ["rays", "crosssection"])
+    @pytest.mark.parametrize("big_m", ["-3", "0", "nan"])
+    def test_bad_m(self, capsys, ex1_file, command, big_m):
+        code, out, err = run(capsys, command, ex1_file, "--big-m", big_m)
+        assert (code, out, err) == (1, "", "error: M must be positive\n")
 
 
 class TestExitCodes:
@@ -436,6 +447,33 @@ class TestExitCodes:
             {"labels": "ab", "metric": [["1", "0"], ["0", "1"]]},
             "bad metric data: labels must be a list",
         ),
+        (
+            "reflexive-pr-past-end",
+            {
+                "texts": [["r"], ["c"], ["r", "c"]],
+                "pr": [
+                    {"from": 0, "to": 2, "p": "1/2"},
+                    {"from": 1, "to": 2, "p": "1/3"},
+                    {"from": 7, "to": 7, "p": "1"},
+                ],
+            },
+            "bad model data: pair (7,7) out of range",
+        ),
+        (
+            "metric-rows-are-strings",
+            {"labels": ["a", "b"], "metric": ["10", "01"]},
+            "bad metric data: metric must be a list of lists",
+        ),
+        (
+            "order-pair-is-string",
+            {
+                "texts": [["x"], ["y"]],
+                "orderMode": "explicit",
+                "order": ["01"],
+                "pr": [{"from": 0, "to": 1, "p": "1/2"}],
+            },
+            "bad model data: order must be a list of [from, to] pairs",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -452,6 +490,26 @@ class TestExitCodes:
         code, _, err = run(capsys, command, str(path))
         assert code == 1 and err == f"error: {line}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "MODEL", "--bogus"],
+            ["check", "MODEL", "--float"],
+            ["rays", "MODEL", "--side", "middle"],
+            ["nope"],
+        ],
+        ids=["unknown-flag", "undeclared-float", "bad-choice", "bad-command"],
+    )
+    def test_usage_error_is_bad_input(self, capsys, ex1_file, argv):
+        code, out, err = run(capsys, *[ex1_file if a == "MODEL" else a for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "usage: plmpoly" in capsys.readouterr().out
+
 
 def test_dispatch_uses_the_module_attribute(capsys, ex1_file, monkeypatch):
     assert run(capsys, "check", ex1_file)[0] == 0  # the parser now exists
@@ -459,3 +517,21 @@ def test_dispatch_uses_the_module_attribute(capsys, ex1_file, monkeypatch):
     monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.model) or 5)
     assert run(capsys, "check", ex1_file)[0] == 5
     assert seen == [ex1_file]
+
+
+def test_every_flag_is_read():
+    """Each subcommand declares only what its cmd_* function reads."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(getattr(cli, f"cmd_{name}"))
+        # _emit_json passes args on to _emit, which reads args.out
+        for helper in (cli._emit_json, cli._emit):
+            if re.search(rf"\b{helper.__name__}\(\s*args\b", source):
+                source += inspect.getsource(helper)
+        unread += [
+            f"{name} {(action.option_strings or [action.dest])[0]}"
+            for action in parser._actions
+            if action.dest != "help" and f"args.{action.dest}" not in source
+        ]
+    assert unread == []

@@ -33,7 +33,7 @@ from conftest import make_d2, seeded
 
 class TestLowerSets:
     def test_chain(self):
-        o = PartialOrder.from_pairs(3, [(0, 1), (1, 2)], close=True)
+        o = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
         ls = enumerate_connected_lower_sets(o)
         assert [s.members for s in ls] == [(0,), (0, 1), (0, 1, 2)]
 
