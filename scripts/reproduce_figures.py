@@ -39,7 +39,7 @@ from plmpoly import (
     metric_from_plm,
     normalize_to_simplex,
     oracle_rays,
-    potentials,
+    potential,
     retraction_from_subset,
     truncate_big_m,
     vector_to_strings,
@@ -208,16 +208,12 @@ def emit_retraction(cfg: FigureConfig, m: Plm) -> None:
 
 
 def emit_potentials(cfg: FigureConfig, m: Plm) -> None:
+    w = potential(m, (1 << m.n) - 1)
     rows = []
-    for pot in potentials(m):
-        for i in sorted(pot.values):
+    for comp in m.order.components():
+        for i in comp:
             rows.append(
-                [
-                    "|".join(m.label(j) for j in pot.members),
-                    m.label(pot.ref),
-                    m.label(i),
-                    str(pot.values[i]),
-                ]
+                ["|".join(m.label(j) for j in comp), m.label(comp[0]), m.label(i), str(w[i])]
             )
     write_csv(cfg, "potentials.csv", ["component", "ref", "text", "value"], rows)
 

@@ -1,9 +1,10 @@
 """Extension-probability models over partially ordered sets of texts.
 
 A model assigns to each comparable pair of texts (subtext <= supertext) an
-exact rational extension probability, multiplicative along chains.  The
-induced directed metric d(a,b) = -log Pr(b|a) (with +inf off the order) is
-the object everything downstream works with.
+exact rational extension probability, and it is valid when one potential w
+reproduces every one of them: Pr(b|a) = w_b / w_a, a ratio of text
+probabilities.  The induced directed metric d(a,b) = -log Pr(b|a) (with
++inf off the order) is the object everything downstream works with.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ class PartialOrder:
         return [(i, j) for i in range(self.n) for j in bits(self._up[i] & ~(1 << i))]
 
     def opposite(self) -> "PartialOrder":
-        return PartialOrder(self.n, self._down)
+        """The reverse order; it is a partial order, so nothing is re-checked."""
+        o = PartialOrder.__new__(PartialOrder)
+        for name, value in zip(self.__slots__, (self.n, self._down, self._up, self._adj)):
+            object.__setattr__(o, name, value)
+        return o
 
     def connected(self, mask: int) -> bool:
         """Is the comparability graph induced on the masked subset connected?"""
@@ -239,9 +244,8 @@ class ValidationReport:
     extraneous: list[tuple[int, int]] = field(default_factory=list)
     missing: list[tuple[int, int]] = field(default_factory=list)
     nonpositive: list[tuple[int, int, Fraction]] = field(default_factory=list)
-    multiplicativity: list[tuple[int, int, int, Fraction, Fraction]] = field(
-        default_factory=list
-    )
+    # (i, j, Pr(a_j|a_i), w_j / w_i) on the first order edge the potential misses
+    multiplicativity: list[tuple[int, int, Fraction, Fraction]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -265,16 +269,21 @@ class ValidationReport:
             parts.append(f"missing probability for comparable pairs {self.missing}")
         if self.nonpositive:
             parts.append(f"nonpositive probabilities at {self.nonpositive}")
-        if self.multiplicativity:
-            shown = self.multiplicativity[:5]
+        for i, j, p, q in self.multiplicativity:
             parts.append(
-                "multiplicativity fails at "
-                + ", ".join(f"({i},{j},{k}): {a} != {b}" for i, j, k, a, b in shown)
+                f"multiplicativity fails on edge ({i},{j}): "
+                f"Pr is {p}, the path-dependent potential gives {q}"
             )
         return "; ".join(parts)
 
 
 def validate_plm(m: Plm) -> ValidationReport:
+    """Check the model axioms, the last being that `potential` exists.
+
+    A potential implies the chain rule Pr(k|i) = Pr(k|j) Pr(j|i), both sides
+    being w_k / w_i; it also refuses models that the chain rule lets through,
+    path-dependent around a cycle that no chain explains (the crown a, b <= c, d).
+    """
     rep = ValidationReport()
     order = m.order
     for (i, j), p in sorted(m.pr.items()):
@@ -291,14 +300,44 @@ def validate_plm(m: Plm) -> ValidationReport:
         if (i, j) not in have:
             rep.missing.append((i, j))
     if rep.ok:
-        for i, j in order.strict_pairs():
-            for k in range(m.n):
-                if k != i and k != j and order.leq(j, k):
-                    lhs = m.pr[(i, k)]
-                    rhs = m.pr[(j, k)] * m.pr[(i, j)]
-                    if lhs != rhs:
-                        rep.multiplicativity.append((i, j, k, lhs, rhs))
+        try:
+            potential(m, (1 << m.n) - 1)
+        except ValidationFailed as exc:
+            rep.multiplicativity = exc.report.multiplicativity
     return rep
+
+
+def potential(m: Plm, mask: int) -> dict[int, Fraction]:
+    """Weights w on `mask` with Pr(a_j|a_i) = w_j / w_i on every order edge in it.
+
+    One walk per component of the comparability graph induced on `mask`,
+    starting from 1 at the component's least index: stepping up an edge
+    multiplies by its probability, stepping down divides by it.  Every
+    edge that closes a cycle is checked, and the first that disagrees
+    raises `ValidationFailed` with the edge and both values.
+    """
+    order, pr = m.order, m.pr
+    w: dict[int, Fraction] = {}
+    left = mask
+    while left:
+        start = (left & -left).bit_length() - 1
+        w[start] = Fraction(1)
+        stack = [start]
+        left &= left - 1
+        while stack:
+            i = stack.pop()
+            for j in bits(order._adj[i] & mask):
+                up = order.leq(i, j)
+                wj = w[i] * pr[(i, j)] if up else w[i] / pr[(j, i)]
+                if j not in w:
+                    w[j] = wj
+                    stack.append(j)
+                    left &= ~(1 << j)
+                elif w[j] != wj:
+                    lo, hi = (i, j) if up else (j, i)
+                    edge = (lo, hi, pr[(lo, hi)], w[hi] / w[lo])
+                    raise ValidationFailed(ValidationReport(multiplicativity=[edge]))
+    return w
 
 
 class DirectedMetric:
@@ -368,12 +407,12 @@ def metric_from_plm(m: Plm) -> DirectedMetric:
     """The metric d(i,k) = -log Pr(a_k|a_i) of a valid model, +inf off the order.
 
     d is a projector (d o d == d) by validation alone, so it is not checked
-    again.  A finite term d(i,j) + d(j,k) of (d o d)(i,k) needs a chain
-    i <= j <= k.  For j = i or j = k the zero diagonal makes it d(i,k); for
-    the others `validate_plm` has checked Pr(k|i) = Pr(k|j) Pr(j|i), so it
-    equals d(i,k) too.  The term j = i is always there, so the minimum is
-    d(i,k) when i <= k.  When i is not below k, no chain exists, every term
-    is +inf and so is the entry.
+    again.  Validation found a potential w with d(i,k) = log w_i - log w_k
+    for i <= k.  A finite term d(i,j) + d(j,k) of (d o d)(i,k) needs a chain
+    i <= j <= k, and then it telescopes to log w_i - log w_k = d(i,k).  The
+    term j = i is always there, so the minimum is d(i,k) when i <= k.  When
+    i is not below k, no chain exists, every term is +inf and so is the
+    entry.
     """
     rep = validate_plm(m)
     if not rep.ok:
@@ -444,7 +483,10 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
     """
     if not big_m > 0:  # NaN fails this test too
         raise ValueError("M must be positive")
-    eps = ExtReal.from_log(float(big_m))
+    try:
+        eps = ExtReal.from_log(float(big_m))
+    except ValueError:  # no exact stand-in of printable size
+        eps = POS_INF
     if eps == ZERO or eps.is_pos_inf:
         raise ValueError("M out of representable range")
     minp = d.min_finite_prob()
@@ -459,57 +501,6 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
         verify(ok, "idempotency must hold for M >= 2 * max finite entry")
     elif not ok:
         warnings.warn("truncated matrix is not idempotent (M too small)", stacklevel=2)
-    return out
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Multiplicative potential on one comparability component.
-
-    values[i] / values[j] reproduces every extension probability
-    Pr(a_i | a_j) inside the component; values[ref] == 1.
-    """
-
-    members: tuple[int, ...]
-    ref: int
-    values: dict[int, Fraction]
-
-
-def potential(
-    order: PartialOrder,
-    pr: Mapping[tuple[int, int], Fraction],
-    mask: int,
-    ref: int,
-) -> dict[int, Fraction]:
-    """Path-weight potential on the part of `mask` connected to `ref`.
-
-    Walking up an order edge multiplies by the edge probability, walking
-    down divides by it; path independence is checked on every closing edge.
-    """
-    values: dict[int, Fraction] = {ref: Fraction(1)}
-    stack = [ref]
-    while stack:
-        i = stack.pop()
-        for j in bits(order._adj[i] & mask):
-            w = values[i] * pr[(i, j)] if order.leq(i, j) else values[i] / pr[(j, i)]
-            if j in values:
-                if values[j] != w:
-                    raise ValueError(
-                        f"path-dependent potential: cycle through edge ({i},{j})"
-                    )
-            else:
-                values[j] = w
-                stack.append(j)
-    return values
-
-
-def potentials(m: Plm) -> list[Potential]:
-    """Path-weight potentials per component, each set to 1 at its least index."""
-    out = []
-    for mask in components_of(m.order._adj, (1 << m.n) - 1):
-        comp = bits(mask)
-        values = potential(m.order, m.pr, mask, comp[0])
-        out.append(Potential(members=comp, ref=comp[0], values=values))
     return out
 
 
@@ -566,6 +557,11 @@ def model_to_dict(m: Plm) -> dict:
 
 
 def model_from_dict(data: dict) -> Plm:
+    def index(v) -> int:
+        if type(v) is not int:  # bool and float are refused, not rounded
+            raise ValueError(f"index {json.dumps(v)} is not an integer")
+        return v
+
     try:
         texts = data["texts"]
         if not isinstance(texts, list) or not all(isinstance(t, list) for t in texts):
@@ -576,7 +572,7 @@ def model_from_dict(data: dict) -> Plm:
         order_mode = data.get("orderMode", "two-sided")
         pr = {}
         for row in data.get("pr", []):
-            i, j = int(row["from"]), int(row["to"])
+            i, j = index(row["from"]), index(row["to"])
             p = Fraction(str(row["p"]))
             # a reflexive row says nothing; one past the texts is kept for Plm to refuse
             if i == j and p == 1 and 0 <= i < len(texts):
@@ -589,7 +585,7 @@ def model_from_dict(data: dict) -> Plm:
                 isinstance(ij, list) and len(ij) == 2 for ij in pairs
             ):
                 raise ValueError("order must be a list of [from, to] pairs")
-            order = PartialOrder.from_pairs(len(texts), [(int(i), int(j)) for i, j in pairs])
+            order = PartialOrder.from_pairs(len(texts), [(index(i), index(j)) for i, j in pairs])
         return Plm(texts, order_mode, pr, order=order)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad model data: {exc}") from exc

@@ -27,7 +27,6 @@ from .model import (
     components_of,
     metric_from_plm,
     potential,
-    potentials,
 )
 from .polyhedron import SaturationGraph, Side, saturation_graph, membership
 from .tropical import POS_INF, ExtReal, TropVector, neg, verify
@@ -39,13 +38,7 @@ class ResourceCapExceeded(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class LowerSet:
-    members: tuple[int, ...]
-    mask: int
-
-
-def enumerate_connected_lower_sets(order: PartialOrder, cap: int = 24) -> list[LowerSet]:
+def enumerate_connected_lower_sets(order: PartialOrder, cap: int = 24) -> list[tuple[int, ...]]:
     """All nonempty downward-closed subsets whose comparability graph connects."""
     n = order.n
     if n > cap:
@@ -66,7 +59,7 @@ def enumerate_connected_lower_sets(order: PartialOrder, cap: int = 24) -> list[L
 
     rec(0, 0)
     masks.sort()
-    return [LowerSet(members=bits(m), mask=m) for m in masks]
+    return [bits(m) for m in masks]
 
 
 @dataclass(frozen=True)
@@ -80,15 +73,13 @@ class Ray:
     certificate_rank: int
 
 
-def _side_order_pr(m: Plm, side: Side) -> tuple[PartialOrder, dict[tuple[int, int], Fraction]]:
-    if side is Side.LOWER:
-        return m.order, dict(m.pr)
-    return m.order.opposite(), {(j, i): p for (i, j), p in m.pr.items()}
+def _side_order(m: Plm, side: Side) -> PartialOrder:
+    return m.order if side is Side.LOWER else m.order.opposite()
 
 
 def plm_cone_constraints(m: Plm, side: Side = Side.LOWER) -> list[Constraint]:
-    order, pr = _side_order_pr(m, side)
-    return [(i, j, pr[(i, j)]) for i, j in order.strict_pairs()]
+    rows = [(i, j, m.pr[(i, j)]) for i, j in m.order.strict_pairs()]
+    return rows if side is Side.LOWER else sorted((j, i, p) for i, j, p in rows)
 
 
 def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[Constraint]:
@@ -99,22 +90,6 @@ def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[
         for j in range(d.n)
         if i != j and not dm[i, j].is_pos_inf
     ]
-
-
-def diagonal_scaling(m: Plm) -> dict[int, Fraction]:
-    """Per-text weights w with w_j = Pr(a_j|a_i) w_i on every order edge.
-
-    Substituting z_i = z~_i / w_i turns every cone constraint
-    z_i >= p z_j into plain z~_i >= z~_j; the verification below is exact
-    on all constraints.
-    """
-    w: dict[int, Fraction] = {}
-    for pot in potentials(m):
-        w.update(pot.values)
-    for (i, j), p in m.pr.items():
-        if i != j:
-            verify(w[j] == p * w[i], f"scaling fails on edge ({i},{j})")
-    return w
 
 
 def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int:
@@ -147,8 +122,13 @@ def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int
 
 
 def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) -> Ray:
-    """Characteristic vector of the carrier, diagonally rescaled, with certificate."""
-    order, pr = _side_order_pr(m, side)
+    """Characteristic vector of the carrier, diagonally rescaled, with certificate.
+
+    With the carrier's potential w, z_i = 1/w_i on the lower side and
+    z_i = w_i on the upper side turns every cone constraint inside the
+    carrier tight.
+    """
+    order = _side_order(m, side)
     mem = tuple(sorted(set(members)))
     if not mem:
         raise ValueError("carrier must be nonempty")
@@ -163,10 +143,10 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     if not order.connected(mask):
         raise ValueError("carrier is not connected")
 
-    pot = potential(order, pr, mask, mem[0])
+    w = potential(m, mask)
     coords = [POS_INF] * m.n
     for i in mem:
-        coords[i] = ExtReal(1 / pot[i])
+        coords[i] = ExtReal(1 / w[i] if side is Side.LOWER else w[i])
     gen = TropVector(coords).canonical()
 
     rank = certify_ray(gen, plm_cone_constraints(m, side), m.n)
@@ -190,10 +170,9 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
 def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
     """Theory route: one ray per nonempty connected lower set of the side's order."""
     d = metric_from_plm(m)
-    order, _ = _side_order_pr(m, side)
     rays = [
-        ray_from_lower_set(m, ls.members, side)
-        for ls in enumerate_connected_lower_sets(order)
+        ray_from_lower_set(m, members, side)
+        for members in enumerate_connected_lower_sets(_side_order(m, side))
     ]
     for r in rays:
         verify(membership(r.generator, d, side))
@@ -330,7 +309,7 @@ def ray_saturation_edges(r: Ray, m: Plm) -> SaturationGraph:
     """Saturation graph of a ray: all comparable pairs inside its carrier."""
     d = metric_from_plm(m)
     g = saturation_graph(r.generator, d, r.side)
-    order, _ = _side_order_pr(m, r.side)
+    order = _side_order(m, r.side)
     expected = frozenset(
         (i, j)
         for i in r.carrier

@@ -76,8 +76,11 @@ class ExtReal:
             return NEG_INF
         m = math.exp(-x)
         if m == 0.0 or m == math.inf:
-            # beyond float range: fall back to an exact power of two
+            # beyond float range: fall back to an exact power of two, one
+            # that still prints under Python's default 4300-digit limit
             k = round(x / math.log(2.0))
+            if abs(k) > 14000:
+                raise ValueError(f"log reading {x:g} is beyond 2**14000")
             return ExtReal(Fraction(1, 2**k) if k >= 0 else Fraction(2 ** (-k)))
         return ExtReal(Fraction(m))
 

@@ -8,6 +8,7 @@ from plmpoly import (
     ZERO,
     DirectedMetric,
     ExtReal,
+    PartialOrder,
     Plm,
     TropMatrix,
     kleene_closure,
@@ -40,6 +41,19 @@ def ex1_full():
             (1, 3): F(1, 2),
             (2, 3): F(1, 3),
         },
+    )
+
+
+@pytest.fixture
+def crown():
+    """The crown a, b <= c, d.  Every chain is one edge, so the chain rule
+    holds, yet the cycle a-c-b-d-a multiplies its ratios to 2/3, not 1:
+    no potential reproduces these probabilities."""
+    return Plm(
+        [("a",), ("b",), ("c",), ("d",)],
+        "explicit",
+        {(0, 2): F(1, 2), (0, 3): F(1, 2), (1, 2): F(1, 2), (1, 3): F(1, 3)},
+        order=PartialOrder.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),
     )
 
 

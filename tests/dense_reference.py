@@ -1,13 +1,17 @@
-"""Slow exact references for `membership` and `max_closure`.
+"""Slow exact references for `membership`, `max_closure` and `validate_plm`.
 
 `membership_reference` scans every defining inequality x_i <= d_ij + x_j
 by hand, with no (min,+) product.  `closure_reference` closes a family
 under pointwise min and max in rounds, re-pairing every vector each round
 until a round adds nothing; it checks candidates with
-`membership_reference`.
+`membership_reference`.  `chain_scan` is the chain rule checked on every
+chain i < j < k, and `top_potential_reproduces` walks a potential from
+each component's largest index and tests it on every pair.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from plmpoly import ResourceCapExceeded, Side, side_metric
 from plmpoly.tropical import tmul
@@ -59,3 +63,37 @@ def closure_reference(vectors, d, cap: int = 10000) -> list:
                     if len(work) > cap:
                         raise ResourceCapExceeded(f"closure exceeded {cap} vectors")
     return work
+
+
+def chain_scan(m) -> list:
+    """Every chain i < j < k with Pr(k|i) != Pr(k|j) Pr(j|i), as (i, j, k, lhs, rhs)."""
+    out = []
+    for i, j in m.order.strict_pairs():
+        for k in range(m.n):
+            if k != i and k != j and m.order.leq(j, k):
+                lhs = m.pr[(i, k)]
+                rhs = m.pr[(j, k)] * m.pr[(i, j)]
+                if lhs != rhs:
+                    out.append((i, j, k, lhs, rhs))
+    return out
+
+
+def top_potential_reproduces(m) -> bool:
+    """Some potential gives Pr(j|i) = w_j / w_i on every comparable pair."""
+    w = {}
+    for comp in m.order.components():
+        w[comp[-1]] = Fraction(1)
+        todo = [comp[-1]]
+        while todo:
+            i = todo.pop()
+            for j in comp:
+                if j in w:
+                    continue
+                if m.order.leq(i, j):
+                    w[j] = w[i] * m.pr[(i, j)]
+                elif m.order.leq(j, i):
+                    w[j] = w[i] / m.pr[(j, i)]
+                else:
+                    continue
+                todo.append(j)
+    return all(w[j] == w[i] * m.pr[(i, j)] for i, j in m.order.strict_pairs())

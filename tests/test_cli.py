@@ -45,6 +45,19 @@ def ex1_metric_file(ex1, tmp_path):
     return str(path)
 
 
+# the `crown` fixture's probabilities as a metric file: no potential
+# reproduces them, yet they make a valid directed metric
+CROWN_METRIC = [
+    ["1", "0", "1/2", "1/2"],
+    ["0", "1", "1/2", "1/3"],
+    ["0", "0", "1", "0"],
+    ["0", "0", "0", "1"],
+]
+CROWN_FAILURE = (
+    "multiplicativity fails on edge (1,2): Pr is 1/2, the path-dependent potential gives 1/3"
+)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -374,11 +387,24 @@ class TestCrosssection:
         assert "side lower: 1 vertices at M=10, 1 at M=100" in out
         assert "side upper: 1 vertices at M=10, 1 at M=100" in out
 
-    @pytest.mark.parametrize("command", ["rays", "crosssection"])
-    @pytest.mark.parametrize("big_m", ["-3", "0", "nan"])
-    def test_bad_m(self, capsys, ex1_file, command, big_m):
+    @pytest.mark.parametrize(
+        "big_m, command, line",
+        [
+            pytest.param(big_m, command, line, id=f"{big_m}-{command}")
+            for big_m, commands, line in [
+                ("-3", ("crosssection", "rays"), "M must be positive"),
+                ("0", ("crosssection", "rays"), "M must be positive"),
+                ("nan", ("crosssection", "rays"), "M must be positive"),
+                ("1e308", ("crosssection", "rays"), "M out of representable range"),
+                # crosssection also runs 10 M = 10000, past 2**14000
+                ("1000", ("crosssection",), "M out of representable range"),
+            ]
+            for command in commands
+        ],
+    )
+    def test_bad_m(self, capsys, ex1_file, big_m, command, line):
         code, out, err = run(capsys, command, ex1_file, "--big-m", big_m)
-        assert (code, out, err) == (1, "", "error: M must be positive\n")
+        assert (code, out, err) == (1, "", f"error: {line}\n")
 
 
 class TestExitCodes:
@@ -474,6 +500,42 @@ class TestExitCodes:
             },
             "bad model data: order must be a list of [from, to] pairs",
         ),
+        (
+            "pr-index-is-float",
+            {
+                "texts": [["r"], ["c"], ["r", "c"]],
+                "pr": [{"from": 0.9, "to": 2.5, "p": "1/2"}, {"from": 1, "to": 2, "p": "1/3"}],
+            },
+            "bad model data: index 0.9 is not an integer",
+        ),
+        (
+            "pr-index-is-bool",
+            {
+                "texts": [["r"], ["c"], ["r", "c"]],
+                "pr": [{"from": 0, "to": 2, "p": "1/2"}, {"from": True, "to": 2, "p": "1/3"}],
+            },
+            "bad model data: index true is not an integer",
+        ),
+        (
+            "order-index-is-float",
+            {
+                "texts": [["x"], ["y"]],
+                "orderMode": "explicit",
+                "order": [[0, 1.0]],
+                "pr": [{"from": 0, "to": 1, "p": "1/2"}],
+            },
+            "bad model data: index 1.0 is not an integer",
+        ),
+        (
+            "order-index-is-bool",
+            {
+                "texts": [["x"], ["y"]],
+                "orderMode": "explicit",
+                "order": [[False, True]],
+                "pr": [{"from": 0, "to": 1, "p": "1/2"}],
+            },
+            "bad model data: index false is not an integer",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -489,6 +551,22 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         code, _, err = run(capsys, command, str(path))
         assert code == 1 and err == f"error: {line}\n"
+
+    def test_crown_model_is_refused(self, capsys, tmp_path, crown):
+        path = tmp_path / "crown.json"
+        write_json_atomic(str(path), model_to_dict(crown))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == f"validate  FAIL  {CROWN_FAILURE}\n"
+        for command in ("rays", "dual"):
+            assert run(capsys, command, str(path)) == (1, "", f"error: {CROWN_FAILURE}\n")
+
+    def test_crown_metric_has_six_rays(self, capsys, tmp_path):
+        path = write_metric(tmp_path, CROWN_METRIC)
+        code, out, _ = run(capsys, "rays", path)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "oracle" and payload["count"] == 6
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,7 +5,7 @@ from plmpoly import (
     is_subtext,
     membership,
     metric_from_plm,
-    potentials,
+    potential,
     random_extended_vector,
     random_forest_plm,
     random_layered_plm,
@@ -28,7 +28,7 @@ def test_forest_models_valid_and_realized():
                     assert m.order.leq(i, j) == is_subtext(
                         m.texts[i], m.texts[j], m.order_mode
                     )
-        potentials(m)  # forests are path-independent by construction
+        potential(m, (1 << m.n) - 1)  # forests are path-independent by construction
 
 
 def test_layered_models_valid():

@@ -1,10 +1,11 @@
 import json
 import math
+import random
 import warnings
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
     DirectedMetric,
@@ -25,12 +26,15 @@ from plmpoly import (
     model_to_dict,
     order_from_metric,
     plm_from_metric,
-    potentials,
+    potential,
+    random_forest_plm,
+    random_plm,
     truncate_big_m,
     validate_plm,
     write_json_atomic,
 )
 from plmpoly.model import bits, components_of
+from dense_reference import chain_scan, top_potential_reproduces
 
 
 def test_is_subtext():
@@ -178,8 +182,68 @@ class TestValidation:
             {(0, 1): F(1, 2), (1, 2): F(1, 2), (0, 2): F(1, 3)},
         )
         rep = validate_plm(m)
-        assert rep.multiplicativity == [(0, 1, 2, F(1, 3), F(1, 4))]
-        assert "multiplicativity" in rep.summary()
+        # the walk from 0 sets w = 1, 1/2, 1/3; edge (1,2) then reads 2/3, not 1/2
+        assert rep.multiplicativity == [(1, 2, F(1, 2), F(2, 3))]
+        assert rep.summary() == (
+            "multiplicativity fails on edge (1,2): "
+            "Pr is 1/2, the path-dependent potential gives 2/3"
+        )
+
+
+    def test_crown_passes_only_the_chain_scan(self, crown):
+        assert chain_scan(crown) == []
+        assert validate_plm(crown).multiplicativity == [(1, 2, F(1, 2), F(1, 3))]
+
+
+def random_crown(rng: random.Random) -> Plm:
+    """Every one of 2-3 bottoms below every one of 2-3 tops; ratios of a
+    potential half the time, independent draws otherwise."""
+    lo, hi = rng.randint(2, 3), rng.randint(2, 3)
+    n = lo + hi
+    pairs = [(i, j) for i in range(lo) for j in range(lo, n)]
+    w = [F(rng.randint(1, 8), 8) for _ in range(n)]
+    consistent = rng.random() < 0.5
+    pr = {
+        (i, j): w[j] / w[i] if consistent else F(rng.randint(1, 8), 8) for i, j in pairs
+    }
+    texts = [(f"t{i}",) for i in range(n)]
+    return Plm(texts, "explicit", pr, order=PartialOrder.from_pairs(n, pairs))
+
+
+def random_model(rng: random.Random, kind: str) -> Plm:
+    if kind == "plm":
+        return random_plm(rng, rng.randint(1, 8))
+    if kind == "forest":
+        return random_forest_plm(rng, rng.randint(1, 8))
+    if kind == "corpus":
+        tokens = [rng.choice("abc") for _ in range(rng.randint(2, 12))]
+        return ingest_corpus(
+            tokens,
+            order_mode=rng.choice(["one-sided", "two-sided"]),
+            max_len=rng.randint(1, 2),
+            include_empty=rng.random() < 0.5,
+        )
+    return random_crown(rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["plm", "forest", "corpus", "crown"]),
+    st.booleans(),
+)
+def test_potential_validation_matches_references(seed, kind, perturb):
+    rng = random.Random(seed)
+    m = random_model(rng, kind)
+    pr = dict(m.pr)
+    if perturb and pr:
+        key = rng.choice(sorted(pr))
+        pr[key] *= rng.choice([F(1, 2), F(2, 3), F(3)])
+        m = Plm(m.texts, m.order_mode, pr, m.order if m.order_mode == "explicit" else None)
+    ok = validate_plm(m).ok
+    if ok:
+        assert chain_scan(m) == []
+    assert ok == top_potential_reproduces(m)
 
 
 class TestMetric:
@@ -283,11 +347,9 @@ class TestBigM:
 
 class TestPotentials:
     def test_frozen_example(self, ex1):
-        pots = potentials(ex1)
-        assert len(pots) == 1
-        pot = pots[0]
-        assert pot.ref == 0
-        assert pot.values == {0: F(1), 1: F(3, 2), 2: F(1, 2)}
+        assert potential(ex1, 0b111) == {0: F(1), 1: F(3, 2), 2: F(1, 2)}
+        # a carrier's walk starts from 1 at its own least index
+        assert potential(ex1, 0b110) == {1: F(1), 2: F(1, 3)}
 
     def test_path_dependence_detected(self):
         # diamond with inconsistent products along the two paths
@@ -302,14 +364,12 @@ class TestPotentials:
                 (2, 3): F(1, 3),
             },
         )
-        with pytest.raises(ValueError, match="path-dependent"):
-            potentials(m)
+        with pytest.raises(ValidationFailed, match="path-dependent"):
+            potential(m, 0b1111)
 
     def test_components(self):
         m = Plm([("a",), ("b",)], "one-sided", {})
-        pots = potentials(m)
-        assert len(pots) == 2
-        assert all(p.values == {p.ref: F(1)} for p in pots)
+        assert potential(m, 0b11) == {0: F(1), 1: F(1)}
 
 
 class TestIngest:

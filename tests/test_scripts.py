@@ -74,6 +74,16 @@ def test_rays_csv_matches_enumerate_rays(figures, ex1):
     assert got == expected
 
 
+def test_potentials_csv_pins_the_worked_example(figures):
+    out_dir, _ = figures
+    assert (out_dir / "potentials.csv").read_text() == (
+        "component,ref,text,value\n"
+        "r|c|r c,r,r,1\n"
+        "r|c|r c,r,c,3/2\n"
+        "r|c|r c,r,r c,1/2\n"
+    )
+
+
 def test_oracle_sweep_matches(tmp_path):
     done = run_script(
         "oracle_sweep.py", "--models", "5", "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path

@@ -51,6 +51,10 @@ def test_from_log_round_trip():
     # beyond float exp range: the power-of-two fallback stays exact
     e = ExtReal.from_log(1000.0)
     assert e.is_finite and close_log(e.log, 1000.0, tol=1e-3)
+    # up to 2**14000, whose digits still print; past that it refuses
+    assert len(str(ExtReal.from_log(9700.0).mult.denominator)) < 4300
+    with pytest.raises(ValueError, match="beyond 2\\*\\*14000"):
+        ExtReal.from_log(1e308)
 
 
 def test_order_total_on_log_domain():
