@@ -187,11 +187,9 @@ def cmd_rays(args) -> int:
         qs = oracle_rays(cons, d.n)
         method = "oracle"
         for q in qs:
-            principal = None
-            for k in range(d.n):
-                if q.proportional(generator(d, k, side)):
-                    principal = labels[k]
-                    break
+            principal = next(
+                (labels[k] for k in range(d.n) if q.proportional(generator(d, k, side))), None
+            )
             entries.append(
                 {
                     "generator": _mult_out(q, as_float),

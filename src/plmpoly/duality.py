@@ -51,10 +51,8 @@ def dual_decompose(d: DirectedMetric, k: int) -> DualityReport:
 
     Column identity: d[:,k] equals the (min,+) span of the columns d[:,j]
     with coefficients d[j,k].  Negated identity: -d[:,k] equals the span of
-    the *rows* d[j,:] with the negated coefficients -d[j,k].  Both run over
-    every j: the (min,+) rule (-inf) + (+inf) = +inf keeps +inf coefficients
-    harmless in the first sum, and in the second the term j = i supplies the
-    -inf coordinates wherever d[i,k] = +inf.
+    the *rows* d[j,:] with the negated coefficients -d[j,k]; in it the term
+    j = i supplies the -inf coordinates wherever d[i,k] = +inf.
     """
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")

@@ -350,13 +350,10 @@ class DirectedMetric:
     __slots__ = ("mat",)
 
     def __init__(self, mat: TropMatrix, require_projector: bool = True):
-        n = mat.n
-        for i in range(n):
+        for i, entries in enumerate(mat.row_entries):
             if mat[i, i] != ZERO:
                 raise ValueError(f"diagonal entry {i} is not 0")
-        for i in range(n):
-            for j in range(n):
-                e = mat[i, j]
+            for j, e in entries:
                 if e.is_neg_inf:
                     raise ValueError(f"-inf entry at ({i},{j})")
         if require_projector and not check_projector(mat):
@@ -390,12 +387,8 @@ class DirectedMetric:
 
     def min_finite_prob(self) -> Fraction | None:
         """Smallest nonzero multiplicative entry, None if all comparable."""
-        best = None
-        for row in self.mat.rows:
-            for e in row:
-                if e.is_finite and e != ZERO and (best is None or e.mult < best):
-                    best = e.mult
-        return best
+        mults = [e.mult for entries in self.mat.row_entries for _, e in entries if e != ZERO]
+        return min(mults, default=None)
 
 
 def check_projector(mat: TropMatrix) -> bool:
@@ -417,28 +410,15 @@ def metric_from_plm(m: Plm) -> DirectedMetric:
     rep = validate_plm(m)
     if not rep.ok:
         raise ValidationFailed(rep)
-    n = m.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(ZERO)
-            elif m.order.leq(i, j):
-                row.append(ExtReal.from_prob(m.pr[(i, j)]))
-            else:
-                row.append(POS_INF)
-        rows.append(row)
+    rows = [[ZERO if i == j else POS_INF for j in range(m.n)] for i in range(m.n)]
+    for (i, j), p in m.pr.items():  # validated: comparable pairs, or i == j with p 1
+        rows[i][j] = ExtReal.from_prob(p)
     return DirectedMetric(TropMatrix(rows), require_projector=False)
 
 
 def order_from_metric(d: DirectedMetric) -> PartialOrder:
     """Recover the order from entry finiteness; rejects non-orders."""
-    n = d.n
-    up = [
-        sum(1 << j for j in range(n) if not d[i, j].is_pos_inf) for i in range(n)
-    ]
-    return PartialOrder(n, up)
+    return PartialOrder(d.n, d.mat.row_masks)
 
 
 def plm_from_metric(
@@ -537,16 +517,12 @@ def ingest_corpus(
 # file formats
 
 
-def _frac_str(p: Fraction) -> str:
-    return str(p)
-
-
 def model_to_dict(m: Plm) -> dict:
     d = {
         "texts": [list(t) for t in m.texts],
         "orderMode": m.order_mode,
         "pr": [
-            {"from": i, "to": j, "p": _frac_str(p)}
+            {"from": i, "to": j, "p": str(p)}
             for (i, j), p in sorted(m.pr.items())
         ],
         "includeEmpty": m.has_empty_text,
@@ -595,7 +571,7 @@ def metric_to_dict(d: DirectedMetric, labels: Sequence[str] | None = None) -> di
     return {
         "labels": list(labels) if labels else [str(i) for i in range(d.n)],
         "metric": [
-            ["0" if e.is_pos_inf else _frac_str(e.mult) for e in row]
+            ["0" if e.is_pos_inf else str(e.mult) for e in row]
             for row in d.mat.rows
         ],
     }
@@ -612,6 +588,8 @@ def metric_from_dict(
         if not isinstance(labels, list):
             raise ValueError("labels must be a list")
         labels = [str(x) for x in labels]
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels must be distinct")
         mat = TropMatrix.from_probs([[Fraction(str(v)) for v in row] for row in rows])
         if len(labels) != mat.n:
             raise ValueError(f"{len(labels)} labels for a {mat.n}x{mat.n} metric")

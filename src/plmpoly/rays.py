@@ -85,10 +85,10 @@ def plm_cone_constraints(m: Plm, side: Side = Side.LOWER) -> list[Constraint]:
 def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[Constraint]:
     dm = d if side is Side.LOWER else d.transpose()
     return [
-        (i, j, dm[i, j].mult)
-        for i in range(d.n)
-        for j in range(d.n)
-        if i != j and not dm[i, j].is_pos_inf
+        (i, j, e.mult)
+        for i, entries in enumerate(dm.mat.row_entries)
+        for j, e in entries
+        if i != j
     ]
 
 
@@ -153,11 +153,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     expected = m.n - 1
     verify(rank == expected, f"certificate rank {rank} != {expected}")
 
-    principal = None
-    for k in mem:
-        if order.down_mask(k) == mask:
-            principal = k
-            break
+    principal = next((k for k in mem if order.down_mask(k) == mask), None)
     return Ray(
         generator=gen,
         carrier=frozenset(mem),
@@ -331,10 +327,9 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
     if r.side is not Side.LOWER:
         raise ValueError("text combinations are defined for lower rays")
     d = metric_from_plm(m)
-    maximal = [
+    maximal = sorted(
         i for i in r.carrier if not any(j != i and m.order.leq(i, j) for j in r.carrier)
-    ]
-    maximal.sort()
+    )
     a0 = m.texts.index(())
     out = [(b, neg(d[a0, b])) for b in maximal]
     weights = [neg(d[a0, i]) if i in maximal else POS_INF for i in range(m.n)]

@@ -16,12 +16,15 @@ In the multiplicative mirror these read "zero absorbs" vs "infinity absorbs".
 it membership), spans, retractions, extensions, the duality identities and
 ``compose_min`` (one ``apply_min`` per column) all go through it.
 ``TropMatrix.apply_max`` is the one (max,+) product, behind the Isbell maps.
-Each iterates only over the argument's live coordinates.  ``apply_min``
-skips +inf ones: under ``tmul`` +inf absorbs a term even against -inf, and
-a minimum over no terms is +inf.  ``apply_max`` skips -inf ones: under
-``tmax_mul`` -inf absorbs a term even against +inf, and a maximum over no
-terms is -inf.  A text model's metric is +inf off the order, so both are
-sparse on its Yoneda vectors and on their negations.
+Both walk a finite-entry index: each row's and each column's entries that
+are not +inf, listed once, which the transpose shares with the roles
+swapped.  ``apply_min`` forms a term only where neither the entry nor the
+coordinate is +inf: +inf absorbs any other term under ``tmul``, even
+against -inf, and a minimum over no terms is +inf.  ``apply_max`` gives +inf
+in a row where a coordinate other than -inf meets a +inf entry; elsewhere
+every +inf entry meets -inf, which absorbs under ``tmax_mul``, so the
+maximum runs over the row's listed entries.  A text model's metric is +inf
+off the order, so both cost as many terms as the order has pairs.
 """
 
 from __future__ import annotations
@@ -295,16 +298,36 @@ def _check_len(x, y) -> None:
 
 
 class TropMatrix:
-    """Square matrix over ExtReal with (min,+) and (max,+) products."""
+    """Square matrix over ExtReal with (min,+) and (max,+) products.
 
-    __slots__ = ("rows",)
+    Beside ``rows`` and ``cols``, per row and per column: the ``(index,
+    entry)`` pairs whose entry is not +inf, and the bitmask of the indices.
+    """
+
+    __slots__ = ("rows", "cols", "row_entries", "row_masks", "col_entries", "col_masks")
 
     def __init__(self, rows: Iterable[Iterable[ExtReal]]):
         rs = tuple(tuple(r) for r in rows)
         n = len(rs)
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", rs)
+        # the identity test only spares the shared +inf a slower value test
+        row_entries = tuple(
+            tuple((j, e) for j, e in enumerate(r) if e is not POS_INF and not e.is_pos_inf)
+            for r in rs
+        )
+        cols: list[list] = [[] for _ in rs]
+        for i, entries in enumerate(row_entries):
+            for j, e in entries:
+                cols[j].append((i, e))
+        col_entries = tuple(map(tuple, cols))
+        self._set(
+            rs, tuple(zip(*rs)), row_entries, _masks(row_entries), col_entries, _masks(col_entries)
+        )
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("TropMatrix is immutable")
@@ -334,36 +357,55 @@ class TropMatrix:
         return hash(self.rows)
 
     def transpose(self) -> "TropMatrix":
-        return TropMatrix(zip(*self.rows))
+        """The same tuples with the roles of rows and columns swapped."""
+        t = TropMatrix.__new__(TropMatrix)
+        t._set(
+            self.cols, self.rows, self.col_entries, self.col_masks, self.row_entries, self.row_masks
+        )
+        return t
 
     def apply_min(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
         """(min,+) matrix-vector product, returned as raw coordinates.
 
-        Only the coordinates that are not +inf contribute a term.
+        Each coordinate that is not +inf adds one term per listed entry of
+        its column; every other term is +inf.
         """
         if len(coords) != self.n:
             raise ValueError("dimension mismatch")
-        live = [(j, x) for j, x in enumerate(coords) if not x.is_pos_inf]
-        return tuple(tmin_all(tmul(row[j], x) for j, x in live) for row in self.rows)
+        out = [POS_INF] * self.n
+        for j, x in enumerate(coords):
+            if not x.is_pos_inf:
+                for i, a in self.col_entries[j]:
+                    out[i] = tmin(out[i], tmul(a, x))
+        return tuple(out)
 
     def apply_max(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
         """(max,+) matrix-vector product, returned as raw coordinates.
 
-        Only the coordinates that are not -inf contribute a term.
+        A row with a +inf entry where the coordinate is not -inf is +inf;
+        any other row is the maximum over its listed entries.
         """
         if len(coords) != self.n:
             raise ValueError("dimension mismatch")
-        live = [(j, x) for j, x in enumerate(coords) if not x.is_neg_inf]
-        return tuple(tmax_all(tmax_mul(row[j], x) for j, x in live) for row in self.rows)
+        live = sum(1 << j for j, x in enumerate(coords) if not x.is_neg_inf)
+        return tuple(
+            POS_INF if live & ~mask else tmax_all(tmax_mul(a, coords[j]) for j, a in entries)
+            for entries, mask in zip(self.row_entries, self.row_masks)
+        )
 
     def compose_min(self, other: "TropMatrix") -> "TropMatrix":
         """(min,+) matrix product self * other, one apply_min per column."""
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return TropMatrix(zip(*(self.apply_min(col) for col in zip(*other.rows))))
+        return TropMatrix(zip(*(self.apply_min(col) for col in other.cols)))
 
     def column(self, j: int) -> tuple[ExtReal, ...]:
-        return tuple(row[j] for row in self.rows)
+        return self.cols[j]
+
+
+def _masks(entries: Sequence[Sequence[tuple[int, ExtReal]]]) -> tuple[int, ...]:
+    """Bitmask of the listed indices of each line."""
+    return tuple(sum(1 << j for j, _ in line) for line in entries)
 
 
 def funk(x: TropVector, y: TropVector) -> ExtReal:

@@ -1,4 +1,7 @@
-"""Slow exact references for `membership`, `max_closure` and `validate_plm`.
+"""Slow exact references for the products, `membership`, `max_closure` and `validate_plm`.
+
+`dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
+rows and form every term, +inf ones included, with no index to skip by.
 
 `membership_reference` scans every defining inequality x_i <= d_ij + x_j
 by hand, with no (min,+) product.  `closure_reference` closes a family
@@ -14,7 +17,37 @@ from __future__ import annotations
 from fractions import Fraction
 
 from plmpoly import ResourceCapExceeded, Side, side_metric
-from plmpoly.tropical import tmul
+from plmpoly.tropical import NEG_INF, POS_INF, tmax, tmax_mul, tmin, tmul
+
+
+def dense_min(terms):
+    best = POS_INF
+    for t in terms:
+        best = tmin(best, t)
+    return best
+
+
+def dense_max(terms):
+    best = NEG_INF
+    for t in terms:
+        best = tmax(best, t)
+    return best
+
+
+def dense_apply_min(rows, coords):
+    return tuple(dense_min(tmul(a, x) for a, x in zip(row, coords)) for row in rows)
+
+
+def dense_apply_max(rows, coords):
+    return tuple(dense_max(tmax_mul(a, x) for a, x in zip(row, coords)) for row in rows)
+
+
+def dense_compose_min(a, b):
+    n = len(a)
+    return tuple(
+        tuple(dense_min(tmul(a[i][j], b[j][k]) for j in range(n)) for k in range(n))
+        for i in range(n)
+    )
 
 
 def membership_reference(x, d, side=Side.LOWER) -> bool:

@@ -434,6 +434,16 @@ class TestExitCodes:
         code, _, err = run(capsys, command, str(path))
         assert code == 1 and err.startswith("error:") and "labels" in err
 
+    @pytest.mark.parametrize("labels", [["a", "a"], [1, "1"]], ids=["repeated", "after-str"])
+    @pytest.mark.parametrize("command", ["check", "rays", "dual", "retract"])
+    def test_duplicate_labels_are_refused(self, capsys, tmp_path, command, labels):
+        # were they read, `retract --subset` and `embed` would take the first match
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"labels": labels, "metric": [["1", "1/2"], ["0", "1"]]}))
+        subset = ["--subset", str(labels[0])] if command == "retract" else []
+        code, _, err = run(capsys, command, str(path), *subset)
+        assert code == 1 and err == "error: bad metric data: labels must be distinct\n"
+
     def test_invalid_model_via_rays(self, capsys, tmp_path):
         bad = {
             "texts": [["a"], ["a", "b"]],

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plmpoly import (
     ExtReal,
@@ -12,10 +13,14 @@ from plmpoly import (
     co_yoneda,
     dual_decompose,
     funk,
+    ingest_corpus,
     map_a,
     map_b,
+    map_l,
+    map_r,
     membership,
     metric_from_plm,
+    project,
     random_extended_vector,
     random_member,
     random_plm,
@@ -23,7 +28,8 @@ from plmpoly import (
     vector_to_strings,
     yoneda,
 )
-from conftest import seeded
+from conftest import METRIC_KINDS, random_metric, seeded
+from dense_reference import dense_apply_max, dense_apply_min
 
 
 def test_map_a_frozen(ex1):
@@ -114,3 +120,25 @@ def test_negation_pairs_off_order_coordinates(ex1):
     assert out.coords == (ExtReal.from_prob(1), NEG_INF, NEG_INF)
     assert out == yoneda(d, 0).negated()
     assert POS_INF not in out.coords
+
+
+def corpus_metric(rng):
+    """The metric of a short random corpus over four words."""
+    tokens = [rng.choice("abcd") for _ in range(rng.randint(2, 12))]
+    return metric_from_plm(ingest_corpus(tokens, max_len=2))
+
+
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS + ("corpus",)))
+def test_maps_are_dense_products_of_the_transpose(seed, kind):
+    rng = seeded(seed)
+    d = corpus_metric(rng) if kind == "corpus" else random_metric(rng, kind)
+    rows = d.mat.rows
+    t_rows = tuple(zip(*rows))
+    vectors = [random_extended_vector(rng, d.n) for _ in range(4)]
+    vectors += [yoneda(d, k) for k in range(d.n)] + [co_yoneda(d, k) for k in range(d.n)]
+    for x in vectors:
+        minus_x = x.negated().coords
+        assert map_b(d, x).coords == dense_apply_min(t_rows, minus_x)
+        assert map_r(d, x).coords == dense_apply_max(t_rows, minus_x)
+        assert map_l(d, x).coords == dense_apply_max(rows, minus_x)
+        assert project(x, d, Side.UPPER).coords == dense_apply_min(t_rows, x.coords)

@@ -1,7 +1,9 @@
 """The scripts under scripts/ run end to end and write what they promise."""
 
 import csv
+import hashlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -94,3 +96,20 @@ def test_oracle_sweep_matches(tmp_path):
         header, *rows = list(csv.reader(fh))
     assert header[-1] == "match"
     assert len(rows) == 10 and all(row[-1] == "yes" for row in rows)
+
+
+def test_scale_table_rows(tmp_path):
+    done = run_script("scale_table.py", "--tokens", "40", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    header, *lines = done.stdout.splitlines()
+    assert header.split() == ["tokens", "n", "command", "seconds", "sha256"]
+    rows = [line.split() for line in lines]
+    assert [row[2] for row in rows] == ["ingest", "check", "dual", "retract", "smooth"]
+    assert {(row[0], row[1]) for row in rows} == {("40", rows[0][1])}
+    assert all(re.fullmatch("[0-9a-f]{64}", row[4]) for row in rows)
+    # every `check` row passed: the output is the four PASS lines
+    passed = "".join(
+        f"{name:<18}  PASS\n"
+        for name in ("validate", "projector", "yoneda-isometry", "co-yoneda-isometry")
+    )
+    assert rows[1][4] == hashlib.sha256(passed.encode()).hexdigest()

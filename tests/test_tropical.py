@@ -20,6 +20,7 @@ from plmpoly import (
     tmin,
     tmul,
 )
+from dense_reference import dense_apply_max, dense_apply_min, dense_compose_min
 
 FINITE = [ExtReal.from_prob(p) for p in (F(1), F(1, 2), F(1, 3), F(2), F(7, 5))]
 ALL = [POS_INF, NEG_INF] + FINITE
@@ -223,75 +224,83 @@ def test_matrix_products():
     assert ident.compose_min(m) == m
 
 
-# Dense references for the sparse products: every term, no skipping.
+# Sparse inputs: n up to 9, mostly +inf, some -inf, and +inf also as a
+# fresh object rather than the POS_INF singleton, so the index must test
+# the value.
 
-
-def dense_min(terms):
-    best = POS_INF
-    for t in terms:
-        best = tmin(best, t)
-    return best
-
-
-def dense_max(terms):
-    best = NEG_INF
-    for t in terms:
-        best = tmax(best, t)
-    return best
-
-
-def dense_apply_min(m, coords):
-    return tuple(dense_min(tmul(a, x) for a, x in zip(row, coords)) for row in m.rows)
-
-
-def dense_apply_max(m, coords):
-    return tuple(dense_max(tmax_mul(a, x) for a, x in zip(row, coords)) for row in m.rows)
-
-
-def dense_compose_min(a, b):
-    n = a.n
-    return tuple(
-        tuple(dense_min(tmul(a[i, j], b[j, k]) for j in range(n)) for k in range(n))
-        for i in range(n)
-    )
+pos_infs = st.one_of(st.just(POS_INF), st.builds(ExtReal, st.just(F(0))))
+sparse_entries = st.one_of(
+    pos_infs, pos_infs, pos_infs, st.just(NEG_INF), rationals.map(ExtReal.from_prob)
+)
 
 
 @st.composite
-def square_matrices(draw, n):
-    row = st.lists(extreals, min_size=n, max_size=n)
+def square_matrices(draw, n, entries=extreals):
+    row = st.lists(entries, min_size=n, max_size=n)
     return TropMatrix(draw(st.lists(row, min_size=n, max_size=n)))
 
 
+def sparse_matrices(n):
+    return square_matrices(n, sparse_entries)
+
+
 @st.composite
-def matrix_and_vector(draw):
-    n = draw(st.integers(1, 5))
+def matrix_and_vector(draw, entries=extreals, max_n=5):
+    n = draw(st.integers(1, max_n))
     constant = st.sampled_from([POS_INF, NEG_INF]).map(lambda c: [c] * n)
-    coords = draw(st.one_of(constant, st.lists(extreals, min_size=n, max_size=n)))
-    return draw(square_matrices(n)), coords
+    coords = draw(st.one_of(constant, st.lists(entries, min_size=n, max_size=n)))
+    return draw(square_matrices(n, entries)), coords
 
 
 @st.composite
-def matrix_pair(draw):
-    n = draw(st.integers(1, 5))
-    return draw(square_matrices(n)), draw(square_matrices(n))
+def matrix_pair(draw, entries=extreals, max_n=5):
+    n = draw(st.integers(1, max_n))
+    return draw(square_matrices(n, entries)), draw(square_matrices(n, entries))
 
 
-@given(matrix_and_vector())
+dense_or_sparse_mx = st.one_of(matrix_and_vector(), matrix_and_vector(sparse_entries, 9))
+
+
+@given(dense_or_sparse_mx)
 def test_sparse_apply_min_matches_dense(mx):
     m, coords = mx
-    assert m.apply_min(coords) == dense_apply_min(m, coords)
+    assert m.apply_min(coords) == dense_apply_min(m.rows, coords)
+    assert m.transpose().apply_min(coords) == dense_apply_min(tuple(zip(*m.rows)), coords)
 
 
-@given(matrix_and_vector())
+@given(dense_or_sparse_mx)
 def test_sparse_apply_max_matches_dense(mx):
     m, coords = mx
-    assert m.apply_max(coords) == dense_apply_max(m, coords)
+    assert m.apply_max(coords) == dense_apply_max(m.rows, coords)
+    assert m.transpose().apply_max(coords) == dense_apply_max(tuple(zip(*m.rows)), coords)
 
 
-@given(matrix_pair())
+@given(st.one_of(matrix_pair(), matrix_pair(sparse_entries, 9)))
 def test_sparse_compose_min_matches_dense(ab):
     a, b = ab
-    assert a.compose_min(b).rows == dense_compose_min(a, b)
+    product = dense_compose_min(a.rows, b.rows)
+    assert a.compose_min(b).rows == product
+    assert b.transpose().compose_min(a.transpose()).rows == tuple(zip(*product))
+
+
+def index_reference(lines):
+    """Each line's (index, entry) pairs that are not +inf, and their bitmask."""
+    entries = tuple(tuple((j, e) for j, e in enumerate(r) if not e.is_pos_inf) for r in lines)
+    return entries, tuple(sum(1 << j for j, _ in es) for es in entries)
+
+
+@given(st.integers(1, 9).flatmap(sparse_matrices))
+def test_sparse_index_and_transpose(m):
+    rows, cols = m.rows, tuple(zip(*m.rows))
+    assert m.cols == cols
+    assert (m.row_entries, m.row_masks) == index_reference(rows)
+    assert (m.col_entries, m.col_masks) == index_reference(cols)
+    t = m.transpose()
+    assert t.rows == cols and t.cols == rows
+    assert (t.row_entries, t.row_masks) == index_reference(cols)
+    assert (t.col_entries, t.col_masks) == index_reference(rows)
+    assert t.transpose() == m
+    assert all(m.column(j) == cols[j] for j in range(m.n))
 
 
 def test_funk_frozen_values():
