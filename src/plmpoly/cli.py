@@ -51,7 +51,7 @@ from .rays import (
     oracle_rays,
     plm_cone_constraints,
 )
-from .tropical import TropVector
+from .tropical import TropVector, verify
 
 
 def _float_str(x: float) -> str:
@@ -330,19 +330,25 @@ def cmd_retract(args) -> int:
     else:
         raise ValueError("pass --subset or --max-len")
     r = retraction_from_subset(d, subset)
+    in_subset = set(r.subset)
     header = ["text"] + list(labels)
     rows = []
     for k in range(d.n):
-        if args.temperature is not None:
-            terms = [(d[s, k], yoneda(d, s)) for s in r.subset]
-            res = boltzmann(terms, args.temperature)
-            cells = [
-                _frac_out(v, as_float) if isinstance(v, Fraction) else _float_str(v)
-                for v in res.mult
-            ]
+        column = r.matrix.column(k)
+        if args.temperature is None:
+            # d is a projector, so d_S o d = d_S: R applied to d[:,k] is R[:,k]
+            cells = _vec_out(TropVector(column), as_float)
         else:
-            out = r.apply(yoneda(d, k))
-            cells = ["inf"] * d.n if out is None else _vec_out(out, as_float)
+            # the live terms: s in S with d[s,k] finite, in ascending s
+            terms = [(e, yoneda(d, s)) for s, e in d.mat.col_entries[k] if s in in_subset]
+            # a soft sum is 0 where R[:,k] is +inf, so only R's listed entries are read
+            cells = ["0"] * d.n
+            if terms:
+                res = boltzmann(terms, args.temperature)
+                verify(res.target.coords == column)
+                for c, _ in r.matrix.col_entries[k]:
+                    v = res.mult[c]
+                    cells[c] = _frac_out(v, as_float) if isinstance(v, Fraction) else _float_str(v)
         rows.append([labels[k]] + cells)
     _emit(args, _csv_text(header, rows))
     return 0

@@ -4,8 +4,14 @@ The retraction onto the span of a chosen subset S of generators is itself
 a (min,+) matrix, R[i,k] = min over s in S of d[i,s] + d[s,k]: the product
 of d with the copy of d whose rows outside S are set to +inf.  It is
 idempotent, fixes the chosen generators, and never increases Funk
-distances.  Boltzmann smoothing replaces the hard minimum in a span by a
-temperature-T soft minimum with an explicit error bound.
+distances.
+
+Boltzmann smoothing replaces the hard minimum in a span by a temperature-T
+soft minimum with an explicit error bound, T log(#terms).  Its hard limit
+for the terms (d[s,k], d[:,s]), s in S, is the retraction's column R[:,k].
+A term is formed only where both its weight and its vector's coordinate
+are finite, so smoothing costs what the terms' finite entries cost, and a
+caller that passes only the s with d[s,k] finite tightens the bound.
 """
 
 from __future__ import annotations
@@ -174,44 +180,54 @@ class BoltzmannResult:
 def boltzmann(
     terms: Sequence[tuple[ExtReal, TropVector]], temperature: float
 ) -> BoltzmannResult:
+    """Soft (min,+) combination of the weighted vectors `terms` at T.
+
+    A term lam + v_c is formed only where both lam and v_c are finite.
+    Under `tmul` a +inf weight or coordinate makes the term +inf, which adds
+    0 to every soft sum and never wins the hard minimum.  So a coordinate
+    that no term reaches is +inf in `target`, 0 in `mult` and `inf` in
+    `readback`.  Passed the terms (d[s,k], d[:,s]) for s in a subset S,
+    `target` is column k of the retraction onto S.  The bound counts the
+    terms passed, +inf weights included, so a caller that passes only the
+    finite weights gets the tighter bound.
+    """
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
     if not terms:
         raise ValueError("no terms")
     n = len(terms[0][1])
+    # each reached coordinate's finite terms, in the order of `terms`
+    reached: dict[int, list[ExtReal]] = {}
     for lam, v in terms:
-        if lam.is_neg_inf or any(c.is_neg_inf for c in v.coords):
+        if lam.is_neg_inf:
             raise ValueError("weights and vectors must avoid -inf")
         if len(v) != n:
             raise ValueError("dimension mismatch")
-    # a +inf weight adds only +inf entries; the bound still counts its term
-    live = [(lam, v) for lam, v in terms if not lam.is_pos_inf]
-    entries = [[tmul(lam, v[c]) for lam, v in live] for c in range(n)]
-    # the hard limit: all +inf when every weight is +inf, since no term survives
-    target = TropVector(tmin_all(es) for es in entries)
+        live = not lam.is_pos_inf
+        for c, x in enumerate(v.coords):
+            # the identity test only spares the shared +inf a slower value test
+            if x is POS_INF or x.is_pos_inf:
+                continue
+            if x.is_neg_inf:
+                raise ValueError("weights and vectors must avoid -inf")
+            if live:
+                reached.setdefault(c, []).append(tmul(lam, x))
     t = float(temperature)
     bound = t * math.log(len(terms))
-    mult: list = []
-    readback: list[float] = []
-    for c in range(n):
-        m = target[c]
-        if m.is_pos_inf:
-            mult.append(Fraction(0) if t == 1.0 else 0.0)
-            readback.append(math.inf)
-            continue
+    target = [POS_INF] * n
+    mult: list = [Fraction(0) if t == 1.0 else 0.0] * n
+    readback = [math.inf] * n
+    for c, es in reached.items():
+        m = target[c] = tmin_all(es)
         if t == 1.0:
-            total = sum((e.mult for e in entries[c]), Fraction(0))
-            mult.append(total)
-            readback.append(ExtReal(total).log)
+            total = sum((e.mult for e in es), Fraction(0))
+            mult[c] = total
+            readback[c] = ExtReal(total).log
         else:
             # shift by the hard minimum so the largest summand is exactly 1
-            s = sum(
-                math.exp(-tmul(e, neg(m)).log / t)
-                for e in entries[c]
-                if not e.is_pos_inf
-            )
-            mult.append(math.exp(-m.log / t) * s)
-            readback.append(m.log - t * math.log(s))
+            s = sum(math.exp(-tmul(e, neg(m)).log / t) for e in es)
+            mult[c] = math.exp(-m.log / t) * s
+            readback[c] = m.log - t * math.log(s)
         slack = 1e-9 * max(1.0, abs(m.log))
         verify(readback[c] <= m.log + slack)
         verify(m.log - readback[c] <= bound + slack)
@@ -219,7 +235,7 @@ def boltzmann(
         temperature=t,
         mult=tuple(mult),
         readback=tuple(readback),
-        target=target,
+        target=TropVector(target),
         bound=bound,
     )
 

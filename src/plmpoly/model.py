@@ -202,6 +202,12 @@ class Plm:
             raise ValueError("model needs at least one text")
         if len(set(tts)) != len(tts):
             raise ValueError("texts must be distinct")
+        # a label joins tokens with spaces, so ("a b",) and ("a", "b") would share one
+        seen: set[str] = set()
+        for label in map(" ".join, tts):
+            if label in seen:
+                raise ValueError(f"labels must be distinct: {label!r} repeats")
+            seen.add(label)
         if order_mode not in ORDER_MODES:
             raise ValueError(f"unknown order mode {order_mode!r}")
         if order_mode == "explicit":

@@ -1,4 +1,5 @@
-"""Slow exact references for the products, `membership`, `max_closure` and `validate_plm`.
+"""Slow exact references for the products, `membership`, `max_closure`,
+`validate_plm` and `boltzmann`.
 
 `dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
 rows and form every term, +inf ones included, with no index to skip by.
@@ -10,14 +11,31 @@ until a round adds nothing; it checks candidates with
 `membership_reference`.  `chain_scan` is the chain rule checked on every
 chain i < j < k, and `top_potential_reproduces` walks a potential from
 each component's largest index and tests it on every pair.
+`boltzmann_reference` forms every term's product at every coordinate,
++inf ones included, and scans every vector for -inf.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Sequence
 
 from plmpoly import ResourceCapExceeded, Side, side_metric
-from plmpoly.tropical import NEG_INF, POS_INF, tmax, tmax_mul, tmin, tmul
+from plmpoly.extension import BoltzmannResult
+from plmpoly.tropical import (
+    NEG_INF,
+    POS_INF,
+    ExtReal,
+    TropVector,
+    neg,
+    tmax,
+    tmax_mul,
+    tmin,
+    tmin_all,
+    tmul,
+    verify,
+)
 
 
 def dense_min(terms):
@@ -130,3 +148,56 @@ def top_potential_reproduces(m) -> bool:
                     continue
                 todo.append(j)
     return all(w[j] == w[i] * m.pr[(i, j)] for i, j in m.order.strict_pairs())
+
+
+def boltzmann_reference(
+    terms: Sequence[tuple[ExtReal, TropVector]], temperature: float
+) -> BoltzmannResult:
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    if not terms:
+        raise ValueError("no terms")
+    n = len(terms[0][1])
+    for lam, v in terms:
+        if lam.is_neg_inf or any(c.is_neg_inf for c in v.coords):
+            raise ValueError("weights and vectors must avoid -inf")
+        if len(v) != n:
+            raise ValueError("dimension mismatch")
+    # a +inf weight adds only +inf entries; the bound still counts its term
+    live = [(lam, v) for lam, v in terms if not lam.is_pos_inf]
+    entries = [[tmul(lam, v[c]) for lam, v in live] for c in range(n)]
+    # the hard limit: all +inf when every weight is +inf, since no term survives
+    target = TropVector(tmin_all(es) for es in entries)
+    t = float(temperature)
+    bound = t * math.log(len(terms))
+    mult: list = []
+    readback: list[float] = []
+    for c in range(n):
+        m = target[c]
+        if m.is_pos_inf:
+            mult.append(Fraction(0) if t == 1.0 else 0.0)
+            readback.append(math.inf)
+            continue
+        if t == 1.0:
+            total = sum((e.mult for e in entries[c]), Fraction(0))
+            mult.append(total)
+            readback.append(ExtReal(total).log)
+        else:
+            # shift by the hard minimum so the largest summand is exactly 1
+            s = sum(
+                math.exp(-tmul(e, neg(m)).log / t)
+                for e in entries[c]
+                if not e.is_pos_inf
+            )
+            mult.append(math.exp(-m.log / t) * s)
+            readback.append(m.log - t * math.log(s))
+        slack = 1e-9 * max(1.0, abs(m.log))
+        verify(readback[c] <= m.log + slack)
+        verify(m.log - readback[c] <= bound + slack)
+    return BoltzmannResult(
+        temperature=t,
+        mult=tuple(mult),
+        readback=tuple(readback),
+        target=target,
+        bound=bound,
+    )

@@ -5,6 +5,7 @@ import io
 import json
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,9 @@ from plmpoly import (
 )
 from plmpoly import cli, duality, rays
 from plmpoly.cli import main
+
+
+WORKED_EXAMPLE = str(Path(__file__).resolve().parents[1] / "data" / "worked_example.json")
 
 
 def write_metric(tmp_path, rows, name="metric.json"):
@@ -307,6 +311,17 @@ class TestRetract:
         # soft min at T=1 sums the two branch contributions exactly
         assert by_text["r c"] == ["1/3", "1/2", "1/3", "0"]
 
+    @pytest.mark.parametrize(
+        "temperature, last_row", [("0.1", "r c,0.0009765625,0,0"), ("1", "r c,1/2,0,0")]
+    )
+    def test_row_with_no_live_term(self, capsys, temperature, last_row):
+        # d(r, c) is +inf, so no term of the subset {r} reaches c: its row is 0
+        code, out, _ = run(
+            capsys, "retract", WORKED_EXAMPLE, "--subset", "r", "--temperature", temperature
+        )
+        assert code == 0
+        assert out == f"text,r,c,r c\nr,1,0,0\nc,0,0,0\n{last_row}\n"
+
     def test_needs_subset_or_len(self, capsys, ex1_full_file):
         code, _, err = run(capsys, "retract", ex1_full_file)
         assert code == 1
@@ -443,6 +458,16 @@ class TestExitCodes:
         subset = ["--subset", str(labels[0])] if command == "retract" else []
         code, _, err = run(capsys, command, str(path), *subset)
         assert code == 1 and err == "error: bad metric data: labels must be distinct\n"
+
+    @pytest.mark.parametrize("command", ["check", "retract"])
+    def test_repeated_model_labels_are_refused(self, capsys, tmp_path, command):
+        # distinct texts, one label: `retract --subset "a b"` could not tell them apart
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"texts": [["a b"], ["a", "b"]], "pr": []}))
+        subset = ["--subset", "a b"] if command == "retract" else []
+        code, out, err = run(capsys, command, str(path), *subset)
+        assert (code, out) == (1, "")
+        assert err == "error: bad model data: labels must be distinct: 'a b' repeats\n"
 
     def test_invalid_model_via_rays(self, capsys, tmp_path):
         bad = {

@@ -3,13 +3,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
     ExtReal,
     IsometryError,
     Plm,
     Side,
+    TropVector,
     boltzmann,
     close_log,
     embed_model,
@@ -17,6 +18,7 @@ from plmpoly import (
     funk,
     membership,
     metric_from_plm,
+    random_forest_plm,
     random_member,
     random_plm,
     retraction_from_subset,
@@ -25,7 +27,8 @@ from plmpoly import (
     yoneda,
 )
 from plmpoly.tropical import POS_INF, tmin, tmul
-from conftest import seeded
+from conftest import METRIC_KINDS, random_metric, seeded
+from dense_reference import boltzmann_reference
 
 
 @given(st.integers(0, 10**6), st.integers(1, 7), st.data())
@@ -39,6 +42,17 @@ def test_retraction_matches_subset_formula(seed, n, data):
             for s in subset:
                 best = tmin(best, tmul(d[i, s], d[s, k]))
             assert mat[i, k] == best
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.data())
+def test_retracted_generator_is_the_retraction_column(seed, kind, data):
+    # d is a projector, so d_S o d = d_S: R applied to d[:,k] is R[:,k]
+    d = random_metric(seeded(seed), kind)
+    subset = data.draw(st.sets(st.integers(0, d.n - 1), min_size=1))
+    mat = retraction_from_subset(d, subset).matrix
+    for k in range(d.n):
+        assert mat.apply_min(yoneda(d, k).coords) == mat.column(k)
 
 
 class TestRetraction:
@@ -176,6 +190,11 @@ class TestBoltzmann:
             boltzmann([], 1.0)
         with pytest.raises(ValueError):
             boltzmann([(ExtReal(None), yoneda(d, 0))], 1.0)
+        # a -inf coordinate is refused, under a +inf weight too
+        below = TropVector((ExtReal(None), POS_INF, POS_INF))
+        for lam in (d[0, 2], POS_INF):
+            with pytest.raises(ValueError, match="-inf"):
+                boltzmann([(lam, below)], 1.0)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from([1.0, 0.1]))
     def test_inf_weight_terms_change_only_the_bound(self, seed, n, t):
@@ -187,6 +206,34 @@ class TestBoltzmann:
         finite = [(lam, v) for lam, v in terms if not lam.is_pos_inf]
         res = boltzmann(terms, t)
         assert res == dataclasses.replace(boltzmann(finite, t), bound=t * math.log(n))
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.integers(1, 6),
+        st.sampled_from([1.0, 0.1]),
+        st.data(),
+    )
+    def test_live_terms_match_the_dense_reference(self, seed, family, n, t, data):
+        # `retract --temperature` passes the live terms; the reference takes all of S
+        d = metric_from_plm(family(seeded(seed), n))
+        subset = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        mat = retraction_from_subset(d, subset).matrix
+        for k in range(n):
+            terms = [(d[s, k], yoneda(d, s)) for s in subset]
+            live = [(lam, v) for lam, v in terms if not lam.is_pos_inf]
+            ref = boltzmann_reference(terms, t)
+            if not live:
+                assert all(c.is_pos_inf for c in mat.column(k))
+                assert ref.mult == (0,) * n
+                continue
+            res = boltzmann(live, t)
+            assert res.target.coords == mat.column(k)
+            assert res.mult == ref.mult
+            assert list(map(type, res.mult)) == list(map(type, ref.mult))
+            assert res.readback == ref.readback
+            assert res.bound <= ref.bound
 
     def test_random_bound(self):
         rng = seeded(59)

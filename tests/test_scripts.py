@@ -113,3 +113,6 @@ def test_scale_table_rows(tmp_path):
         for name in ("validate", "projector", "yoneda-isometry", "co-yoneda-isometry")
     )
     assert rows[1][4] == hashlib.sha256(passed.encode()).hexdigest()
+    # the 40-token retraction and smoothing, byte for byte
+    assert rows[3][4] == "dc3ccf9fc06ff1cc5c07094bd94ba705b1ba55960fc9d774a6501ba6a506ac31"
+    assert rows[4][4] == "6f817e8eba545c2c950027b73cc132fc585c299dd222c0b156d6d81309987220"
