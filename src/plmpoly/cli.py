@@ -51,7 +51,7 @@ from .rays import (
     oracle_rays,
     plm_cone_constraints,
 )
-from .tropical import TropVector, verify
+from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, verify
 
 
 def _float_str(x: float) -> str:
@@ -60,31 +60,32 @@ def _float_str(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _frac_out(f: Fraction, as_float: bool) -> str:
+def _ratio_out(num: int, den: int, as_float: bool) -> str:
+    """The reduced ratio num/den as `Fraction` prints it, or as a decimal."""
     if not as_float:
-        return str(f)
+        return str(num) if den == 1 else f"{num}/{den}"
     try:
-        return _float_str(float(f))
+        return _float_str(num / den)
     except OverflowError:
         return "inf"
 
 
+def _cell_out(c: ExtReal, as_float: bool) -> str:
+    """A log-domain value: inf, -inf, or its multiplicative mirror."""
+    if c is POS_INF:
+        return "inf"
+    if c is NEG_INF:
+        return "-inf"
+    return _ratio_out(c.num, c.den, as_float)
+
+
 def _vec_out(x, as_float: bool) -> list[str]:
-    strings = vector_to_strings(x)
-    if not as_float:
-        return strings
-    out = []
-    for s, c in zip(strings, x.coords):
-        if s in ("inf", "-inf"):
-            out.append(s)
-        else:
-            out.append(_frac_out(c.mult, True))
-    return out
+    return [_cell_out(c, as_float) for c in x.coords]
 
 
 def _mult_out(z, as_float: bool) -> list[str]:
-    """A cone point's multiplicative coordinates; +inf reads 0."""
-    return [_frac_out(c, as_float) for c in z.mults()]
+    """A cone point's multiplicative coordinates; +inf, the pair (0, 1), reads 0."""
+    return [_ratio_out(c.num, c.den, as_float) for c in z.coords]
 
 
 def _emit(args, text: str) -> None:
@@ -336,8 +337,11 @@ def cmd_retract(args) -> int:
     for k in range(d.n):
         column = r.matrix.column(k)
         if args.temperature is None:
-            # d is a projector, so d_S o d = d_S: R applied to d[:,k] is R[:,k]
-            cells = _vec_out(TropVector(column), as_float)
+            # d is a projector, so d_S o d = d_S: R applied to d[:,k] is R[:,k],
+            # which is +inf off its listed entries
+            cells = ["inf"] * d.n
+            for c, e in r.matrix.col_entries[k]:
+                cells[c] = _cell_out(e, as_float)
         else:
             # the live terms: s in S with d[s,k] finite, in ascending s
             terms = [(e, yoneda(d, s)) for s, e in d.mat.col_entries[k] if s in in_subset]
@@ -348,7 +352,10 @@ def cmd_retract(args) -> int:
                 verify(res.target.coords == column)
                 for c, _ in r.matrix.col_entries[k]:
                     v = res.mult[c]
-                    cells[c] = _frac_out(v, as_float) if isinstance(v, Fraction) else _float_str(v)
+                    if isinstance(v, Fraction):
+                        cells[c] = _ratio_out(v.numerator, v.denominator, as_float)
+                    else:
+                        cells[c] = _float_str(v)
         rows.append([labels[k]] + cells)
     _emit(args, _csv_text(header, rows))
     return 0

@@ -24,8 +24,9 @@ from typing import Sequence
 from .model import DirectedMetric, Plm, metric_from_plm
 from .polyhedron import yoneda
 from .tropical import (
-    ExtReal,
+    NEG_INF,
     POS_INF,
+    ExtReal,
     TropMatrix,
     TropVector,
     neg,
@@ -60,7 +61,7 @@ class RetractionOp:
     def apply(self, x: TropVector) -> TropVector | None:
         """Retract x; None flags the all-(+inf) result (nothing survives)."""
         coords = self.matrix.apply_min(x.coords)
-        if all(c.is_pos_inf for c in coords):
+        if all(c is POS_INF for c in coords):
             return None
         return TropVector(coords)
 
@@ -205,10 +206,9 @@ def boltzmann(
             raise ValueError("dimension mismatch")
         live = not lam.is_pos_inf
         for c, x in enumerate(v.coords):
-            # the identity test only spares the shared +inf a slower value test
-            if x is POS_INF or x.is_pos_inf:
+            if x is POS_INF:
                 continue
-            if x.is_neg_inf:
+            if x is NEG_INF:
                 raise ValueError("weights and vectors must avoid -inf")
             if live:
                 reached.setdefault(c, []).append(tmul(lam, x))

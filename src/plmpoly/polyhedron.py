@@ -44,7 +44,7 @@ def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> boo
     """
     if len(x) != d.n:
         raise ValueError("dimension mismatch")
-    if all(c.is_pos_inf for c in x.coords):
+    if all(c is POS_INF for c in x.coords):
         return False
     return project(x, d, side) == x
 

@@ -109,13 +109,15 @@ def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int
 
     The unit rows and the blocks of the components act on disjoint
     coordinates, so the ranks add up to (n - |supp z|) + sum (|C| - 1).
-    Every comparison is exact.
+    Every comparison is exact: with z_k = num_k/den_k (a +inf coordinate
+    reads 0/1) and p = a/b, z_i = p z_j is num_i den_j b == a num_j den_i.
     """
+    zs = z.coords
     support = sum(1 << k for k in z.support)
-    zm = z.mults()
     adj = [0] * n
     for i, j, p in constraints:
-        if zm[i] == p * zm[j]:
+        zi, zj = zs[i], zs[j]
+        if zi.num * zj.den * p.denominator == p.numerator * zj.num * zi.den:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return n - len(components_of(adj, support))

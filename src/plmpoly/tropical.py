@@ -2,8 +2,14 @@
 
 Every finite value handled here is the negative log of a positive rational,
 so each number is stored as that rational (the "multiplicative mirror") and
-all decisions (comparisons, equality, saturation) are exact.  Floats only
-appear when a caller asks for the log-domain reading of a value.
+all decisions (comparisons, equality, saturation) are exact.  The mirror is
+a reduced pair of integers (num, den): +inf is (0, 1) and -inf is (1, 0),
+each one shared object that every construction returns, so an infinity test
+is an identity test.  The log order reverses the order of num/den, and with
+this encoding x <= y is the one integer comparison x.num * y.den >=
+y.num * x.den, infinities included.  ``fractions.Fraction`` appears only at
+the edges: ``ExtReal.mult``, ``TropVector.mults`` and file input and output.
+Floats only appear when a caller asks for the log-domain reading of a value.
 
 Two addition conventions coexist and are kept as separate operations:
 
@@ -47,7 +53,7 @@ def verify(ok: bool, message: str = "") -> None:
 
 
 def _as_fraction(value: Rational) -> Fraction:
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     if f < 0:
         raise ValueError(f"multiplicative values must be nonnegative, got {value!r}")
     return f
@@ -56,19 +62,27 @@ def _as_fraction(value: Rational) -> Fraction:
 class ExtReal:
     """A point of [-inf, +inf], stored as the exact rational exp(-value).
 
-    ``_m`` is the multiplicative mirror: ``Fraction(0)`` encodes +inf,
-    ``None`` encodes -inf (an infinite multiplicative value), and any
-    positive Fraction encodes the finite log value -log(_m).
+    ``num`` and ``den`` are the multiplicative mirror num/den, reduced:
+    (0, 1) encodes +inf, (1, 0) encodes -inf (an infinite multiplicative
+    value), and a finite log value -log(num/den) has num > 0, den > 0 and
+    gcd 1.  ``ExtReal(mult)`` takes a nonnegative rational, or None for
+    -inf, and returns the shared ``POS_INF`` or ``NEG_INF`` for either
+    infinity.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, mult: Fraction | None):
-        self._m = mult
+    def __new__(cls, mult: Rational | None):
+        if mult is None:
+            return NEG_INF
+        f = _as_fraction(mult)
+        if not f:
+            return POS_INF
+        return _pair(f.numerator, f.denominator)
 
     @staticmethod
     def from_prob(p: Rational) -> "ExtReal":
-        return ExtReal(_as_fraction(p))
+        return ExtReal(Fraction(p))
 
     @staticmethod
     def from_log(x: float) -> "ExtReal":
@@ -84,111 +98,135 @@ class ExtReal:
             k = round(x / math.log(2.0))
             if abs(k) > 14000:
                 raise ValueError(f"log reading {x:g} is beyond 2**14000")
-            return ExtReal(Fraction(1, 2**k) if k >= 0 else Fraction(2 ** (-k)))
+            return _pair(1, 2**k) if k >= 0 else _pair(2 ** (-k), 1)
         return ExtReal(Fraction(m))
 
     @property
     def is_pos_inf(self) -> bool:
-        return self._m == 0
+        return self is POS_INF
 
     @property
     def is_neg_inf(self) -> bool:
-        return self._m is None
+        return self is NEG_INF
 
     @property
     def is_finite(self) -> bool:
-        return self._m is not None and self._m != 0
+        return self is not POS_INF and self is not NEG_INF
 
     @property
     def mult(self) -> Fraction:
         """Exact multiplicative value exp(-self); undefined at -inf."""
-        if self._m is None:
+        if self is NEG_INF:
             raise OverflowError("-inf has no finite multiplicative value")
-        return self._m
+        return Fraction(self.num, self.den)
 
     @property
     def log(self) -> float:
         """Float reading of the value itself (log domain)."""
-        if self._m is None:
+        if self is NEG_INF:
             return -math.inf
-        if self._m == 0:
+        if self is POS_INF:
             return math.inf
-        return math.log(self._m.denominator) - math.log(self._m.numerator)
+        return math.log(self.den) - math.log(self.num)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExtReal) and self._m == other._m
+        return self is other or (
+            isinstance(other, ExtReal) and self.num == other.num and self.den == other.den
+        )
 
     def __hash__(self) -> int:
-        return hash(self._m)
+        return hash((self.num, self.den))
 
+    # the log order reverses num/den, and (1, 0) is the largest mirror
     def __le__(self, other: "ExtReal") -> bool:
-        # log order reverses the multiplicative order; None is the largest mirror
-        if self._m is None:
-            return True
-        if other._m is None:
-            return False
-        return self._m >= other._m
+        return self.num * other.den >= other.num * self.den
 
     def __lt__(self, other: "ExtReal") -> bool:
-        return self <= other and self != other
+        return self.num * other.den > other.num * self.den
 
     def __ge__(self, other: "ExtReal") -> bool:
-        return other <= self
+        return other.num * self.den >= self.num * other.den
 
     def __gt__(self, other: "ExtReal") -> bool:
-        return other < self
+        return other.num * self.den > self.num * other.den
+
+    def __reduce__(self):
+        return ExtReal, (None if self is NEG_INF else self.mult,)
 
     def __repr__(self) -> str:
-        if self._m is None:
+        if self is NEG_INF:
             return "ExtReal(-inf)"
-        if self._m == 0:
+        if self is POS_INF:
             return "ExtReal(+inf)"
-        return f"ExtReal({self.log:.6g}, mult={self._m})"
+        return f"ExtReal({self.log:.6g}, mult={self.mult})"
 
 
-POS_INF = ExtReal(Fraction(0))
-NEG_INF = ExtReal(None)
-ZERO = ExtReal(Fraction(1))
+_new = object.__new__
+
+
+def _pair(num: int, den: int) -> ExtReal:
+    """Unchecked constructor: a finite value's reduced pair, num > 0 and den > 0.
+
+    The two infinity pairs are built once, here below, and never again.
+    """
+    e = _new(ExtReal)
+    e.num = num
+    e.den = den
+    return e
+
+
+POS_INF = _pair(0, 1)
+NEG_INF = _pair(1, 0)
+ZERO = _pair(1, 1)
 
 
 def tmin(a: ExtReal, b: ExtReal) -> ExtReal:
-    return a if a <= b else b
+    return a if a.num * b.den >= b.num * a.den else b
 
 
 def tmax(a: ExtReal, b: ExtReal) -> ExtReal:
-    return b if a <= b else a
+    return b if a.num * b.den >= b.num * a.den else a
+
+
+def _product(a: ExtReal, b: ExtReal) -> ExtReal:
+    """a + b for finite a and b: the mirrors multiply."""
+    num = a.num * b.num
+    den = a.den * b.den
+    g = math.gcd(num, den)
+    return _pair(num // g, den // g)
 
 
 def tmul(a: ExtReal, b: ExtReal) -> ExtReal:
     """a + b with the (min,+) convention: any +inf operand wins."""
-    if a._m == 0 or b._m == 0:
+    if a is POS_INF or b is POS_INF:
         return POS_INF
-    if a._m is None or b._m is None:
+    if a is NEG_INF or b is NEG_INF:
         return NEG_INF
-    return ExtReal(a._m * b._m)
+    return _product(a, b)
 
 
 def tmax_mul(a: ExtReal, b: ExtReal) -> ExtReal:
     """a + b with the (max,+) convention: any -inf operand wins."""
-    if a._m is None or b._m is None:
+    if a is NEG_INF or b is NEG_INF:
         return NEG_INF
-    if a._m == 0 or b._m == 0:
+    if a is POS_INF or b is POS_INF:
         return POS_INF
-    return ExtReal(a._m * b._m)
+    return _product(a, b)
 
 
 def neg(a: ExtReal) -> ExtReal:
-    if a._m is None:
+    """-a: the mirror's reciprocal, the same pair swapped."""
+    if a is NEG_INF:
         return POS_INF
-    if a._m == 0:
+    if a is POS_INF:
         return NEG_INF
-    return ExtReal(1 / a._m)
+    return _pair(a.den, a.num)
 
 
 def tmin_all(values: Iterable[ExtReal]) -> ExtReal:
     out = POS_INF
     for v in values:
-        if v < out:
+        if v.num * out.den > out.num * v.den:
             out = v
     return out
 
@@ -196,16 +234,9 @@ def tmin_all(values: Iterable[ExtReal]) -> ExtReal:
 def tmax_all(values: Iterable[ExtReal]) -> ExtReal:
     out = NEG_INF
     for v in values:
-        if out < v:
+        if out.num * v.den > v.num * out.den:
             out = v
     return out
-
-
-def close_log(a: float, b: float, tol: float = 1e-9) -> bool:
-    """Log-domain comparison: absolute tolerance scaled by magnitude."""
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
 class TropVector:
@@ -253,7 +284,7 @@ class TropVector:
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if not c.is_pos_inf)
+        return tuple(i for i, c in enumerate(self.coords) if c is not POS_INF)
 
     def min_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
@@ -311,11 +342,7 @@ class TropMatrix:
         n = len(rs)
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square and nonempty")
-        # the identity test only spares the shared +inf a slower value test
-        row_entries = tuple(
-            tuple((j, e) for j, e in enumerate(r) if e is not POS_INF and not e.is_pos_inf)
-            for r in rs
-        )
+        row_entries = tuple(tuple((j, e) for j, e in enumerate(r) if e is not POS_INF) for r in rs)
         cols: list[list] = [[] for _ in rs]
         for i, entries in enumerate(row_entries):
             for j, e in entries:
@@ -374,7 +401,7 @@ class TropMatrix:
             raise ValueError("dimension mismatch")
         out = [POS_INF] * self.n
         for j, x in enumerate(coords):
-            if not x.is_pos_inf:
+            if x is not POS_INF:
                 for i, a in self.col_entries[j]:
                     out[i] = tmin(out[i], tmul(a, x))
         return tuple(out)
@@ -387,7 +414,7 @@ class TropMatrix:
         """
         if len(coords) != self.n:
             raise ValueError("dimension mismatch")
-        live = sum(1 << j for j, x in enumerate(coords) if not x.is_neg_inf)
+        live = sum(1 << j for j, x in enumerate(coords) if x is not NEG_INF)
         return tuple(
             POS_INF if live & ~mask else tmax_all(tmax_mul(a, coords[j]) for j, a in entries)
             for entries, mask in zip(self.row_entries, self.row_masks)
@@ -415,27 +442,6 @@ def funk(x: TropVector, y: TropVector) -> ExtReal:
     """
     _check_len(x, y)
     return tmax_all(
-        tmax_mul(yi, neg(xi)) for xi, yi in zip(x, y) if not xi.is_pos_inf
+        tmax_mul(yi, neg(xi)) for xi, yi in zip(x, y) if xi is not POS_INF
     )
 
-
-def funk_q(z: Sequence[Rational], z2: Sequence[Rational]) -> ExtReal:
-    """Multiplicative-domain Funk distance max{ log(z_i / z2_i) : z_i != 0 }.
-
-    Restricting to indices where the *first* argument is nonzero makes this
-    agree exactly with funk(-log z, -log z2).
-    """
-    if len(z) != len(z2):
-        raise ValueError("length mismatch")
-    zs = [_as_fraction(v) for v in z]
-    ws = [_as_fraction(v) for v in z2]
-    best: Fraction | None = None  # min of w_i/z_i over admissible i
-    for zi, wi in zip(zs, ws):
-        if zi == 0:
-            continue
-        r = wi / zi
-        if best is None or r < best:
-            best = r
-    if best is None:
-        return NEG_INF
-    return ExtReal(best)

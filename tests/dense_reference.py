@@ -13,6 +13,14 @@ chain i < j < k, and `top_potential_reproduces` walks a potential from
 each component's largest index and tests it on every pair.
 `boltzmann_reference` forms every term's product at every coordinate,
 +inf ones included, and scans every vector for -inf.
+
+`FractionExtReal` stores a value's mirror as one `Fraction` (0 for +inf,
+None for -inf), with the scalar operations `frac_tmin`, `frac_tmax`,
+`frac_tmul`, `frac_tmax_mul` and `frac_neg` on it; the integer pairs of
+`ExtReal` are tested against it.  `certify_ray_reference` tests each
+constraint on the exact `Fraction` coordinates `z.mults()`.  `funk_q` is
+the Funk distance restated on multiplicative coordinates, and `close_log`
+a float tolerance test for log readings.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from plmpoly import ResourceCapExceeded, Side, side_metric
+from plmpoly.model import components_of
 from plmpoly.extension import BoltzmannResult
 from plmpoly.tropical import (
     NEG_INF,
@@ -201,3 +210,116 @@ def boltzmann_reference(
         target=target,
         bound=bound,
     )
+
+
+class FractionExtReal:
+    """[-inf, +inf] with the mirror exp(-value) as one Fraction, None for -inf."""
+
+    __slots__ = ("m",)
+
+    def __init__(self, m: Fraction | None):
+        self.m = m
+
+    @staticmethod
+    def of(x: ExtReal) -> "FractionExtReal":
+        return FractionExtReal(None if x.is_neg_inf else x.mult)
+
+    def to_ext(self) -> ExtReal:
+        return ExtReal(self.m)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FractionExtReal) and self.m == other.m
+
+    def __hash__(self) -> int:
+        return hash(self.m)
+
+    def __le__(self, other: "FractionExtReal") -> bool:
+        # log order reverses the multiplicative order; None is the largest mirror
+        if self.m is None:
+            return True
+        if other.m is None:
+            return False
+        return self.m >= other.m
+
+    def __lt__(self, other: "FractionExtReal") -> bool:
+        return self <= other and self != other
+
+    def __ge__(self, other: "FractionExtReal") -> bool:
+        return other <= self
+
+    def __gt__(self, other: "FractionExtReal") -> bool:
+        return other < self
+
+
+def frac_tmin(a: FractionExtReal, b: FractionExtReal) -> FractionExtReal:
+    return a if a <= b else b
+
+
+def frac_tmax(a: FractionExtReal, b: FractionExtReal) -> FractionExtReal:
+    return b if a <= b else a
+
+
+def frac_tmul(a: FractionExtReal, b: FractionExtReal) -> FractionExtReal:
+    if a.m == 0 or b.m == 0:
+        return FractionExtReal(Fraction(0))
+    if a.m is None or b.m is None:
+        return FractionExtReal(None)
+    return FractionExtReal(a.m * b.m)
+
+
+def frac_tmax_mul(a: FractionExtReal, b: FractionExtReal) -> FractionExtReal:
+    if a.m is None or b.m is None:
+        return FractionExtReal(None)
+    if a.m == 0 or b.m == 0:
+        return FractionExtReal(Fraction(0))
+    return FractionExtReal(a.m * b.m)
+
+
+def frac_neg(a: FractionExtReal) -> FractionExtReal:
+    if a.m is None:
+        return FractionExtReal(Fraction(0))
+    if a.m == 0:
+        return FractionExtReal(None)
+    return FractionExtReal(1 / a.m)
+
+
+def certify_ray_reference(z: TropVector, constraints, n: int) -> int:
+    support = sum(1 << k for k in z.support)
+    zm = z.mults()
+    adj = [0] * n
+    for i, j, p in constraints:
+        if zm[i] == p * zm[j]:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return n - len(components_of(adj, support))
+
+
+def funk_q(z: Sequence, z2: Sequence) -> ExtReal:
+    """Multiplicative-domain Funk distance max{ log(z_i / z2_i) : z_i != 0 }.
+
+    Restricting to indices where the *first* argument is nonzero makes this
+    agree exactly with funk(-log z, -log z2).
+    """
+    if len(z) != len(z2):
+        raise ValueError("length mismatch")
+    zs = [Fraction(v) for v in z]
+    ws = [Fraction(v) for v in z2]
+    if any(v < 0 for v in zs + ws):
+        raise ValueError("multiplicative values must be nonnegative")
+    best: Fraction | None = None  # min of w_i/z_i over admissible i
+    for zi, wi in zip(zs, ws):
+        if zi == 0:
+            continue
+        r = wi / zi
+        if best is None or r < best:
+            best = r
+    if best is None:
+        return NEG_INF
+    return ExtReal(best)
+
+
+def close_log(a: float, b: float, tol: float = 1e-9) -> bool:
+    """Log-domain comparison: absolute tolerance scaled by magnitude."""
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))

@@ -12,7 +12,6 @@ from plmpoly import (
     Side,
     TropVector,
     boltzmann,
-    close_log,
     embed_model,
     filtration_retractions,
     funk,
@@ -28,7 +27,7 @@ from plmpoly import (
 )
 from plmpoly.tropical import POS_INF, tmin, tmul
 from conftest import METRIC_KINDS, random_metric, seeded
-from dense_reference import boltzmann_reference
+from dense_reference import boltzmann_reference, close_log
 
 
 @given(st.integers(0, 10**6), st.integers(1, 7), st.data())

@@ -28,6 +28,7 @@ from plmpoly import (
     truncate_big_m,
 )
 from basis_reference import MAX_N, basis_rays, saturated_rank
+from dense_reference import certify_ray_reference
 from conftest import make_d2, seeded
 
 
@@ -249,6 +250,36 @@ class TestCertifyAgainstRankReference:
             mid = TropVector.from_probs([x + y for x, y in zip(a.mults(), b.mults())])
             rank = certify_ray(mid, cons, n)
             assert rank == saturated_rank(mid, cons, n) < n - 1
+
+
+class TestCertifyAgainstFractionReference:
+    """The integer-pair test of z_i = p z_j against the test on `z.mults()`."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+        st.data(),
+    )
+    def test_rays_and_perturbed(self, seed, n, draw_model, side, data):
+        m = draw_model(random.Random(seed), n)
+        systems = [
+            plm_cone_constraints(m, side),
+            metric_cone_constraints(metric_from_plm(m), side),
+        ]
+        for r in enumerate_rays(m, side):
+            z = r.generator
+            for cons in systems:
+                assert certify_ray(z, cons, n) == certify_ray_reference(z, cons, n) == n - 1
+            zm = list(z.mults())
+            k = data.draw(st.integers(0, n - 1))
+            zm[k] = data.draw(st.sampled_from([F(0), 2 * zm[k], zm[k] / 3, F(1), F(5, 7)]))
+            if any(zm):
+                bent = TropVector.from_probs(zm)
+                for cons in systems:
+                    assert certify_ray(bent, cons, n) == certify_ray_reference(bent, cons, n)
 
 
 class TestDiagonalScaling:

@@ -113,6 +113,9 @@ def test_scale_table_rows(tmp_path):
         for name in ("validate", "projector", "yoneda-isometry", "co-yoneda-isometry")
     )
     assert rows[1][4] == hashlib.sha256(passed.encode()).hexdigest()
+    # the 40-token model and its duality pairs, byte for byte
+    assert rows[0][4] == "42f82c93fdc59f80d47dbbc41892b0a06a061e3b64dfe337cfd827ca0648a72d"
+    assert rows[2][4] == "868900a3b8f7c6ec2907981bd3cd16741bb46e279c44a85a19afea4ba0fa6ee6"
     # the 40-token retraction and smoothing, byte for byte
     assert rows[3][4] == "dc3ccf9fc06ff1cc5c07094bd94ba705b1ba55960fc9d774a6501ba6a506ac31"
     assert rows[4][4] == "6f817e8eba545c2c950027b73cc132fc585c299dd222c0b156d6d81309987220"

@@ -1,5 +1,7 @@
 import math
+import pickle
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,16 +13,27 @@ from plmpoly import (
     ZERO,
     TropMatrix,
     TropVector,
-    close_log,
     funk,
-    funk_q,
     neg,
     tmax,
     tmax_mul,
     tmin,
     tmul,
 )
-from dense_reference import dense_apply_max, dense_apply_min, dense_compose_min
+from plmpoly.tropical import tmax_all, tmin_all
+from dense_reference import (
+    FractionExtReal,
+    close_log,
+    dense_apply_max,
+    dense_apply_min,
+    dense_compose_min,
+    frac_neg,
+    frac_tmax,
+    frac_tmax_mul,
+    frac_tmin,
+    frac_tmul,
+    funk_q,
+)
 
 FINITE = [ExtReal.from_prob(p) for p in (F(1), F(1, 2), F(1, 3), F(2), F(7, 5))]
 ALL = [POS_INF, NEG_INF] + FINITE
@@ -43,6 +56,23 @@ def test_sentinels():
 def test_from_prob_rejects_negative():
     with pytest.raises(ValueError):
         ExtReal.from_prob(F(-1, 2))
+
+
+def test_constructor_refuses_negative_mirror():
+    for bad in (F(-1, 2), -1, "-3/4"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExtReal(bad)
+
+
+def test_infinities_are_singletons():
+    assert ExtReal(F(0)) is POS_INF and ExtReal(0) is POS_INF and ExtReal("0/5") is POS_INF
+    assert ExtReal(None) is NEG_INF
+    assert ExtReal.from_prob(0) is POS_INF
+    assert ExtReal.from_log(math.inf) is POS_INF and ExtReal.from_log(-math.inf) is NEG_INF
+    for x in ALL:
+        assert pickle.loads(pickle.dumps(x)) == x
+    assert pickle.loads(pickle.dumps(POS_INF)) is POS_INF
+    assert pickle.loads(pickle.dumps(NEG_INF)) is NEG_INF
 
 
 def test_from_log_round_trip():
@@ -121,6 +151,61 @@ def test_semiring_laws(a, b, c):
 def test_neg_antitone(a, b):
     if a <= b:
         assert neg(b) <= neg(a)
+
+
+# wide rationals, so that products need reducing and cross products grow
+wide_extreals = st.one_of(
+    st.just(POS_INF),
+    st.just(NEG_INF),
+    st.just(ZERO),
+    st.fractions(min_value=F(1, 10**12), max_value=F(10**12)).map(ExtReal),
+    st.sampled_from(FINITE),
+)
+
+
+def assert_encoded(x: ExtReal) -> None:
+    """An infinity is the shared object; a finite pair is reduced, den > 0."""
+    if x.num == 0:
+        assert x is POS_INF
+    elif x.den == 0:
+        assert x is NEG_INF
+    else:
+        assert x.num > 0 and x.den > 0 and math.gcd(x.num, x.den) == 1
+
+
+@given(wide_extreals, wide_extreals)
+def test_scalar_ops_match_fraction_reference(a, b):
+    ra, rb = FractionExtReal.of(a), FractionExtReal.of(b)
+    for op, ref in [
+        (tmin, frac_tmin),
+        (tmax, frac_tmax),
+        (tmul, frac_tmul),
+        (tmax_mul, frac_tmax_mul),
+    ]:
+        got = op(a, b)
+        assert_encoded(got)
+        assert FractionExtReal.of(got) == ref(ra, rb)
+    assert_encoded(neg(a))
+    assert FractionExtReal.of(neg(a)) == frac_neg(ra)
+    assert (a <= b) == (ra <= rb)
+    assert (a < b) == (ra < rb)
+    assert (a >= b) == (ra >= rb)
+    assert (a > b) == (ra > rb)
+    assert (a == b) == (ra == rb)
+    assert (a != b) == (ra != rb)
+    # rebuilt from the reference: equal, with an equal hash
+    again = ra.to_ext()
+    assert_encoded(again)
+    assert again == a and hash(again) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(st.lists(wide_extreals, max_size=6))
+def test_folds_match_fraction_reference(xs):
+    refs = [FractionExtReal.of(x) for x in xs]
+    assert FractionExtReal.of(tmin_all(xs)) == reduce(frac_tmin, refs, FractionExtReal(F(0)))
+    assert FractionExtReal.of(tmax_all(xs)) == reduce(frac_tmax, refs, FractionExtReal(None))
 
 
 def test_vector_constraints():
