@@ -188,6 +188,10 @@ class Plm:
     The order is derived from token content under `order_mode`; mode
     "explicit" instead takes the order as given (texts act as labels),
     which is how abstract posets with no subtext realization are fed in.
+
+    A Plm is not changed once built: `validate_plm` keeps the potential
+    it walks in `_potential`, and the ray generators keep their per-side
+    values in `_side_cones`, so neither is walked twice for one model.
     """
 
     def __init__(
@@ -226,6 +230,8 @@ class Plm:
         self.order_mode = order_mode
         self.order = order
         self.pr = {(i, j): _as_fraction(p) for (i, j), p in pr.items()}
+        self._potential: dict[int, Fraction] | None = None
+        self._side_cones: dict = {}
 
     @property
     def n(self) -> int:
@@ -289,6 +295,8 @@ def validate_plm(m: Plm) -> ValidationReport:
     A potential implies the chain rule Pr(k|i) = Pr(k|j) Pr(j|i), both sides
     being w_k / w_i; it also refuses models that the chain rule lets through,
     path-dependent around a cycle that no chain explains (the crown a, b <= c, d).
+    The potential of a valid model is kept on it, and read from there by
+    later calls.
     """
     rep = ValidationReport()
     order = m.order
@@ -305,9 +313,9 @@ def validate_plm(m: Plm) -> ValidationReport:
     for i, j in order.strict_pairs():
         if (i, j) not in have:
             rep.missing.append((i, j))
-    if rep.ok:
+    if rep.ok and m._potential is None:
         try:
-            potential(m, (1 << m.n) - 1)
+            m._potential = potential(m, (1 << m.n) - 1)
         except ValidationFailed as exc:
             rep.multiplicativity = exc.report.multiplicativity
     return rep

@@ -14,10 +14,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .model import DirectedMetric
-from .tropical import ExtReal, POS_INF, TropVector, funk, tmul, verify
+from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, funk, tmul, verify
 
 
 class Side(enum.Enum):
@@ -31,8 +32,24 @@ def side_metric(d: DirectedMetric, side: Side) -> DirectedMetric:
 
 
 def normalize_to_simplex(z: TropVector) -> TropVector:
-    """Scale z so its multiplicative coordinates sum to 1 (the simplex point)."""
-    return z.scaled(ExtReal(1 / sum(z.mults())))
+    """Scale z so its multiplicative coordinates sum to 1 (the simplex point).
+
+    The sum of the pairs num/den that are not +inf is kept as one integer
+    pair over the least common denominator; the scale is its inverse.
+    """
+    num, den = 0, 1
+    for c in z.coords:
+        if c is POS_INF:
+            continue
+        if c is NEG_INF:
+            raise OverflowError("-inf has no finite multiplicative value")
+        if c.den == den:
+            num += c.num
+        else:
+            lcm = den // gcd(den, c.den) * c.den
+            num = num * (lcm // den) + c.num * (lcm // c.den)
+            den = lcm
+    return z.scaled(ExtReal(Fraction(den, num)))
 
 
 def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> bool:

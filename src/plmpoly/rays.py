@@ -23,10 +23,12 @@ from .model import (
     DirectedMetric,
     PartialOrder,
     Plm,
+    ValidationFailed,
     bits,
     components_of,
     metric_from_plm,
-    potential,
+    reach,
+    validate_plm,
 )
 from .polyhedron import SaturationGraph, Side, saturation_graph, membership
 from .tropical import POS_INF, ExtReal, TropVector, neg, verify
@@ -38,26 +40,62 @@ class ResourceCapExceeded(RuntimeError):
     pass
 
 
-def enumerate_connected_lower_sets(order: PartialOrder, cap: int = 24) -> list[tuple[int, ...]]:
-    """All nonempty downward-closed subsets whose comparability graph connects."""
-    n = order.n
-    if n > cap:
-        raise ResourceCapExceeded(f"{n} elements exceeds the enumeration cap {cap}")
-    topo = sorted(range(n), key=lambda i: bin(order.down_mask(i)).count("1"))
+LOWER_SET_CAP = 100_000  # connected lower sets one enumeration may emit
+ORACLE_CAP = 2000  # rays held between two double-description steps
+
+
+def enumerate_connected_lower_sets(
+    order: PartialOrder, cap: int = LOWER_SET_CAP
+) -> list[tuple[int, ...]]:
+    """All nonempty downward-closed subsets whose comparability graph connects.
+
+    A flashlight search over pairs (low, ban): `low` is the down-closure of
+    the elements taken, `ban` the up-closure of those refused, and the
+    sets still possible are the connected lower sets L with
+    low <= L <= ~ban.  When `low` is nonempty there is one exactly when
+    `low` lies in a single component C of the comparability graph on ~ban,
+    and then C is such an L: ~ban is a lower set, so is each of its
+    components, and any L holding `low` lies in C.  So one `reach` either
+    prunes the node or bans ~ban minus C.  A node with `low` empty needs
+    only a nonempty ~ban.  The search branches on the lowest undecided x,
+    by taking it (adding its down-set to `low`) or refusing it (adding its
+    up-set to `ban`).  Both are always allowed: ~ban is a lower set that
+    holds x, so nothing below x is banned, and `low` is a lower set
+    without x, so nothing above x is taken.  A node with nothing
+    undecided is a set to emit.  Taking x keeps C as a witness, so every
+    node that passes its test has an output below it; with depth at most
+    n, the delay between two outputs is polynomial, the bound that
+    reverse search (Avis & Fukuda 1996) gives.
+
+    `ResourceCapExceeded` is raised as soon as one more set would go past
+    `cap`.  The result is sorted by bitmask.
+    """
+    adj, up, down = order._adj, order._up, order._down
+    full = (1 << order.n) - 1
     masks: list[int] = []
-
-    def rec(pos: int, mask: int) -> None:
-        if pos == n:
-            if mask and order.connected(mask):
-                masks.append(mask)
-            return
-        e = topo[pos]
-        rec(pos + 1, mask)
-        need = order.down_mask(e) & ~(1 << e)
-        if need & ~mask == 0:
-            rec(pos + 1, mask | (1 << e))
-
-    rec(0, 0)
+    stack = [(0, 0)]
+    while stack:
+        low, ban = stack.pop()
+        free = full & ~ban
+        if low:
+            comp = reach(adj, low & -low, free)
+            if low & ~comp:
+                continue
+            ban |= free & ~comp
+            free = comp
+        elif not free:
+            continue
+        undecided = free & ~low
+        if not undecided:
+            if len(masks) == cap:
+                raise ResourceCapExceeded(
+                    f"more than {cap} connected lower sets (enumeration cap)"
+                )
+            masks.append(low)
+            continue
+        x = (undecided & -undecided).bit_length() - 1
+        stack.append((low, ban | up[x]))
+        stack.append((low | down[x], ban))
     masks.sort()
     return [bits(m) for m in masks]
 
@@ -123,13 +161,36 @@ def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int
     return n - len(components_of(adj, support))
 
 
+def _side_cone(m: Plm, side: Side) -> tuple[list[ExtReal], list[Constraint]]:
+    """The side's generator values and cone constraints, kept on the model.
+
+    With the model's potential w (validation walks it once), the value
+    of text i is 1/w_i on the lower side and w_i on the upper side.
+    """
+    cone = m._side_cones.get(side)
+    if cone is None:
+        if m._potential is None:
+            rep = validate_plm(m)
+            if not rep.ok:
+                raise ValidationFailed(rep)
+        w = m._potential
+        lower = side is Side.LOWER
+        values = [ExtReal(1 / w[i] if lower else w[i]) for i in range(m.n)]
+        cone = m._side_cones[side] = (values, plm_cone_constraints(m, side))
+    return cone
+
+
 def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) -> Ray:
     """Characteristic vector of the carrier, diagonally rescaled, with certificate.
 
-    With the carrier's potential w, z_i = 1/w_i on the lower side and
+    With the model's potential w, z_i = 1/w_i on the lower side and
     z_i = w_i on the upper side turns every cone constraint inside the
-    carrier tight.
+    carrier tight.  On a connected carrier a potential is unique up to
+    scale, so the restriction of the model's one potential is the
+    carrier's own, and a model that no one potential reproduces (the
+    crown) is refused whatever the carrier.
     """
+    values, constraints = _side_cone(m, side)
     order = _side_order(m, side)
     mem = tuple(sorted(set(members)))
     if not mem:
@@ -145,13 +206,12 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     if not order.connected(mask):
         raise ValueError("carrier is not connected")
 
-    w = potential(m, mask)
     coords = [POS_INF] * m.n
     for i in mem:
-        coords[i] = ExtReal(1 / w[i] if side is Side.LOWER else w[i])
+        coords[i] = values[i]
     gen = TropVector(coords).canonical()
 
-    rank = certify_ray(gen, plm_cone_constraints(m, side), m.n)
+    rank = certify_ray(gen, constraints, m.n)
     expected = m.n - 1
     verify(rank == expected, f"certificate rank {rank} != {expected}")
 
@@ -179,8 +239,6 @@ def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
 
 # ---------------------------------------------------------------------------
 # the oracle: double description, independent of any order theory
-
-ORACLE_CAP = 2000  # rays held between two double-description steps
 
 
 def oracle_rays(

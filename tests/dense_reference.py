@@ -1,5 +1,5 @@
 """Slow exact references for the products, `membership`, `max_closure`,
-`validate_plm` and `boltzmann`.
+`validate_plm`, `boltzmann` and the ray generators.
 
 `dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
 rows and form every term, +inf ones included, with no index to skip by.
@@ -21,6 +21,11 @@ None for -inf), with the scalar operations `frac_tmin`, `frac_tmax`,
 constraint on the exact `Fraction` coordinates `z.mults()`.  `funk_q` is
 the Funk distance restated on multiplicative coordinates, and `close_log`
 a float tolerance test for log readings.
+
+`lower_sets_reference` walks every lower set of the order, connected or
+not, and keeps the connected ones; `generator_reference` walks a fresh
+potential on each carrier, as the ray generators did before they read the
+model's one potential.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from plmpoly import ResourceCapExceeded, Side, side_metric
-from plmpoly.model import components_of
+from plmpoly import ResourceCapExceeded, Side, potential, side_metric
+from plmpoly.model import bits, components_of
 from plmpoly.extension import BoltzmannResult
 from plmpoly.tropical import (
     NEG_INF,
@@ -323,3 +328,35 @@ def close_log(a: float, b: float, tol: float = 1e-9) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def lower_sets_reference(order) -> list[tuple[int, ...]]:
+    """Nonempty connected lower sets, sorted by bitmask, from all lower sets."""
+    n = order.n
+    topo = sorted(range(n), key=lambda i: bin(order.down_mask(i)).count("1"))
+    masks: list[int] = []
+
+    def rec(pos: int, mask: int) -> None:
+        if pos == n:
+            if mask and order.connected(mask):
+                masks.append(mask)
+            return
+        e = topo[pos]
+        rec(pos + 1, mask)
+        need = order.down_mask(e) & ~(1 << e)
+        if need & ~mask == 0:
+            rec(pos + 1, mask | (1 << e))
+
+    rec(0, 0)
+    masks.sort()
+    return [bits(m) for m in masks]
+
+
+def generator_reference(m, members, side=Side.LOWER) -> TropVector:
+    """Canonical generator from the potential walked on the carrier alone."""
+    mask = sum(1 << i for i in members)
+    w = potential(m, mask)
+    coords = [POS_INF] * m.n
+    for i in members:
+        coords[i] = ExtReal(1 / w[i] if side is Side.LOWER else w[i])
+    return TropVector(coords).canonical()

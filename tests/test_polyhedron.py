@@ -55,6 +55,24 @@ class TestConePoint:
         assert v.mults() == (F(3, 11), F(2, 11), F(6, 11))
         assert sum(v.mults()) == 1
 
+    @given(
+        st.lists(
+            st.one_of(st.just(F(0)), st.fractions(min_value=F(1, 10**9), max_value=F(10**9))),
+            min_size=1,
+            max_size=8,
+        ).filter(any)
+    )
+    def test_simplex_matches_fraction_sum(self, ps):
+        z = TropVector.from_probs(ps)
+        assert normalize_to_simplex(z) == z.scaled(ExtReal(1 / sum(z.mults())))
+        assert normalize_to_simplex(z.canonical()) == normalize_to_simplex(z)
+
+    def test_simplex_refuses_non_cone_points(self):
+        with pytest.raises(ZeroDivisionError):
+            normalize_to_simplex(TropVector.from_probs([0, 0]))
+        with pytest.raises(OverflowError):
+            normalize_to_simplex(TropVector([ExtReal(1), ExtReal(None)]))
+
 
 class TestMembership:
     def test_generators_are_members(self, ex1):

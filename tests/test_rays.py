@@ -28,7 +28,7 @@ from plmpoly import (
     truncate_big_m,
 )
 from basis_reference import MAX_N, basis_rays, saturated_rank
-from dense_reference import certify_ray_reference
+from dense_reference import certify_ray_reference, generator_reference, lower_sets_reference
 from conftest import make_d2, seeded
 
 
@@ -50,9 +50,31 @@ class TestLowerSets:
         # {r, c} is downward closed but disconnected, hence absent
 
     def test_cap(self):
+        # the cap bounds the sets emitted, not the number of elements
         o = PartialOrder.from_pairs(30, [])
+        assert enumerate_connected_lower_sets(o) == [(i,) for i in range(30)]
+        assert len(enumerate_connected_lower_sets(o, cap=30)) == 30
         with pytest.raises(ResourceCapExceeded):
-            enumerate_connected_lower_sets(o, cap=24)
+            enumerate_connected_lower_sets(o, cap=29)
+
+
+@st.composite
+def random_orders(draw):
+    """`from_pairs` orders on up to 9 elements, relabelled at random."""
+    n = draw(st.integers(1, 9))
+    label = draw(st.permutations(range(n)))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+    )
+    return PartialOrder.from_pairs(n, [(label[i], label[j]) for i, j in pairs if i < j])
+
+
+class TestLowerSetsAgainstReference:
+    @settings(deadline=None)
+    @given(random_orders())
+    def test_random_orders(self, order):
+        for o in (order, order.opposite()):
+            assert enumerate_connected_lower_sets(o) == lower_sets_reference(o)
 
 
 class TestExampleRays:
@@ -109,6 +131,10 @@ class TestRayFromLowerSet:
         # the walk's closing-edge check keeps a non-ray from coming out
         with pytest.raises(ValueError, match="path-dependent"):
             ray_from_lower_set(crown, [0, 1, 2, 3], side)
+        # a, b <= c holds no cycle, but no one potential reproduces the
+        # model, so this carrier is refused as well
+        with pytest.raises(ValueError, match="path-dependent"):
+            ray_from_lower_set(crown, [0, 1, 2], side)
 
     def test_principal_down_sets(self, ex1):
         r = ray_from_lower_set(ex1, [0, 1, 2])
@@ -280,6 +306,24 @@ class TestCertifyAgainstFractionReference:
                 bent = TropVector.from_probs(zm)
                 for cons in systems:
                     assert certify_ray(bent, cons, n) == certify_ray_reference(bent, cons, n)
+
+
+class TestGeneratorsAgainstCarrierPotential:
+    """The model's one potential gives the generators a walk per carrier gives."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+    )
+    def test_random_models(self, seed, n, draw_model, side):
+        m = draw_model(random.Random(seed), n)
+        rays = enumerate_rays(m, side)
+        assert rays
+        for r in rays:
+            assert r.generator == generator_reference(m, sorted(r.carrier), side)
 
 
 class TestDiagonalScaling:
