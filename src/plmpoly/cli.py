@@ -40,6 +40,7 @@ from .polyhedron import (
     normalize_to_simplex,
     vector_from_strings,
     vector_to_strings,
+    violation,
     yoneda,
 )
 from .rays import (
@@ -274,7 +275,17 @@ def cmd_isbell(args) -> int:
             raise ValueError("vector length does not match the model")
         payload["vector"] = vector_to_strings(x)
         payload["member"] = membership(x, d, Side.LOWER)
-        payload["isbellFixed"] = isbell_member(d, x)
+        if not payload["member"]:
+            # the all-(+inf) vector is the one non-member with no such pair
+            pair = violation(x, d)
+            verify(
+                (pair is None) == all(c is POS_INF for c in x.coords),
+                "violation disagrees with membership",
+            )
+            payload["violation"] = None if pair is None else [labels[k] for k in pair]
+        hull = map_l(d, map_r(d, x))
+        payload["hull"] = vector_to_strings(hull)
+        payload["isbellFixed"] = hull == x
     if args.compare_span:
         closure = max_closure([yoneda(d, k) for k in range(d.n)], d)
         gaps = [v for v in closure if not isbell_member(d, v)]

@@ -66,6 +66,23 @@ def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> boo
     return project(x, d, side) == x
 
 
+def violation(x: TropVector, d: DirectedMetric) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with x_i > d_ij + x_j, or None.
+
+    The witness to a "no" from `membership` on the lower side: x is a member
+    exactly when it is not all +inf and this is None.  A term with d_ij =
+    +inf is +inf under ``tmul`` and bounds nothing, and j = i gives x_i
+    itself, so only the other listed entries of row i are tested.
+    """
+    if len(x) != d.n:
+        raise ValueError("dimension mismatch")
+    for i, entries in enumerate(d.mat.row_entries):
+        for j, a in entries:
+            if j != i and tmul(a, x[j]) < x[i]:
+                return i, j
+    return None
+
+
 def project(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> TropVector:
     """Nearest-point projection: one (min,+) application of the metric."""
     return TropVector(side_metric(d, side).mat.apply_min(x.coords))

@@ -14,6 +14,7 @@ routes check each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -355,10 +356,13 @@ def _spans_edge(common: int, holders: Mapping[int, int], everyone: int) -> bool:
 
 
 def cross_check_rays(rays: Sequence[Ray], oracle: Sequence[TropVector]) -> bool:
-    """Same ray sets up to scale (both routes canonicalize, so: equality)."""
-    mine = sorted(r.generator.canonical().mults() for r in rays)
-    theirs = sorted(q.canonical().mults() for q in oracle)
-    return mine == theirs
+    """Same ray multisets up to scale: the canonical coordinates, counted.
+
+    Coordinates are reduced integer pairs, equal exactly when the values are,
+    so counting the canonical tuples compares the rays exactly.
+    """
+    mine = Counter(r.generator.canonical().coords for r in rays)
+    return mine == Counter(q.canonical().coords for q in oracle)
 
 
 def ray_saturation_edges(r: Ray, m: Plm) -> SaturationGraph:

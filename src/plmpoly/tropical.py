@@ -288,11 +288,11 @@ class TropVector:
 
     def min_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        return TropVector(tmin(a, b) for a, b in zip(self, other))
+        return TropVector(map(tmin, self.coords, other.coords))
 
     def max_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        return TropVector(tmax(a, b) for a, b in zip(self, other))
+        return TropVector(map(tmax, self.coords, other.coords))
 
     def scaled(self, lam: ExtReal) -> "TropVector":
         """lam + self coordinatewise, (min,+) convention."""

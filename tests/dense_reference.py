@@ -1,5 +1,5 @@
 """Slow exact references for the products, `membership`, `max_closure`,
-`validate_plm`, `boltzmann` and the ray generators.
+`validate_plm`, `boltzmann`, the ray generators and `cross_check_rays`.
 
 `dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
 rows and form every term, +inf ones included, with no index to skip by.
@@ -18,9 +18,10 @@ each component's largest index and tests it on every pair.
 None for -inf), with the scalar operations `frac_tmin`, `frac_tmax`,
 `frac_tmul`, `frac_tmax_mul` and `frac_neg` on it; the integer pairs of
 `ExtReal` are tested against it.  `certify_ray_reference` tests each
-constraint on the exact `Fraction` coordinates `z.mults()`.  `funk_q` is
-the Funk distance restated on multiplicative coordinates, and `close_log`
-a float tolerance test for log readings.
+constraint on the exact `Fraction` coordinates `z.mults()`, and
+`cross_check_reference` compares two ray lists as sorted lists of them.
+`funk_q` is the Funk distance restated on multiplicative coordinates, and
+`close_log` a float tolerance test for log readings.
 
 `lower_sets_reference` walks every lower set of the order, connected or
 not, and keeps the connected ones; `generator_reference` walks a fresh
@@ -297,6 +298,12 @@ def certify_ray_reference(z: TropVector, constraints, n: int) -> int:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return n - len(components_of(adj, support))
+
+
+def cross_check_reference(rays, oracle) -> bool:
+    mine = sorted(r.generator.canonical().mults() for r in rays)
+    theirs = sorted(q.canonical().mults() for q in oracle)
+    return mine == theirs
 
 
 def funk_q(z: Sequence, z2: Sequence) -> ExtReal:

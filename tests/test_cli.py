@@ -218,6 +218,7 @@ class TestIsbell:
         payload = json.loads(out)
         assert code == 0
         assert payload["member"] and payload["isbellFixed"]
+        assert payload["hull"] == ["1/2", "1/3", "1"] and "violation" not in payload
 
     def test_vector_member_not_fixed(self, capsys, ex1_file, tmp_path):
         vec = tmp_path / "v.json"
@@ -226,6 +227,27 @@ class TestIsbell:
         payload = json.loads(out)
         assert code == 0
         assert payload["member"] and not payload["isbellFixed"]
+        assert payload["hull"] == ["3/2", "1", "3"] and "violation" not in payload
+
+    def test_non_member_names_its_violation(self, capsys, ex1_file, tmp_path):
+        vec = tmp_path / "v.json"
+        # z_r = 1/4 < Pr(rc|r) z_rc = 1/2: x_r > d(r, rc) + x_rc
+        vec.write_text(json.dumps(["1/4", "1/3", "1"]))
+        code, out, _ = run(capsys, "isbell", ex1_file, "--vector", str(vec))
+        payload = json.loads(out)
+        assert code == 0
+        assert not payload["member"] and not payload["isbellFixed"]
+        assert payload["violation"] == ["r", "r c"]
+        assert payload["hull"] == ["1/2", "1/3", "1"]
+
+    def test_all_inf_vector_has_no_violation(self, capsys, ex1_file, tmp_path):
+        vec = tmp_path / "v.json"
+        vec.write_text(json.dumps(["inf", "inf", "inf"]))
+        code, out, _ = run(capsys, "isbell", ex1_file, "--vector", str(vec))
+        payload = json.loads(out)
+        assert code == 0
+        assert not payload["member"] and payload["violation"] is None
+        assert payload["hull"] == ["inf", "inf", "inf"]
 
     def test_compare_span(self, capsys, ex1_file):
         code, out, _ = run(capsys, "isbell", ex1_file, "--compare-span")

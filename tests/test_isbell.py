@@ -20,10 +20,12 @@ from plmpoly import (
     random_forest_plm,
     random_member,
     random_plm,
+    tmul,
+    violation,
     yoneda,
 )
 from conftest import METRIC_KINDS, make_d2, random_metric, seeded
-from dense_reference import closure_reference
+from dense_reference import closure_reference, membership_reference
 
 
 def test_triple_composites_random():
@@ -96,7 +98,7 @@ def _closure_or_cap(closure, gens, d, cap):
 @given(
     st.integers(0, 10**6),
     st.sampled_from([random_plm, random_forest_plm]),
-    st.integers(1, 5),
+    st.integers(1, 6),
     st.data(),
 )
 def test_closure_matches_round_reference(seed, family, n, data):
@@ -104,17 +106,59 @@ def test_closure_matches_round_reference(seed, family, n, data):
     d = metric_from_plm(family(rng, n))
     picked = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     gens = [yoneda(d, k).scaled(ExtReal.from_prob(F(rng.randint(1, 4), 4))) for k in picked]
-    gens += gens[: data.draw(st.integers(0, 1))]  # a repeated input is kept once
+    # inputs that are already a meet or a join of two others, and repeated
+    # inputs, in any order
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)))):
+        gens.append(a.min_with(b))
+        if set(a.support) & set(b.support):
+            gens.append(a.max_with(b))
+    gens += data.draw(st.lists(st.sampled_from(gens), max_size=2))
+    gens = data.draw(st.permutations(gens))
     ref = closure_reference(gens, d)
     got = max_closure(gens, d)
-    assert len(got) == len(ref)
+    assert len(got) == len(ref) == len({v.coords for v in got})
     assert {v.coords for v in got} == {v.coords for v in ref}
-    # the cap: raise iff the closure adds a vector beyond `cap` distinct ones
-    cap = data.draw(st.integers(1, len(ref) + 1))
-    outcome = _closure_or_cap(max_closure, gens, d, cap)
-    assert outcome == _closure_or_cap(closure_reference, gens, d, cap)
+    # the cap: raise iff the closure adds a vector beyond `cap` distinct ones,
+    # so iff it ends with more than max(cap, distinct inputs); the
+    # reference's count only grows, from the distinct inputs to len(ref)
     inputs = len({v.coords for v in gens})
-    assert (outcome is None) == (len(ref) > max(cap, inputs))
+    for cap in range(1, len(ref) + 2):
+        outcome = _closure_or_cap(max_closure, gens, d, cap)
+        assert outcome == (None if len(ref) > max(cap, inputs) else {v.coords for v in ref})
+    cap = data.draw(st.integers(1, len(ref) + 1))
+    assert _closure_or_cap(max_closure, gens, d, cap) == _closure_or_cap(
+        closure_reference, gens, d, cap
+    )
+
+
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.data())
+def test_violation_is_the_first_failing_inequality(seed, kind, data):
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    x = data.draw(
+        st.sampled_from([random_extended_vector(rng, d.n), random_member(rng, d)])
+    )
+    if data.draw(st.booleans()):  # move one coordinate of the draw
+        k = data.draw(st.integers(0, d.n - 1))
+        coords = list(x.coords)
+        coords[k] = ExtReal.from_prob(F(data.draw(st.integers(1, 12)), 4))
+        x = TropVector(coords)
+    pair = violation(x, d)
+    if pair is None:
+        assert membership_reference(x, d) or all(c.is_pos_inf for c in x.coords)
+    else:
+        i, j = pair
+        assert x[i] > tmul(d[i, j], x[j]) and not membership_reference(x, d)
+        # no pair before (i, j) in row-major order fails
+        assert all(
+            x[a] <= tmul(d[a, b], x[b])
+            for a in range(d.n)
+            for b in range(d.n)
+            if a != b and (a, b) < (i, j)
+        )
+    assert membership(x, d, Side.LOWER) == (
+        pair is None and not all(c.is_pos_inf for c in x.coords)
+    )
 
 
 def test_d2_witnesses(d2):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
+    ExtReal,
     PartialOrder,
     Plm,
     ResourceCapExceeded,
@@ -28,7 +29,12 @@ from plmpoly import (
     truncate_big_m,
 )
 from basis_reference import MAX_N, basis_rays, saturated_rank
-from dense_reference import certify_ray_reference, generator_reference, lower_sets_reference
+from dense_reference import (
+    certify_ray_reference,
+    cross_check_reference,
+    generator_reference,
+    lower_sets_reference,
+)
 from conftest import make_d2, seeded
 
 
@@ -306,6 +312,42 @@ class TestCertifyAgainstFractionReference:
                 bent = TropVector.from_probs(zm)
                 for cons in systems:
                     assert certify_ray(bent, cons, n) == certify_ray_reference(bent, cons, n)
+
+
+class TestCrossCheckAgainstFractionReference:
+    """Counting canonical coordinate tuples against sorting `mults()` tuples."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 7),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+        st.data(),
+    )
+    def test_rays_and_edits(self, seed, n, draw_model, side, data):
+        m = draw_model(random.Random(seed), n)
+        rays = enumerate_rays(m, side)
+        qs = oracle_rays(plm_cone_constraints(m, side), n)
+        k = data.draw(st.integers(0, len(qs) - 1))
+        lam = ExtReal.from_prob(F(data.draw(st.integers(1, 9)), 7))
+        zm = list(qs[k].mults())
+        i = data.draw(st.integers(0, n - 1))
+        zm[i] = data.draw(st.sampled_from([F(0), 2 * zm[i], zm[i] / 3, F(1), F(5, 7)]))
+        pairs = [
+            (rays, qs),
+            (rays, [q.scaled(lam) for q in reversed(qs)]),
+            (rays, qs[:k] + qs[k + 1 :]),
+            (rays, qs + [qs[k]]),
+            (rays + [rays[k]], qs),
+            (rays + [rays[k]], qs + [qs[k]]),
+        ]
+        if any(zm):
+            pairs.append((rays, qs[:k] + [TropVector.from_probs(zm)] + qs[k + 1 :]))
+        for mine, theirs in pairs:
+            assert cross_check_rays(mine, theirs) == cross_check_reference(mine, theirs)
+        assert cross_check_rays(*pairs[0]) and cross_check_rays(*pairs[1])
+        assert not any(cross_check_rays(*pair) for pair in pairs[2:5])
 
 
 class TestGeneratorsAgainstCarrierPotential:

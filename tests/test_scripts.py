@@ -86,6 +86,13 @@ def test_potentials_csv_pins_the_worked_example(figures):
     )
 
 
+def test_isbell_census_is_pinned(figures):
+    # closure size, the count outside the Isbell span and those vectors, sorted
+    out_dir, _ = figures
+    digest = hashlib.sha256((out_dir / "isbell.txt").read_bytes()).hexdigest()
+    assert digest == "7d7c0fe57e88553a2802b65b7456f9590c587e3401b67513b430e17ac36bb109"
+
+
 def test_oracle_sweep_matches(tmp_path):
     done = run_script(
         "oracle_sweep.py", "--models", "5", "--out", str(tmp_path / "sweep.csv"), cwd=tmp_path
