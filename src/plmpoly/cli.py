@@ -37,6 +37,7 @@ from .polyhedron import (
     co_yoneda,
     generator,
     membership,
+    metric_cone_constraints,
     normalize_to_simplex,
     vector_from_strings,
     vector_to_strings,
@@ -48,7 +49,6 @@ from .rays import (
     certify_ray,
     cross_check_rays,
     enumerate_rays,
-    metric_cone_constraints,
     oracle_rays,
     plm_cone_constraints,
 )
@@ -137,13 +137,21 @@ def cmd_check(args) -> int:
         rows.append(("validate", True, "general metric: no model axioms to check"))
         d = obj
     if d is not None:
-        ok_proj = check_projector(d.mat)
-        rows.append(("projector", ok_proj, ""))
+        detail = ""
+        if not check_projector(d.mat):
+            # d o d != d exactly when some column of d is not a member
+            k, (i, j) = next((k, v) for k in range(d.n) if (v := violation(yoneda(d, k), d)))
+            a, b, c = labels[i], labels[j], labels[k]
+            detail = f"d[{a},{c}] > d[{a},{b}] + d[{b},{c}]"
+        rows.append(("projector", not detail, detail))
         # term by term, map_r(d, y_i)_j = funk(y_i, y_j), map_l(d, c_j)_i = funk(c_j, c_i)
-        ok_lower = all(map_r(d, yoneda(d, i)) == co_yoneda(d, i) for i in range(d.n))
-        rows.append(("yoneda-isometry", ok_lower, ""))
-        ok_upper = all(map_l(d, co_yoneda(d, j)) == yoneda(d, j) for j in range(d.n))
-        rows.append(("co-yoneda-isometry", ok_upper, ""))
+        for name, fails in (
+            ("yoneda-isometry", lambda i: map_r(d, yoneda(d, i)) != co_yoneda(d, i)),
+            ("co-yoneda-isometry", lambda j: map_l(d, co_yoneda(d, j)) != yoneda(d, j)),
+        ):
+            bad = next((k for k in range(d.n) if fails(k)), None)
+            detail = "" if bad is None else f"first failure at {labels[bad]}"
+            rows.append((name, bad is None, detail))
     width = max(len(name) for name, _, _ in rows)
     lines = []
     for name, ok, detail in rows:

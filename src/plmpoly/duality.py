@@ -25,16 +25,11 @@ def map_b(d: DirectedMetric, x: TropVector) -> TropVector:
     return TropVector(d.mat.transpose().apply_min(x.negated().coords))
 
 
-def side_map(d: DirectedMetric, x: TropVector, side: Side) -> TropVector:
-    """The map whose fixed-part domain is the given side: B on lower, A on upper."""
-    return map_b(d, x) if side is Side.LOWER else map_a(d, x)
-
-
 def check_fixed_negation(d: DirectedMetric, x: TropVector, side: Side) -> bool:
-    """On members of a side's extended polyhedron the side map is negation."""
+    """On members of a side's extended polyhedron, B (lower) or A (upper) is negation."""
     if not membership(x, d, side):
         raise ValueError("vector is not in the side's extended polyhedron")
-    return side_map(d, x, side) == x.negated()
+    return (map_b if side is Side.LOWER else map_a)(d, x) == x.negated()
 
 
 @dataclass(frozen=True)

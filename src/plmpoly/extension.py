@@ -226,7 +226,10 @@ def boltzmann(
         else:
             # shift by the hard minimum so the largest summand is exactly 1
             s = sum(math.exp(-tmul(e, neg(m)).log / t) for e in es)
-            mult[c] = math.exp(-m.log / t) * s
+            try:
+                mult[c] = math.exp(-m.log / t) * s
+            except OverflowError:  # a reading past float range
+                mult[c] = math.inf
             readback[c] = m.log - t * math.log(s)
         slack = 1e-9 * max(1.0, abs(m.log))
         verify(readback[c] <= m.log + slack)

@@ -472,8 +472,9 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
     """Replace +inf entries by the finite value M (an exact stand-in).
 
     Warns when M is not above every finite entry; the result is checked
-    for idempotency and a failure there warns as well (it is guaranteed
-    only for M at least twice the largest finite entry).
+    for idempotency and a failure there warns as well.  It is guaranteed,
+    and verified, only when no finite entry is negative (no probability
+    above 1) and M is at least twice the largest finite entry.
     """
     if not big_m > 0:  # NaN fails this test too
         raise ValueError("M must be positive")
@@ -491,7 +492,8 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
     ]
     out = DirectedMetric(TropMatrix(rows), require_projector=False)
     ok = check_projector(out.mat)
-    if minp is None or eps.mult <= minp * minp:
+    nonneg = all(e >= ZERO for entries in d.mat.row_entries for _, e in entries)
+    if nonneg and (minp is None or eps.mult <= minp * minp):
         verify(ok, "idempotency must hold for M >= 2 * max finite entry")
     elif not ok:
         warnings.warn("truncated matrix is not idempotent (M too small)", stacklevel=2)
@@ -581,16 +583,6 @@ def model_from_dict(data: dict) -> Plm:
         raise ValueError(f"bad model data: {exc}") from exc
 
 
-def metric_to_dict(d: DirectedMetric, labels: Sequence[str] | None = None) -> dict:
-    return {
-        "labels": list(labels) if labels else [str(i) for i in range(d.n)],
-        "metric": [
-            ["0" if e.is_pos_inf else str(e.mult) for e in row]
-            for row in d.mat.rows
-        ],
-    }
-
-
 def metric_from_dict(
     data: dict, require_projector: bool = True
 ) -> tuple[DirectedMetric, list[str]]:
@@ -626,10 +618,6 @@ def load_model_file(path: str, require_projector: bool = True):
         return "metric", d, labels
     m = model_from_dict(data)
     return "plm", m, m.labels()
-
-
-def write_json_atomic(path: str, data) -> None:
-    write_text_atomic(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def write_text_atomic(path: str, text: str) -> None:

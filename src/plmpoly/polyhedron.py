@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .model import DirectedMetric
+from .model import DirectedMetric, reach
 from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, funk, tmul, verify
 
 
@@ -117,69 +117,74 @@ def coordinates_as_distances(
     return TropVector(dists)
 
 
-def span_decompose(
-    x: TropVector, d: DirectedMetric, side: Side = Side.LOWER
-) -> list[ExtReal]:
-    """Coefficients writing x as a (min,+) combination of the generators."""
-    if not membership(x, d, side):
-        raise ValueError("vector is not in the polyhedron")
-    verify(project(x, d, side) == x)
-    return list(x.coords)
+Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
 
 
-@dataclass(frozen=True)
-class SaturationGraph:
-    """Directed graph of tight inequalities x_i = d_ij + x_j.
+def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[Constraint]:
+    """One row z_i >= p z_j per off-diagonal finite entry, p = exp(-d_ij)."""
+    return [
+        (i, j, e.mult)
+        for i, entries in enumerate(side_metric(d, side).mat.row_entries)
+        for j, e in entries
+        if i != j
+    ]
 
-    Loops sit on every vertex and are left implicit; recorded edges run
-    between support elements at finite distance only.
+
+def tight_graph(
+    z: TropVector, constraints: Sequence[Constraint], n: int
+) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks of the rows z_i >= p z_j that z makes tight.
+
+    For the rows of `metric_cone_constraints` this is the graph of tight
+    inequalities x_i = d_ij + x_j of z read as a log-domain point.  The
+    test is exact: with z_k = num_k/den_k (+inf is 0/1, -inf 1/0) and
+    p = a/b, z_i = p z_j is num_i den_j b == a num_j den_i.  A row from
+    the support to a +inf coordinate is never tight, so the out-edges of
+    the support stay on it.
     """
-
-    n: int
-    support: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    @property
-    def terminals(self) -> tuple[int, ...]:
-        outs = {i for i, _ in self.edges}
-        return tuple(sorted(i for i in self.support if i not in outs))
-
-
-def saturation_graph(
-    x: TropVector, d: DirectedMetric, side: Side = Side.LOWER
-) -> SaturationGraph:
-    if not membership(x, d, side):
-        raise ValueError("vector is not in the polyhedron")
-    dm = side_metric(d, side)
-    support = frozenset(x.support)
-    edges = frozenset(
-        (i, j)
-        for i in support
-        for j in support
-        if i != j and dm[i, j].is_finite and x[i] == tmul(dm[i, j], x[j])
-    )
-    return SaturationGraph(n=d.n, support=support, edges=edges)
+    zs = z.coords
+    out = [0] * n
+    into = [0] * n
+    for i, j, p in constraints:
+        zi, zj = zs[i], zs[j]
+        if zi.num * zj.den * p.denominator == p.numerator * zj.num * zi.den:
+            out[i] |= 1 << j
+            into[j] |= 1 << i
+    return out, into
 
 
 @dataclass(frozen=True)
 class TerminalDecomposition:
-    """x as a (min,+) combination over the terminals of its saturation graph."""
+    """x as a (min,+) combination over one text per sink of its tight graph."""
 
     terminals: tuple[int, ...]
     weights: tuple[ExtReal, ...]
-    graph: SaturationGraph
 
 
 def terminal_decompose(
     x: TropVector, d: DirectedMetric, side: Side = Side.LOWER
 ) -> TerminalDecomposition:
-    g = saturation_graph(x, d, side)
-    terms = g.terminals
-    weights = tuple(x[i] for i in terms)
+    """x as the (min,+) span, weights x_t, of one text t per sink of its tight graph.
+
+    Along a tight path from i to t, x_i is the path's length plus x_t, so
+    at least d_it + x_t, and membership gives at most.  Each support text
+    has such a path into a sink class (strongly connected, no tight edge
+    out), whose least text is taken.  In a model's metric no two texts
+    are 0 apart both ways, so the sinks are the texts with no out-edge.
+    """
+    if not membership(x, d, side):
+        raise ValueError("vector is not in the polyhedron")
+    out, into = tight_graph(x, metric_cone_constraints(d, side), d.n)
+    support = sum(1 << i for i in x.support)
+    terms = []
+    for i in x.support:
+        ahead = reach(out, 1 << i, support)
+        if ahead & -ahead == 1 << i and not ahead & ~reach(into, 1 << i, support):
+            terms.append(i)
     lams = [x[i] if i in terms else POS_INF for i in range(d.n)]
     rebuilt = side_metric(d, side).mat.apply_min(lams)
     verify(rebuilt == x.coords)
-    return TerminalDecomposition(terminals=terms, weights=weights, graph=g)
+    return TerminalDecomposition(terminals=tuple(terms), weights=tuple(x[i] for i in terms))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
-    DirectedMetric,
     PartialOrder,
     Plm,
     ValidationFailed,
@@ -31,10 +30,8 @@ from .model import (
     reach,
     validate_plm,
 )
-from .polyhedron import SaturationGraph, Side, saturation_graph, membership
+from .polyhedron import Constraint, Side, membership, tight_graph
 from .tropical import POS_INF, ExtReal, TropVector, neg, verify
-
-Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -121,22 +118,12 @@ def plm_cone_constraints(m: Plm, side: Side = Side.LOWER) -> list[Constraint]:
     return rows if side is Side.LOWER else sorted((j, i, p) for i, j, p in rows)
 
 
-def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[Constraint]:
-    dm = d if side is Side.LOWER else d.transpose()
-    return [
-        (i, j, e.mult)
-        for i, entries in enumerate(dm.mat.row_entries)
-        for j, e in entries
-        if i != j
-    ]
-
-
 def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int:
     """Rank of the rows of {z_k >= 0} and the constraints that z makes tight.
 
     The rank is n-1 exactly when z spans an extremal ray, and it is
-    n minus the number of components of the graph of tight constraints
-    induced on the support of z:
+    n minus the number of components of the `tight_graph` of z, made
+    undirected and induced on the support of z:
 
     * each zero coordinate k gives the unit row e_k;
     * a tight row z_i = p z_j (p > 0) with one zero end has both ends zero,
@@ -148,18 +135,10 @@ def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int
 
     The unit rows and the blocks of the components act on disjoint
     coordinates, so the ranks add up to (n - |supp z|) + sum (|C| - 1).
-    Every comparison is exact: with z_k = num_k/den_k (a +inf coordinate
-    reads 0/1) and p = a/b, z_i = p z_j is num_i den_j b == a num_j den_i.
     """
-    zs = z.coords
+    out, into = tight_graph(z, constraints, n)
     support = sum(1 << k for k in z.support)
-    adj = [0] * n
-    for i, j, p in constraints:
-        zi, zj = zs[i], zs[j]
-        if zi.num * zj.den * p.denominator == p.numerator * zj.num * zi.den:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return n - len(components_of(adj, support))
+    return n - len(components_of([a | b for a, b in zip(out, into)], support))
 
 
 def _side_cone(m: Plm, side: Side) -> tuple[list[ExtReal], list[Constraint]]:
@@ -365,19 +344,19 @@ def cross_check_rays(rays: Sequence[Ray], oracle: Sequence[TropVector]) -> bool:
     return mine == Counter(q.canonical().coords for q in oracle)
 
 
-def ray_saturation_edges(r: Ray, m: Plm) -> SaturationGraph:
-    """Saturation graph of a ray: all comparable pairs inside its carrier."""
-    d = metric_from_plm(m)
-    g = saturation_graph(r.generator, d, r.side)
+def ray_saturation_edges(r: Ray, m: Plm) -> dict[int, int]:
+    """Tight graph of a ray: inside its carrier, every comparable pair.
+
+    Returns each carrier text's out-neighbour bitmask, which is checked to
+    be its strict up-set in the side's order, cut to the carrier.
+    """
+    _, constraints = _side_cone(m, r.side)
+    out, _ = tight_graph(r.generator, constraints, m.n)
     order = _side_order(m, r.side)
-    expected = frozenset(
-        (i, j)
-        for i in r.carrier
-        for j in r.carrier
-        if i != j and order.leq(i, j)
-    )
-    verify(g.edges == expected)
-    return g
+    edges = {i: out[i] for i in sorted(r.carrier)}
+    expected = {i: sum(1 << j for j in r.carrier if j != i and order.leq(i, j)) for i in edges}
+    verify(edges == expected)
+    return edges
 
 
 def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:

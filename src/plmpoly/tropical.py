@@ -363,12 +363,6 @@ class TropMatrix:
     def from_probs(rows: Sequence[Sequence[Rational]]) -> "TropMatrix":
         return TropMatrix((ExtReal.from_prob(p) for p in row) for row in rows)
 
-    @staticmethod
-    def identity(n: int) -> "TropMatrix":
-        return TropMatrix(
-            ((ZERO if i == j else POS_INF) for j in range(n)) for i in range(n)
-        )
-
     @property
     def n(self) -> int:
         return len(self.rows)

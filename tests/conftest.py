@@ -73,6 +73,14 @@ def d2(request):
     return make_d2(request.param)
 
 
+def metric_to_dict(d: DirectedMetric, labels=None) -> dict:
+    """A metric file's contents: labels, and each entry as a probability."""
+    return {
+        "labels": list(labels) if labels else [str(i) for i in range(d.n)],
+        "metric": [["0" if e.is_pos_inf else str(e.mult) for e in row] for row in d.mat.rows],
+    }
+
+
 def seeded(seed: int) -> random.Random:
     return random.Random(seed)
 

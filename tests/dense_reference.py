@@ -1,14 +1,18 @@
 """Slow exact references for the products, `membership`, `max_closure`,
-`validate_plm`, `boltzmann`, the ray generators and `cross_check_rays`.
+`validate_plm`, `boltzmann`, the ray generators, `cross_check_rays` and
+`tight_graph`.
 
 `dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
 rows and form every term, +inf ones included, with no index to skip by.
 
 `membership_reference` scans every defining inequality x_i <= d_ij + x_j
-by hand, with no (min,+) product.  `closure_reference` closes a family
-under pointwise min and max in rounds, re-pairing every vector each round
-until a round adds nothing; it checks candidates with
-`membership_reference`.  `chain_scan` is the chain rule checked on every
+by hand, with no (min,+) product.  `saturation_edges_reference` looks up
+d_ij densely for every support pair and keeps those with x_i = d_ij + x_j;
+`sink_texts_reference` closes such an edge set transitively and keeps
+the least text of each class that reaches only texts reaching it back.
+`closure_reference` closes a family under pointwise min and max in
+rounds, re-pairing every vector each round until a round adds nothing;
+it checks candidates with `membership_reference`.  `chain_scan` is the chain rule checked on every
 chain i < j < k, and `top_potential_reproduces` walks a potential from
 each component's largest index and tests it on every pair.
 `boltzmann_reference` forms every term's product at every coordinate,
@@ -22,6 +26,9 @@ constraint on the exact `Fraction` coordinates `z.mults()`, and
 `cross_check_reference` compares two ray lists as sorted lists of them.
 `funk_q` is the Funk distance restated on multiplicative coordinates, and
 `close_log` a float tolerance test for log readings.
+`projector_witness_reference` scans every triple for d_ik > d_ij + d_jk,
+and `first_non_isometric_reference` compares `funk_q` on every pair of
+vectors with its target distance.
 
 `lower_sets_reference` walks every lower set of the order, connected or
 not, and keeps the connected ones; `generator_reference` walks a fresh
@@ -300,6 +307,34 @@ def certify_ray_reference(z: TropVector, constraints, n: int) -> int:
     return n - len(components_of(adj, support))
 
 
+def saturation_edges_reference(
+    x: TropVector, d, side=Side.LOWER
+) -> frozenset[tuple[int, int]]:
+    """Support pairs i != j with d_ij finite and x_i = d_ij + x_j, by dense lookups."""
+    dm = side_metric(d, side)
+    support = x.support
+    return frozenset(
+        (i, j)
+        for i in support
+        for j in support
+        if i != j and dm[i, j].is_finite and x[i] == tmul(dm[i, j], x[j])
+    )
+
+
+def sink_texts_reference(support, edges) -> tuple[int, ...]:
+    """Least text of each strongly connected class with no edge leaving it."""
+    ahead = {i: {i} | {j for a, j in edges if a == i} for i in support}
+    for k in support:  # Warshall: ahead[i] gains ahead[k] once k is in it
+        for i in support:
+            if k in ahead[i]:
+                ahead[i] |= ahead[k]
+    return tuple(
+        i
+        for i in support
+        if min(ahead[i]) == i and all(i in ahead[j] for j in ahead[i])
+    )
+
+
 def cross_check_reference(rays, oracle) -> bool:
     mine = sorted(r.generator.canonical().mults() for r in rays)
     theirs = sorted(q.canonical().mults() for q in oracle)
@@ -328,6 +363,26 @@ def funk_q(z: Sequence, z2: Sequence) -> ExtReal:
     if best is None:
         return NEG_INF
     return ExtReal(best)
+
+
+def projector_witness_reference(rows) -> tuple[int, int, int] | None:
+    """First (i, j, k), by k, then i, then j, with d_ik > d_ij + d_jk."""
+    n = len(rows)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if tmul(rows[i][j], rows[j][k]) < rows[i][k]:
+                    return i, j, k
+    return None
+
+
+def first_non_isometric_reference(vecs, target) -> int | None:
+    """First a with funk_q(vecs[a], vecs[b]) != target[a][b] for some b."""
+    n = len(vecs)
+    for a in range(n):
+        if any(funk_q(vecs[a], vecs[b]) != target[a][b] for b in range(n)):
+            return a
+    return None
 
 
 def close_log(a: float, b: float, tol: float = 1e-9) -> bool:

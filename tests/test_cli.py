@@ -1,25 +1,43 @@
 import argparse
+import ast
+import contextlib
 import csv
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
+    metric_from_dict,
     metric_from_plm,
-    metric_to_dict,
     model_to_dict,
-    write_json_atomic,
+    write_text_atomic,
 )
 from plmpoly import cli, duality, rays
 from plmpoly.cli import main
+from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
+from dense_reference import (
+    dense_compose_min,
+    first_non_isometric_reference,
+    projector_witness_reference,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
-WORKED_EXAMPLE = str(Path(__file__).resolve().parents[1] / "data" / "worked_example.json")
+WORKED_EXAMPLE = str(ROOT / "data" / "worked_example.json")
+
+# Pr(b|a) = 2, a probability above 1: d_ab = -log 2 is negative
+ABOVE_ONE = [["1", "2"], ["0", "1"]]
 
 
 def write_metric(tmp_path, rows, name="metric.json"):
@@ -31,21 +49,22 @@ def write_metric(tmp_path, rows, name="metric.json"):
 @pytest.fixture
 def ex1_file(ex1, tmp_path):
     path = tmp_path / "ex1.json"
-    write_json_atomic(str(path), model_to_dict(ex1))
+    write_text_atomic(str(path), json.dumps(model_to_dict(ex1)))
     return str(path)
 
 
 @pytest.fixture
 def ex1_full_file(ex1_full, tmp_path):
     path = tmp_path / "ex1full.json"
-    write_json_atomic(str(path), model_to_dict(ex1_full))
+    write_text_atomic(str(path), json.dumps(model_to_dict(ex1_full)))
     return str(path)
 
 
 @pytest.fixture
 def ex1_metric_file(ex1, tmp_path):
     path = tmp_path / "ex1metric.json"
-    write_json_atomic(str(path), metric_to_dict(metric_from_plm(ex1), ex1.labels()))
+    data = metric_to_dict(metric_from_plm(ex1), ex1.labels())
+    write_text_atomic(str(path), json.dumps(data))
     return str(path)
 
 
@@ -109,9 +128,59 @@ class TestCheck:
         for row in ("projector", "yoneda-isometry", "co-yoneda-isometry"):
             assert marks[row] == "FAIL"
 
+    def test_triangle_violation_names_witnesses(self, capsys, tmp_path):
+        rows = [["1", "1/2", "1/8"], ["0", "1", "1/2"], ["0", "0", "1"]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"labels": ["a", "b", "c"], "metric": rows}))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 2
+        assert out.splitlines()[1:] == [
+            "projector           FAIL  d[a,c] > d[a,b] + d[b,c]",
+            "yoneda-isometry     FAIL  first failure at b",
+            "co-yoneda-isometry  FAIL  first failure at b",
+        ]
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/x.json")
         assert code == 1 and "error" in err
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS))
+def test_check_fail_lines_name_reference_witnesses(seed, kind):
+    rng = seeded(seed)
+    data = metric_to_dict(random_metric(rng, kind))
+    n = len(data["labels"])
+    for _ in range(rng.randint(1, 2)):  # perturb an off-diagonal entry
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            data["metric"][i][j] = rng.choice(["0", "1/8", "1/3", "1/2", "1", "2"])
+    rows = metric_from_dict(data, require_projector=False)[0].mat.rows
+    columns = [tuple(c.mult for c in col) for col in zip(*rows)]
+    row_mults = [tuple(c.mult for c in row) for row in rows]
+    witness = projector_witness_reference(rows)
+    assert (witness is None) == (dense_compose_min(rows, rows) == rows)
+    expected = {"validate": ["PASS", "general metric: no model axioms to check"]}
+    if witness is None:
+        expected["projector"] = ["PASS"]
+    else:
+        i, j, k = witness
+        expected["projector"] = ["FAIL", f"d[{i},{k}] > d[{i},{j}] + d[{j},{k}]"]
+    for name, bad in (
+        ("yoneda-isometry", first_non_isometric_reference(columns, rows)),
+        ("co-yoneda-isometry", first_non_isometric_reference(row_mults, tuple(zip(*rows)))),
+    ):
+        expected[name] = ["PASS"] if bad is None else ["FAIL", f"first failure at {bad}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metric.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["check", path])
+    lines = buf.getvalue().splitlines()
+    assert {line.split(maxsplit=2)[0]: line.split(maxsplit=2)[1:] for line in lines} == expected
+    assert code == (0 if all(v[0] == "PASS" for v in expected.values()) else 2)
 
 
 class TestRays:
@@ -148,6 +217,21 @@ class TestRays:
         payload = json.loads(out)
         assert payload["count"] == 6 and payload["bigM"] == 10
         assert payload["method"] == "oracle"
+
+    def test_big_m_below_a_negative_entry_warns(self, tmp_path):
+        # with d_01 = -log 2 and d_10 = +inf truncated to M < log 2, entry
+        # (0, 0) of the square is d_01 + M < 0: not idempotent, which warns
+        path = write_metric(tmp_path, ABOVE_ONE)
+        done = subprocess.run(
+            [sys.executable, "-m", "plmpoly.cli", "rays", path, "--big-m", "1e-3"],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert "UserWarning: truncated matrix is not idempotent" in done.stderr
+        assert json.loads(done.stdout)["method"] == "oracle"
 
     def test_out_writes_json_and_csv(self, capsys, ex1_file, tmp_path):
         out_path = tmp_path / "rays.json"
@@ -290,7 +374,7 @@ class TestEmbed:
             {(0, 2): F(1, 4), (1, 2): F(1, 3)},
         )
         path = tmp_path / "skew.json"
-        write_json_atomic(str(path), model_to_dict(skew))
+        write_text_atomic(str(path), json.dumps(model_to_dict(skew)))
         code, _, err = run(capsys, "embed", ex1_full_file, "--sub", str(path))
         assert code == 2 and "isometry fails" in err
 
@@ -299,7 +383,7 @@ class TestEmbed:
 
         stranger = Plm([("zz",)], "two-sided", {})
         path = tmp_path / "s.json"
-        write_json_atomic(str(path), model_to_dict(stranger))
+        write_text_atomic(str(path), json.dumps(model_to_dict(stranger)))
         code, _, err = run(capsys, "embed", ex1_file, "--sub", str(path))
         assert code == 1 and "missing" in err
 
@@ -343,6 +427,13 @@ class TestRetract:
         )
         assert code == 0
         assert out == f"text,r,c,r c\nr,1,0,0\nc,0,0,0\n{last_row}\n"
+
+    def test_temperature_reading_past_float_range(self, capsys, tmp_path):
+        # 2**(1/T) at T = 1e-4 is past float range and prints as inf
+        path = write_metric(tmp_path, ABOVE_ONE)
+        code, out, _ = run(capsys, "retract", path, "--subset", "0", "--temperature", "0.0001")
+        assert code == 0
+        assert out == "text,0,1\n0,1,0\n1,inf,0\n"
 
     def test_needs_subset_or_len(self, capsys, ex1_full_file):
         code, _, err = run(capsys, "retract", ex1_full_file)
@@ -611,7 +702,7 @@ class TestExitCodes:
 
     def test_crown_model_is_refused(self, capsys, tmp_path, crown):
         path = tmp_path / "crown.json"
-        write_json_atomic(str(path), model_to_dict(crown))
+        write_text_atomic(str(path), json.dumps(model_to_dict(crown)))
         code, out, _ = run(capsys, "check", str(path))
         assert code == 2
         assert out == f"validate  FAIL  {CROWN_FAILURE}\n"
@@ -670,3 +761,40 @@ def test_every_flag_is_read():
             if action.dest != "help" and f"args.{action.dest}" not in source
         ]
     assert unread == []
+
+
+# Exports that only tests call, each the one exact statement of a paper fact
+PAPER_FACTS = (
+    "coordinates_as_distances",  # a member's coordinates are its Funk distances
+    "terminal_decompose",  # a member is the span of the sinks of its tight graph
+    "ray_saturation_edges",  # a ray's tight graph is its carrier's order
+    "ray_as_text_combination",  # a lower ray spans from its maximal texts
+    "filtration_retractions",  # retractions onto length-capped spans are nested
+    "check_fixed_negation",  # on a side's members the duality map is negation
+    "plm_from_metric",  # a model is determined by its metric
+    "kleene_closure",  # closing a matrix without negative cycles gives a metric
+    "is_subtext",  # the subtext order, one- or two-sided
+)
+
+
+def test_every_export_is_called():
+    """Each export has a caller outside the tests, or is a listed paper fact.
+
+    A caller is a library module other than at the definition, a script,
+    the benchmark harness or the acceptance gate.
+    """
+    init = ast.parse((ROOT / "src" / "plmpoly" / "__init__.py").read_text())
+    exports = [
+        a.asname or a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names
+    ]
+    callers = [p for p in (ROOT / "src" / "plmpoly").glob("*.py") if p.name != "__init__.py"]
+    callers += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    used = set()
+    for path in callers + [ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert set(PAPER_FACTS) <= set(exports)
+    assert [name for name in exports if name not in used and name not in PAPER_FACTS] == []

@@ -24,7 +24,6 @@ from plmpoly import (
     random_extended_vector,
     random_member,
     random_plm,
-    side_map,
     vector_to_strings,
     yoneda,
 )
@@ -116,9 +115,10 @@ def test_dual_decompose_random():
 def test_negation_pairs_off_order_coordinates(ex1):
     d = metric_from_plm(ex1)
     # Y(r) = (0, +inf, +inf): its negation must flip the +inf to -inf
-    out = side_map(d, yoneda(d, 0), Side.LOWER)
+    out = map_b(d, yoneda(d, 0))
     assert out.coords == (ExtReal.from_prob(1), NEG_INF, NEG_INF)
     assert out == yoneda(d, 0).negated()
+    assert check_fixed_negation(d, yoneda(d, 0), Side.LOWER)
     assert POS_INF not in out.coords
 
 

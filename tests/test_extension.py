@@ -16,6 +16,7 @@ from plmpoly import (
     filtration_retractions,
     funk,
     membership,
+    metric_from_dict,
     metric_from_plm,
     random_forest_plm,
     random_member,
@@ -179,6 +180,14 @@ class TestBoltzmann:
                 else:
                     assert res.readback[c] <= target + 1e-9
                     assert target - res.readback[c] <= res.bound + 1e-9
+
+    def test_reading_past_float_range_is_inf(self):
+        # Pr(b|a) = 2: at T = 1e-4 the reading 2**(1/T) is past float range
+        d, _ = metric_from_dict({"metric": [["1", "2"], ["0", "1"]]})
+        res = boltzmann([(d[0, 1], yoneda(d, 0))], 1e-4)
+        assert res.mult == (math.inf, 0.0)
+        assert close_log(res.readback[0], -math.log(2))
+        assert res.target.coords == (d[0, 1], POS_INF)
 
     def test_validation(self, ex1):
         d = metric_from_plm(ex1)

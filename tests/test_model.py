@@ -14,6 +14,7 @@ from plmpoly import (
     Plm,
     TropMatrix,
     ValidationFailed,
+    ZERO,
     check_projector,
     ingest_corpus,
     is_subtext,
@@ -21,7 +22,6 @@ from plmpoly import (
     load_model_file,
     metric_from_dict,
     metric_from_plm,
-    metric_to_dict,
     model_from_dict,
     model_to_dict,
     order_from_metric,
@@ -31,9 +31,10 @@ from plmpoly import (
     random_plm,
     truncate_big_m,
     validate_plm,
-    write_json_atomic,
+    write_text_atomic,
 )
 from plmpoly.model import bits, components_of
+from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
 from dense_reference import chain_scan, top_potential_reproduces
 
 
@@ -338,6 +339,18 @@ class TestBigM:
         with pytest.raises(ValueError):
             truncate_big_m(d, -1.0)
 
+    @given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.floats(2.5, 10))
+    def test_past_the_bound_is_idempotent(self, seed, kind, factor):
+        # every probability is at most 1 here, so the verify runs and must hold
+        d = random_metric(seeded(seed), kind)
+        entries = [e for row in d.mat.row_entries for _, e in row]
+        assert all(e >= ZERO for e in entries)
+        big_m = factor * max(0.01, *(e.log for e in entries))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dm = truncate_big_m(d, big_m)
+        assert check_projector(dm.mat)
+
     def test_huge_m_uses_power_of_two(self, ex1):
         d = metric_from_plm(ex1)
         dm = truncate_big_m(d, 5000.0)
@@ -413,7 +426,7 @@ class TestSerialization:
         assert m2.texts == ex1_full.texts
         assert m2.pr == ex1_full.pr
         path = tmp_path / "m.json"
-        write_json_atomic(str(path), data)
+        write_text_atomic(str(path), json.dumps(data))
         kind, m3, labels = load_model_file(str(path))
         assert kind == "plm" and m3.pr == ex1_full.pr
         assert labels == ex1_full.labels()
@@ -435,7 +448,7 @@ class TestSerialization:
         d2, labels = metric_from_dict(data)
         assert d2 == d and labels == ex1.labels()
         path = tmp_path / "d.json"
-        write_json_atomic(str(path), data)
+        write_text_atomic(str(path), json.dumps(data))
         kind, d3, _ = load_model_file(str(path))
         assert kind == "metric" and d3 == d
 
@@ -447,6 +460,6 @@ class TestSerialization:
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.json"
-        write_json_atomic(str(path), {"k": 1})
+        write_text_atomic(str(path), json.dumps({"k": 1}))
         assert json.loads(path.read_text()) == {"k": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]

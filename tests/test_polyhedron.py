@@ -14,6 +14,7 @@ from plmpoly import (
     coordinates_as_distances,
     funk,
     membership,
+    metric_cone_constraints,
     metric_from_plm,
     normalize_to_simplex,
     project,
@@ -21,15 +22,18 @@ from plmpoly import (
     random_member,
     random_plm,
     random_weight,
-    saturation_graph,
-    span_decompose,
     terminal_decompose,
+    tight_graph,
     vector_from_strings,
     vector_to_strings,
     yoneda,
 )
 from conftest import METRIC_KINDS, random_metric, seeded
-from dense_reference import membership_reference
+from dense_reference import (
+    membership_reference,
+    saturation_edges_reference,
+    sink_texts_reference,
+)
 
 
 class TestConePoint:
@@ -182,11 +186,12 @@ class TestDecompositions:
             coordinates_as_distances(TropVector.from_probs([F(1, 4), F(1, 3), 1]), d)
 
     def test_span_decompose_round_trip(self, ex1):
+        # a member is the (min,+) span of the generators with its own
+        # coordinates as coefficients
         d = metric_from_plm(ex1)
         x = TropVector.from_probs([F(1, 2), F(1, 6), F(1, 2)])
         assert membership(x, d)
-        lams = span_decompose(x, d)
-        assert project(TropVector(lams), d) == x
+        assert project(x, d) == x
 
     def test_random_span(self):
         rng = seeded(9)
@@ -194,25 +199,24 @@ class TestDecompositions:
             m = random_plm(rng, n=rng.randint(3, 6))
             d = metric_from_plm(m)
             x = random_member(rng, d)
-            lams = span_decompose(x, d)
-            assert project(TropVector(lams), d) == x
+            assert project(x, d) == x
 
 
 class TestSaturation:
     def test_frozen_graph(self, ex1):
         d = metric_from_plm(ex1)
         x = TropVector.from_probs([F(1, 2), F(1, 3), 1])
-        g = saturation_graph(x, d)
-        assert g.support == {0, 1, 2}
-        assert g.edges == {(0, 2), (1, 2)}
-        assert g.terminals == (2,)
+        out, into = tight_graph(x, metric_cone_constraints(d), d.n)
+        assert out == [0b100, 0b100, 0]
+        assert into == [0, 0, 0b011]
 
     def test_isolated_off_support(self, ex1):
         d = metric_from_plm(ex1)
         x = TropVector([ExtReal.from_prob(1), POS_INF, POS_INF])
-        g = saturation_graph(x, d)
-        assert g.support == {0}
-        assert g.edges == set()
+        out, into = tight_graph(x, metric_cone_constraints(d), d.n)
+        assert out[0] == into[0] == 0
+        # off the support, z_1 = 0 = (1/3) z_2 is tight as well
+        assert out == [0, 0b100, 0]
 
     def test_terminal_decompose(self, ex1):
         d = metric_from_plm(ex1)
@@ -229,6 +233,30 @@ class TestSaturation:
             x = random_member(rng, d)
             td = terminal_decompose(x, d)  # internal re-assembly asserts exactness
             assert td.terminals
+
+
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.sampled_from(list(Side)))
+def test_tight_graph_matches_saturation_reference(seed, kind, side):
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    cons = metric_cone_constraints(d, side)
+    xs = [random_extended_vector(rng, d.n)]
+    for _ in range(3):
+        x = random_member(rng, d, side)
+        xs += [x, _perturbed(rng, x)]
+    for x in xs:
+        out, into = tight_graph(x, cons, d.n)
+        support = x.support
+        mask = sum(1 << i for i in support)
+        assert all(out[i] & ~mask == 0 for i in support)
+        edges = {(i, j) for i in support for j in support if out[i] >> j & 1}
+        assert edges == {(i, j) for i in support for j in support if into[j] >> i & 1}
+        reference = saturation_edges_reference(x, d, side)
+        assert edges == reference
+        if membership(x, d, side):
+            assert terminal_decompose(x, d, side).terminals == sink_texts_reference(
+                support, reference
+            )
 
 
 class TestVectorStrings:

@@ -34,6 +34,7 @@ from dense_reference import (
     cross_check_reference,
     generator_reference,
     lower_sets_reference,
+    saturation_edges_reference,
 )
 from conftest import make_d2, seeded
 
@@ -450,8 +451,23 @@ class TestBigMRays:
 class TestStructure:
     def test_saturation_edges_cover_carrier(self, ex1):
         for r in enumerate_rays(ex1, Side.LOWER):
-            g = ray_saturation_edges(r, ex1)
-            assert g.support == r.carrier
+            edges = ray_saturation_edges(r, ex1)
+            assert set(edges) == r.carrier
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 8),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+    )
+    def test_saturation_edges_random_models(self, seed, n, draw_model, side):
+        m = draw_model(random.Random(seed), n)
+        d = metric_from_plm(m)
+        for r in enumerate_rays(m, side):
+            edges = ray_saturation_edges(r, m)  # verifies the side order in the carrier
+            pairs = {(i, j) for i, out in edges.items() for j in range(n) if out >> j & 1}
+            assert pairs == saturation_edges_reference(r.generator, d, side)
 
     def test_text_combination_frozen(self, ex1_full):
         rays = enumerate_rays(ex1_full, Side.LOWER)

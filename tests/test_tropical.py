@@ -305,7 +305,7 @@ def test_matrix_products():
     assert m.compose_min(m) == m
     x = TropVector.from_probs([1, 1])
     assert m.apply_min(x.coords) == (ZERO, ZERO)
-    ident = TropMatrix.identity(2)
+    ident = TropMatrix.from_probs([["1", "0"], ["0", "1"]])
     assert ident.compose_min(m) == m
 
 
