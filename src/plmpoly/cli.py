@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 unreadable or malformed input, 2 verification
 mismatch, 3 resource cap hit; a usage error counts as malformed input.
 Numeric output is exact rational strings in the multiplicative domain
 unless --float asks for decimals; file writes go through a temp file and
-a rename.
+a rename, and an --out target that exists but is not a regular file (a
+FIFO, a device) is refused.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .isbell import isbell_member, map_l, map_r, max_closure
 from .model import (
     DirectedMetric,
     ValidationFailed,
+    check_out_path,
     check_projector,
     ingest_corpus,
     load_model_file,
@@ -223,9 +225,11 @@ def cmd_rays(args) -> int:
     if mismatch is not None:
         payload["oracleMismatch"] = mismatch
         sys.stderr.write("ray enumeration disagrees with the oracle\n")
-    _emit_json(args, payload)
     if args.out:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
+        check_out_path(stem + ".csv")  # refused before the JSON is written
+    _emit_json(args, payload)
+    if args.out:
         header = ["carrier"] + list(labels)
         rows = [["+".join(e["carrier"])] + e["vertex"] for e in entries]
         write_text_atomic(stem + ".csv", _csv_text(header, rows))
@@ -354,7 +358,6 @@ def cmd_retract(args) -> int:
     header = ["text"] + list(labels)
     rows = []
     for k in range(d.n):
-        column = r.matrix.column(k)
         if args.temperature is None:
             # d is a projector, so d_S o d = d_S: R applied to d[:,k] is R[:,k],
             # which is +inf off its listed entries
@@ -368,7 +371,7 @@ def cmd_retract(args) -> int:
             cells = ["0"] * d.n
             if terms:
                 res = boltzmann(terms, args.temperature)
-                verify(res.target.coords == column)
+                verify(res.target.coords == r.matrix.column(k))
                 for c, _ in r.matrix.col_entries[k]:
                     v = res.mult[c]
                     if isinstance(v, Fraction):

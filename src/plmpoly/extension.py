@@ -76,13 +76,14 @@ def retraction_from_subset(
     for s in sub:
         if not 0 <= s < d.n:
             raise ValueError(f"index {s} out of range")
-    rows_in_s = TropMatrix(
-        row if i in sub else (POS_INF,) * d.n for i, row in enumerate(d.mat.rows)
+    keep = set(sub)
+    rows_in_s = TropMatrix.from_entries(
+        d.n, (line if i in keep else () for i, line in enumerate(d.mat.row_entries))
     )
     mat = d.mat.compose_min(rows_in_s)
     verify(mat.compose_min(mat) == mat)
     for k in sub:
-        verify(mat.column(k) == d.mat.column(k))
+        verify(mat.col_entries[k] == d.mat.col_entries[k])
     return RetractionOp(matrix=mat, subset=sub)
 
 

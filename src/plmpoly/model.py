@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .tropical import (
@@ -24,6 +25,8 @@ from .tropical import (
     TropMatrix,
     Rational,
     _as_fraction,
+    _pair,
+    bits,
     verify,
 )
 
@@ -147,15 +150,6 @@ class PartialOrder:
         return [bits(c) for c in components_of(self._adj, (1 << self.n) - 1)]
 
 
-def bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)
-
-
 def reach(adj: Sequence[int], seed: int, mask: int) -> int:
     """Bitmask of the vertices of `mask` reachable from `seed` inside `mask`.
 
@@ -190,8 +184,9 @@ class Plm:
     which is how abstract posets with no subtext realization are fed in.
 
     A Plm is not changed once built: `validate_plm` keeps the potential
-    it walks in `_potential`, and the ray generators keep their per-side
-    values in `_side_cones`, so neither is walked twice for one model.
+    it walks in `_potential`, each weight as its reduced pair (num, den),
+    and the ray generators keep their per-side values in `_side_cones`,
+    so neither is walked twice for one model.
     """
 
     def __init__(
@@ -230,7 +225,7 @@ class Plm:
         self.order_mode = order_mode
         self.order = order
         self.pr = {(i, j): _as_fraction(p) for (i, j), p in pr.items()}
-        self._potential: dict[int, Fraction] | None = None
+        self._potential: dict[int, tuple[int, int]] | None = None
         self._side_cones: dict = {}
 
     @property
@@ -315,7 +310,7 @@ def validate_plm(m: Plm) -> ValidationReport:
             rep.missing.append((i, j))
     if rep.ok and m._potential is None:
         try:
-            m._potential = potential(m, (1 << m.n) - 1)
+            m._potential = _potential_pairs(m, (1 << m.n) - 1)
         except ValidationFailed as exc:
             rep.multiplicativity = exc.report.multiplicativity
     return rep
@@ -330,26 +325,45 @@ def potential(m: Plm, mask: int) -> dict[int, Fraction]:
     edge that closes a cycle is checked, and the first that disagrees
     raises `ValidationFailed` with the edge and both values.
     """
+    return {i: Fraction(a, b) for i, (a, b) in _potential_pairs(m, mask).items()}
+
+
+def _potential_pairs(m: Plm, mask: int) -> dict[int, tuple[int, int]]:
+    """`potential`'s walk, each weight kept as its reduced pair (num, den).
+
+    A step multiplies by a probability's own reduced pair, or by the pair
+    swapped; reducing the product keeps each weight's pair unique, so a
+    cycle check compares two pairs as tuples.
+    """
     order, pr = m.order, m.pr
-    w: dict[int, Fraction] = {}
+    w: dict[int, tuple[int, int]] = {}
     left = mask
     while left:
         start = (left & -left).bit_length() - 1
-        w[start] = Fraction(1)
+        w[start] = (1, 1)
         stack = [start]
         left &= left - 1
         while stack:
             i = stack.pop()
+            num, den = w[i]
             for j in bits(order._adj[i] & mask):
                 up = order.leq(i, j)
-                wj = w[i] * pr[(i, j)] if up else w[i] / pr[(j, i)]
+                if up:
+                    p = pr[(i, j)]
+                    a, b = num * p.numerator, den * p.denominator
+                else:
+                    p = pr[(j, i)]
+                    a, b = num * p.denominator, den * p.numerator
+                g = gcd(a, b)
+                wj = (a // g, b // g)
                 if j not in w:
                     w[j] = wj
                     stack.append(j)
                     left &= ~(1 << j)
                 elif w[j] != wj:
                     lo, hi = (i, j) if up else (j, i)
-                    edge = (lo, hi, pr[(lo, hi)], w[hi] / w[lo])
+                    q = Fraction(*w[hi]) / Fraction(*w[lo])
+                    edge = (lo, hi, pr[(lo, hi)], q)
                     raise ValidationFailed(ValidationReport(multiplicativity=[edge]))
     return w
 
@@ -420,14 +434,26 @@ def metric_from_plm(m: Plm) -> DirectedMetric:
     term j = i is always there, so the minimum is d(i,k) when i <= k.  When
     i is not below k, no chain exists, every term is +inf and so is the
     entry.
+
+    Validation also found a probability on every comparable pair and on
+    no other, so row i lists exactly the up-set of i: 0 on the diagonal
+    and each Pr(a_k|a_i), a reduced positive Fraction, as its pair.
     """
     rep = validate_plm(m)
     if not rep.ok:
         raise ValidationFailed(rep)
-    rows = [[ZERO if i == j else POS_INF for j in range(m.n)] for i in range(m.n)]
-    for (i, j), p in m.pr.items():  # validated: comparable pairs, or i == j with p 1
-        rows[i][j] = ExtReal.from_prob(p)
-    return DirectedMetric(TropMatrix(rows), require_projector=False)
+    pr = m.pr
+    lines = []
+    for i, up in enumerate(m.order._up):
+        line = []
+        for k in bits(up):
+            if k == i:
+                line.append((i, ZERO))
+            else:
+                p = pr[(i, k)]
+                line.append((k, _pair(p.numerator, p.denominator)))
+        lines.append(line)
+    return DirectedMetric(TropMatrix.from_entries(m.n, lines), require_projector=False)
 
 
 def order_from_metric(d: DirectedMetric) -> PartialOrder:
@@ -487,9 +513,12 @@ def truncate_big_m(d: DirectedMetric, big_m: float) -> DirectedMetric:
     minp = d.min_finite_prob()
     if minp is not None and eps.mult >= minp:
         warnings.warn("M is not above the largest finite entry", stacklevel=2)
-    rows = [
-        [eps if e.is_pos_inf else e for e in row] for row in d.mat.rows
-    ]
+    rows = []
+    for line in d.mat.row_entries:
+        row = [eps] * d.n
+        for j, e in line:
+            row[j] = e
+        rows.append(row)
     out = DirectedMetric(TropMatrix(rows), require_projector=False)
     ok = check_projector(out.mat)
     nonneg = all(e >= ZERO for entries in d.mat.row_entries for _, e in entries)
@@ -620,12 +649,38 @@ def load_model_file(path: str, require_projector: bool = True):
     return "plm", m, m.labels()
 
 
+def check_out_path(path: str) -> os.stat_result | None:
+    """The status of an existing output target, or None when there is none.
+
+    Output replaces its target by a rename, which would turn a FIFO or a
+    device into a regular file, so a target that exists and is not a
+    regular file is refused with ValueError.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        raise ValueError(f"{path} exists and is not a regular file")
+    return st
+
+
 def write_text_atomic(path: str, text: str) -> None:
-    """Write through a temp file + rename so readers never see partial output."""
-    dir_ = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dir_, suffix=".tmp")
+    """Write through a temp file + rename so readers never see partial output.
+
+    The target passes `check_out_path` before anything is written.  An
+    existing target keeps its permission bits; a new file gets 0o666 less
+    the umask, as `open` would give it.
+    """
+    st = check_out_path(path)
+    dir_, base = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(dir_, f".{base}.{os.urandom(8).hex()}.tmp")
+    # O_EXCL: a name that already exists is an error, never a file to reuse
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if st is not None:
+                os.fchmod(fh.fileno(), st.st_mode & 0o777)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

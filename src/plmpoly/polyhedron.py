@@ -99,7 +99,7 @@ def co_yoneda(d: DirectedMetric, k: int) -> TropVector:
     """Row k of the metric: distances out of a_k."""
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")
-    return TropVector(d.mat.rows[k])
+    return TropVector(d.mat.transpose().column(k))
 
 
 def generator(d: DirectedMetric, k: int, side: Side = Side.LOWER) -> TropVector:

@@ -31,7 +31,7 @@ from .model import (
     validate_plm,
 )
 from .polyhedron import Constraint, Side, membership, tight_graph
-from .tropical import POS_INF, ExtReal, TropVector, neg, verify
+from .tropical import POS_INF, ExtReal, TropVector, _pair, neg, verify
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -153,9 +153,10 @@ def _side_cone(m: Plm, side: Side) -> tuple[list[ExtReal], list[Constraint]]:
             rep = validate_plm(m)
             if not rep.ok:
                 raise ValidationFailed(rep)
-        w = m._potential
+        w = m._potential  # w_i = a/b as its reduced pair (a, b); 1/w_i swaps it
         lower = side is Side.LOWER
-        values = [ExtReal(1 / w[i] if lower else w[i]) for i in range(m.n)]
+        pairs = (w[i] for i in range(m.n))
+        values = [_pair(b, a) if lower else _pair(a, b) for a, b in pairs]
         cone = m._side_cones[side] = (values, plm_cone_constraints(m, side))
     return cone
 

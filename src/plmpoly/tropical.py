@@ -18,25 +18,34 @@ Two addition conventions coexist and are kept as separate operations:
 
 In the multiplicative mirror these read "zero absorbs" vs "infinity absorbs".
 
-``TropMatrix.apply_min`` is the one (min,+) product: projection (and with
-it membership), spans, retractions, extensions, the duality identities and
-``compose_min`` (one ``apply_min`` per column) all go through it.
-``TropMatrix.apply_max`` is the one (max,+) product, behind the Isbell maps.
-Both walk a finite-entry index: each row's and each column's entries that
-are not +inf, listed once, which the transpose shares with the roles
-swapped.  ``apply_min`` forms a term only where neither the entry nor the
-coordinate is +inf: +inf absorbs any other term under ``tmul``, even
-against -inf, and a minimum over no terms is +inf.  ``apply_max`` gives +inf
-in a row where a coordinate other than -inf meets a +inf entry; elsewhere
-every +inf entry meets -inf, which absorbs under ``tmax_mul``, so the
-maximum runs over the row's listed entries.  A text model's metric is +inf
-off the order, so both cost as many terms as the order has pairs.
+A ``TropMatrix`` stores only its finite-entry index: ``n`` and each row's
+and each column's entries that are not +inf, listed in ascending index with
+their bitmasks, which the transpose shares with the roles swapped.  A +inf
+entry is implicit, as in GraphBLAS.  The dense rows, columns and single
+entries are built from the lists on demand, so a text model's metric, +inf
+off the order, holds as many entries as the order has pairs.
+
+``_min_plus`` is the one (min,+) kernel.  ``TropMatrix.apply_min`` runs it
+on a vector, and projection (and with it membership), spans, retractions,
+extensions and the duality identities go through that;
+``TropMatrix.compose_min`` runs it on each listed column of its right
+factor and lists the product's entries directly.  ``TropMatrix.apply_max``
+is the one (max,+) product, behind the Isbell maps.  The kernel forms a
+term only where neither the entry nor the coordinate is +inf: +inf absorbs
+any other term under ``tmul``, even against -inf, and a minimum over no
+terms is +inf.  ``apply_max`` gives +inf in a row where a coordinate other
+than -inf meets a +inf entry; elsewhere every +inf entry meets -inf, which
+absorbs under ``tmax_mul``, so the maximum runs over the row's listed
+entries.  So on a text model's metric every product costs as many terms as
+the order has pairs.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 Rational = Union[Fraction, int, str]
@@ -54,7 +63,7 @@ def verify(ok: bool, message: str = "") -> None:
 
 def _as_fraction(value: Rational) -> Fraction:
     f = value if type(value) is Fraction else Fraction(value)
-    if f < 0:
+    if f.numerator < 0:
         raise ValueError(f"multiplicative values must be nonnegative, got {value!r}")
     return f
 
@@ -331,26 +340,62 @@ def _check_len(x, y) -> None:
 class TropMatrix:
     """Square matrix over ExtReal with (min,+) and (max,+) products.
 
-    Beside ``rows`` and ``cols``, per row and per column: the ``(index,
-    entry)`` pairs whose entry is not +inf, and the bitmask of the indices.
+    Only its finite-entry index is stored: ``n`` and, per row and per
+    column, the ``(index, entry)`` pairs whose entry is not +inf, listed in
+    ascending index, with the bitmask of the indices.  A +inf entry is
+    implicit, as in GraphBLAS: it is every entry the lists leave out, so
+    two matrices are equal exactly when their row lists are.  The dense
+    ``rows``, ``cols``, ``column(j)`` and ``m[i, j]`` are built from the
+    lists when asked for, for file output and the dense test references.
+
+    ``TropMatrix(rows)`` takes dense rows; ``TropMatrix.from_entries``
+    takes the row lists themselves.
     """
 
-    __slots__ = ("rows", "cols", "row_entries", "row_masks", "col_entries", "col_masks")
+    __slots__ = ("n", "row_entries", "row_masks", "col_entries", "col_masks")
 
     def __init__(self, rows: Iterable[Iterable[ExtReal]]):
         rs = tuple(tuple(r) for r in rows)
         n = len(rs)
         if n == 0 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square and nonempty")
-        row_entries = tuple(tuple((j, e) for j, e in enumerate(r) if e is not POS_INF) for r in rs)
-        cols: list[list] = [[] for _ in rs]
-        for i, entries in enumerate(row_entries):
-            for j, e in entries:
+        lines = tuple(tuple((j, e) for j, e in enumerate(r) if e is not POS_INF) for r in rs)
+        self._index(n, lines)
+
+    @staticmethod
+    def from_entries(n: int, row_entries: Iterable[Iterable[tuple[int, ExtReal]]]) -> "TropMatrix":
+        """The n x n matrix whose row i lists ``row_entries[i]``, +inf elsewhere.
+
+        Each row lists ``(j, entry)`` tuples in strictly ascending j, none
+        of them +inf.
+        """
+        lines = tuple(map(tuple, row_entries))
+        if n <= 0 or len(lines) != n:
+            raise ValueError("matrix must be square and nonempty")
+        for line in lines:
+            last = -1
+            for j, e in line:
+                if not last < j < n or e is POS_INF:
+                    raise ValueError("row entries must ascend in range and leave +inf out")
+                last = j
+        m = TropMatrix.__new__(TropMatrix)
+        m._index(n, lines)
+        return m
+
+    def _index(self, n: int, row_entries: tuple) -> None:
+        """Set every slot from the row lists: the column lists are their transpose."""
+        cols: list[list] = [[] for _ in range(n)]
+        col_masks = [0] * n
+        row_masks = []
+        for i, line in enumerate(row_entries):
+            bit = 1 << i
+            mask = 0
+            for j, e in line:
                 cols[j].append((i, e))
-        col_entries = tuple(map(tuple, cols))
-        self._set(
-            rs, tuple(zip(*rs)), row_entries, _masks(row_entries), col_entries, _masks(col_entries)
-        )
+                col_masks[j] |= bit
+                mask |= 1 << j
+            row_masks.append(mask)
+        self._set(n, row_entries, tuple(row_masks), tuple(map(tuple, cols)), tuple(col_masks))
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -363,26 +408,42 @@ class TropMatrix:
     def from_probs(rows: Sequence[Sequence[Rational]]) -> "TropMatrix":
         return TropMatrix((ExtReal.from_prob(p) for p in row) for row in rows)
 
+    def _dense(self, line: Sequence[tuple[int, ExtReal]]) -> tuple[ExtReal, ...]:
+        out = [POS_INF] * self.n
+        for j, e in line:
+            out[j] = e
+        return tuple(out)
+
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[ExtReal, ...], ...]:
+        return tuple(map(self._dense, self.row_entries))
+
+    @property
+    def cols(self) -> tuple[tuple[ExtReal, ...], ...]:
+        return tuple(map(self._dense, self.col_entries))
+
+    def column(self, j: int) -> tuple[ExtReal, ...]:
+        return self._dense(self.col_entries[j])
 
     def __getitem__(self, ij: tuple[int, int]) -> ExtReal:
         i, j = ij
-        return self.rows[i][j]
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"entry ({i},{j}) out of range")
+        if not (self.row_masks[i] >> j) & 1:
+            return POS_INF
+        line = self.row_entries[i]
+        return line[bisect_left(line, j, key=itemgetter(0))][1]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TropMatrix) and self.rows == other.rows
+        return isinstance(other, TropMatrix) and self.row_entries == other.row_entries
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash(self.row_entries)
 
     def transpose(self) -> "TropMatrix":
-        """The same tuples with the roles of rows and columns swapped."""
+        """The same lists with the roles of rows and columns swapped."""
         t = TropMatrix.__new__(TropMatrix)
-        t._set(
-            self.cols, self.rows, self.col_entries, self.col_masks, self.row_entries, self.row_masks
-        )
+        t._set(self.n, self.col_entries, self.col_masks, self.row_entries, self.row_masks)
         return t
 
     def apply_min(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
@@ -394,10 +455,7 @@ class TropMatrix:
         if len(coords) != self.n:
             raise ValueError("dimension mismatch")
         out = [POS_INF] * self.n
-        for j, x in enumerate(coords):
-            if x is not POS_INF:
-                for i, a in self.col_entries[j]:
-                    out[i] = tmin(out[i], tmul(a, x))
+        _min_plus(self.col_entries, [(j, x) for j, x in enumerate(coords) if x is not POS_INF], out)
         return tuple(out)
 
     def apply_max(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
@@ -415,18 +473,62 @@ class TropMatrix:
         )
 
     def compose_min(self, other: "TropMatrix") -> "TropMatrix":
-        """(min,+) matrix product self * other, one apply_min per column."""
+        """(min,+) matrix product self * other, listed column by column.
+
+        Column k of the product is self applied to column k of other, and
+        `_min_plus` forms its terms from the listed entries (j, b) of that
+        column and (i, a) of column j of self.  The product lists exactly
+        its entries that are not +inf: entry (i, k) is the minimum over j
+        of a_ij + b_jk; a term with a +inf factor is +inf under ``tmul``
+        and two factors that are not +inf never sum to +inf, so the entry
+        is not +inf exactly when some j has both factors listed.  Those i
+        are the union of the masks of the columns j that column k lists;
+        they are read in ascending order, and the accumulator is reset
+        there for the next column.
+        """
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return TropMatrix(zip(*(self.apply_min(col) for col in other.cols)))
+        acc = [POS_INF] * self.n
+        masks = self.col_masks
+        cols = []
+        for line in other.col_entries:
+            _min_plus(self.col_entries, line, acc)
+            reached = 0
+            for j, _ in line:
+                reached |= masks[j]
+            col = []
+            for i in bits(reached):
+                col.append((i, acc[i]))
+                acc[i] = POS_INF
+            cols.append(tuple(col))
+        t = TropMatrix.__new__(TropMatrix)
+        t._index(self.n, tuple(cols))
+        return t.transpose()
 
-    def column(self, j: int) -> tuple[ExtReal, ...]:
-        return self.cols[j]
+
+def _min_plus(
+    col_entries: Sequence[Sequence[tuple[int, ExtReal]]],
+    pairs: Iterable[tuple[int, ExtReal]],
+    out: list[ExtReal],
+) -> None:
+    """The one (min,+) kernel: out_i = min(out_i, a_ij + x_j) on listed terms.
+
+    `pairs` lists the (j, x_j) with x_j not +inf, and each column j lists
+    its (i, a_ij) with a_ij not +inf; every other term is +inf and leaves
+    out unchanged.
+    """
+    for j, x in pairs:
+        for i, a in col_entries[j]:
+            out[i] = tmin(out[i], tmul(a, x))
 
 
-def _masks(entries: Sequence[Sequence[tuple[int, ExtReal]]]) -> tuple[int, ...]:
-    """Bitmask of the listed indices of each line."""
-    return tuple(sum(1 << j for j, _ in line) for line in entries)
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
 
 
 def funk(x: TropVector, y: TropVector) -> ExtReal:

@@ -34,6 +34,11 @@ vectors with its target distance.
 not, and keeps the connected ones; `generator_reference` walks a fresh
 potential on each carrier, as the ray generators did before they read the
 model's one potential.
+
+`potential_reference` is the potential walk in `Fraction` arithmetic, as
+`model.potential` walked it before it took integer pairs, and
+`metric_rows_reference` fills a dense n x n grid from the model's
+probabilities through `ExtReal.from_prob`.
 """
 
 from __future__ import annotations
@@ -42,12 +47,13 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from plmpoly import ResourceCapExceeded, Side, potential, side_metric
-from plmpoly.model import bits, components_of
+from plmpoly import ResourceCapExceeded, Side, ValidationFailed, potential, side_metric
+from plmpoly.model import ValidationReport, bits, components_of, validate_plm
 from plmpoly.extension import BoltzmannResult
 from plmpoly.tropical import (
     NEG_INF,
     POS_INF,
+    ZERO,
     ExtReal,
     TropVector,
     neg,
@@ -422,3 +428,39 @@ def generator_reference(m, members, side=Side.LOWER) -> TropVector:
     for i in members:
         coords[i] = ExtReal(1 / w[i] if side is Side.LOWER else w[i])
     return TropVector(coords).canonical()
+
+
+def potential_reference(m, mask: int) -> dict[int, Fraction]:
+    """Weights w on `mask`, walked in `Fraction`s, or the first failing edge raised."""
+    order, pr = m.order, m.pr
+    w: dict[int, Fraction] = {}
+    left = mask
+    while left:
+        start = (left & -left).bit_length() - 1
+        w[start] = Fraction(1)
+        stack = [start]
+        left &= left - 1
+        while stack:
+            i = stack.pop()
+            for j in bits(order._adj[i] & mask):
+                up = order.leq(i, j)
+                wj = w[i] * pr[(i, j)] if up else w[i] / pr[(j, i)]
+                if j not in w:
+                    w[j] = wj
+                    stack.append(j)
+                    left &= ~(1 << j)
+                elif w[j] != wj:
+                    lo, hi = (i, j) if up else (j, i)
+                    edge = (lo, hi, pr[(lo, hi)], w[hi] / w[lo])
+                    raise ValidationFailed(ValidationReport(multiplicativity=[edge]))
+    return w
+
+
+def metric_rows_reference(m) -> tuple[tuple[ExtReal, ...], ...]:
+    """Dense rows of a valid model's metric: 0 on the diagonal, +inf off the order."""
+    if not validate_plm(m).ok:
+        raise ValueError("model is not valid")
+    rows = [[ZERO if i == j else POS_INF for j in range(m.n)] for i in range(m.n)]
+    for (i, j), p in m.pr.items():
+        rows[i][j] = ExtReal.from_prob(p)
+    return tuple(map(tuple, rows))

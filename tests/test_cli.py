@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -735,6 +736,28 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0 and "usage: plmpoly" in capsys.readouterr().out
+
+
+class TestOutTarget:
+    """--out replaces its target by a rename, so a FIFO or device is refused."""
+
+    @pytest.mark.parametrize("command", ["check", "rays", "dual"])
+    def test_fifo_is_refused(self, capsys, ex1_file, tmp_path, command):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        code, out, err = run(capsys, command, ex1_file, "--out", str(fifo))
+        assert code == 1 and out == ""
+        assert err == f"error: {fifo} exists and is not a regular file\n"
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1.json", "pipe"]
+
+    def test_rays_refuses_a_fifo_csv_before_the_json(self, capsys, ex1_file, tmp_path):
+        fifo = tmp_path / "rays.csv"
+        os.mkfifo(fifo)
+        code, _, err = run(capsys, "rays", ex1_file, "--out", str(tmp_path / "rays.json"))
+        assert code == 1 and "rays.csv exists and is not a regular file" in err
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert not (tmp_path / "rays.json").exists()
 
 
 def test_dispatch_uses_the_module_attribute(capsys, ex1_file, monkeypatch):

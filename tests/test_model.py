@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import stat
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -35,7 +38,12 @@ from plmpoly import (
 )
 from plmpoly.model import bits, components_of
 from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
-from dense_reference import chain_scan, top_potential_reproduces
+from dense_reference import (
+    chain_scan,
+    metric_rows_reference,
+    potential_reference,
+    top_potential_reproduces,
+)
 
 
 def test_is_subtext():
@@ -227,6 +235,16 @@ def random_model(rng: random.Random, kind: str) -> Plm:
     return random_crown(rng)
 
 
+def perturbed_model(rng: random.Random, kind: str, perturb: bool) -> Plm:
+    m = random_model(rng, kind)
+    pr = dict(m.pr)
+    if perturb and pr:
+        key = rng.choice(sorted(pr))
+        pr[key] *= rng.choice([F(1, 2), F(2, 3), F(3)])
+        m = Plm(m.texts, m.order_mode, pr, m.order if m.order_mode == "explicit" else None)
+    return m
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32),
@@ -234,17 +252,67 @@ def random_model(rng: random.Random, kind: str) -> Plm:
     st.booleans(),
 )
 def test_potential_validation_matches_references(seed, kind, perturb):
-    rng = random.Random(seed)
-    m = random_model(rng, kind)
-    pr = dict(m.pr)
-    if perturb and pr:
-        key = rng.choice(sorted(pr))
-        pr[key] *= rng.choice([F(1, 2), F(2, 3), F(3)])
-        m = Plm(m.texts, m.order_mode, pr, m.order if m.order_mode == "explicit" else None)
+    m = perturbed_model(random.Random(seed), kind, perturb)
     ok = validate_plm(m).ok
     if ok:
         assert chain_scan(m) == []
     assert ok == top_potential_reproduces(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["plm", "forest", "corpus", "crown"]),
+    st.booleans(),
+)
+def test_potential_matches_fraction_walk(seed, kind, perturb):
+    rng = random.Random(seed)
+    m = perturbed_model(rng, kind, perturb)
+    mask = rng.choice([(1 << m.n) - 1, rng.randrange(1 << m.n)])
+    try:
+        expected = potential_reference(m, mask)
+    except ValidationFailed as exc:
+        with pytest.raises(ValidationFailed) as got:
+            potential(m, mask)
+        assert got.value.report.multiplicativity == exc.report.multiplicativity
+        assert str(got.value) == str(exc)
+    else:
+        assert potential(m, mask) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["plm", "forest", "corpus", "crown"]),
+    st.booleans(),
+)
+def test_metric_matches_dense_build(seed, kind, perturb):
+    m = perturbed_model(random.Random(seed), kind, perturb)
+    if not validate_plm(m).ok:
+        with pytest.raises(ValidationFailed):
+            metric_from_plm(m)
+        return
+    rows = metric_rows_reference(m)
+    d = metric_from_plm(m)
+    assert d.mat == TropMatrix(rows) and hash(d.mat) == hash(TropMatrix(rows))
+    assert d.mat.rows == rows
+
+
+def test_star_metric_stays_within_its_entries():
+    # 4,999 pairs below one root: the dense build took 94 MB already at n = 2,000
+    n = 5000
+    order = PartialOrder.from_pairs(n, [(0, j) for j in range(1, n)])
+    pr = {(0, j): F(1, j + 1) for j in range(1, n)}
+    m = Plm([(f"t{i}",) for i in range(n)], "explicit", pr, order=order)
+    tracemalloc.start()
+    try:
+        d = metric_from_plm(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert d.n == n and len(d.mat.row_entries[0]) == n
+    assert d[0, n - 1] == ExtReal(F(1, n)) and d[1, 2].is_pos_inf
 
 
 class TestMetric:
@@ -463,3 +531,37 @@ class TestSerialization:
         write_text_atomic(str(path), json.dumps({"k": 1}))
         assert json.loads(path.read_text()) == {"k": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @staticmethod
+    def write_under_umask(path, text: str, umask: int) -> None:
+        old = os.umask(umask)
+        try:
+            write_text_atomic(str(path), text)
+        finally:
+            os.umask(old)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+    def test_atomic_write_new_file_takes_the_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "new.json"
+        self.write_under_umask(path, "x", umask)
+        assert path.read_text() == "x"
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("mode", [0o644, 0o604, 0o600])
+    def test_atomic_write_keeps_the_target_mode(self, tmp_path, mode):
+        path = tmp_path / "old.json"
+        path.write_text("old")
+        path.chmod(mode)
+        self.write_under_umask(path, "new", 0o077 if mode != 0o600 else 0o022)
+        assert path.read_text() == "new"
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+
+    def test_atomic_write_refuses_what_is_not_a_regular_file(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        for target in (fifo, tmp_path):
+            with pytest.raises(ValueError, match="not a regular file"):
+                write_text_atomic(str(target), "x")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]

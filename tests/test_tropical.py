@@ -311,7 +311,8 @@ def test_matrix_products():
 
 # Sparse inputs: n up to 9, mostly +inf, some -inf, and +inf also as a
 # fresh object rather than the POS_INF singleton, so the index must test
-# the value.
+# the value.  The dense references take the drawn rows, never the
+# matrix's own `rows`, which it builds from its entry lists.
 
 pos_infs = st.one_of(st.just(POS_INF), st.builds(ExtReal, st.just(F(0))))
 sparse_entries = st.one_of(
@@ -320,52 +321,64 @@ sparse_entries = st.one_of(
 
 
 @st.composite
-def square_matrices(draw, n, entries=extreals):
-    row = st.lists(entries, min_size=n, max_size=n)
-    return TropMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+def square_rows(draw, n, entries=extreals):
+    row = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    return tuple(draw(st.lists(row, min_size=n, max_size=n)))
 
 
-def sparse_matrices(n):
-    return square_matrices(n, sparse_entries)
+def sparse_rows(n):
+    return square_rows(n, sparse_entries)
 
 
 @st.composite
-def matrix_and_vector(draw, entries=extreals, max_n=5):
+def rows_and_vector(draw, entries=extreals, max_n=5):
     n = draw(st.integers(1, max_n))
     constant = st.sampled_from([POS_INF, NEG_INF]).map(lambda c: [c] * n)
     coords = draw(st.one_of(constant, st.lists(entries, min_size=n, max_size=n)))
-    return draw(square_matrices(n, entries)), coords
+    return draw(square_rows(n, entries)), coords
 
 
 @st.composite
-def matrix_pair(draw, entries=extreals, max_n=5):
+def rows_pair(draw, entries=extreals, max_n=5):
     n = draw(st.integers(1, max_n))
-    return draw(square_matrices(n, entries)), draw(square_matrices(n, entries))
+    return draw(square_rows(n, entries)), draw(square_rows(n, entries))
 
 
-dense_or_sparse_mx = st.one_of(matrix_and_vector(), matrix_and_vector(sparse_entries, 9))
+dense_or_sparse_mx = st.one_of(rows_and_vector(), rows_and_vector(sparse_entries, 9))
+
+
+def columns(rows):
+    return tuple(zip(*rows))
 
 
 @given(dense_or_sparse_mx)
 def test_sparse_apply_min_matches_dense(mx):
-    m, coords = mx
-    assert m.apply_min(coords) == dense_apply_min(m.rows, coords)
-    assert m.transpose().apply_min(coords) == dense_apply_min(tuple(zip(*m.rows)), coords)
+    rows, coords = mx
+    m = TropMatrix(rows)
+    assert m.apply_min(coords) == dense_apply_min(rows, coords)
+    assert m.transpose().apply_min(coords) == dense_apply_min(columns(rows), coords)
 
 
 @given(dense_or_sparse_mx)
 def test_sparse_apply_max_matches_dense(mx):
-    m, coords = mx
-    assert m.apply_max(coords) == dense_apply_max(m.rows, coords)
-    assert m.transpose().apply_max(coords) == dense_apply_max(tuple(zip(*m.rows)), coords)
+    rows, coords = mx
+    m = TropMatrix(rows)
+    assert m.apply_max(coords) == dense_apply_max(rows, coords)
+    assert m.transpose().apply_max(coords) == dense_apply_max(columns(rows), coords)
 
 
-@given(st.one_of(matrix_pair(), matrix_pair(sparse_entries, 9)))
+@given(st.one_of(rows_pair(), rows_pair(sparse_entries, 9)))
 def test_sparse_compose_min_matches_dense(ab):
     a, b = ab
-    product = dense_compose_min(a.rows, b.rows)
-    assert a.compose_min(b).rows == product
-    assert b.transpose().compose_min(a.transpose()).rows == tuple(zip(*product))
+    product = dense_compose_min(a, b)
+    out = TropMatrix(a).compose_min(TropMatrix(b))
+    # the entry lists, built without a dense grid, are the product's index
+    assert (out.row_entries, out.row_masks) == index_reference(product)
+    assert (out.col_entries, out.col_masks) == index_reference(columns(product))
+    assert out == TropMatrix(product) and hash(out) == hash(TropMatrix(product))
+    assert out.rows == product
+    flipped = TropMatrix(columns(b)).compose_min(TropMatrix(columns(a)))
+    assert flipped == out.transpose()
 
 
 def index_reference(lines):
@@ -374,18 +387,56 @@ def index_reference(lines):
     return entries, tuple(sum(1 << j for j, _ in es) for es in entries)
 
 
-@given(st.integers(1, 9).flatmap(sparse_matrices))
-def test_sparse_index_and_transpose(m):
-    rows, cols = m.rows, tuple(zip(*m.rows))
-    assert m.cols == cols
+@given(st.integers(1, 9).flatmap(sparse_rows))
+def test_sparse_index_and_transpose(rows):
+    n, cols = len(rows), columns(rows)
+    m = TropMatrix(rows)
+    assert m.rows == rows and m.cols == cols
     assert (m.row_entries, m.row_masks) == index_reference(rows)
     assert (m.col_entries, m.col_masks) == index_reference(cols)
     t = m.transpose()
     assert t.rows == cols and t.cols == rows
     assert (t.row_entries, t.row_masks) == index_reference(cols)
     assert (t.col_entries, t.col_masks) == index_reference(rows)
-    assert t.transpose() == m
-    assert all(m.column(j) == cols[j] for j in range(m.n))
+    assert t.transpose() == m and t == TropMatrix(cols)
+    assert all(m.column(j) == cols[j] for j in range(n))
+    assert all(m[i, j] == rows[i][j] == t[j, i] for i in range(n) for j in range(n))
+
+
+@given(st.integers(1, 9).flatmap(sparse_rows))
+def test_from_entries_equals_dense_build(rows):
+    # index_reference lists ascending indices and no +inf entry
+    listed = TropMatrix.from_entries(len(rows), index_reference(rows)[0])
+    dense = TropMatrix(rows)
+    assert listed == dense and hash(listed) == hash(dense)
+    # one entry moved to another value: a different matrix
+    i, j = len(rows) - 1, 0
+    other = ZERO if rows[i][j] != ZERO else POS_INF
+    moved = rows[:i] + ((other,) + rows[i][1:],)
+    assert TropMatrix(moved) != listed
+    assert (listed.row_entries, listed.row_masks) == index_reference(rows)
+    assert (listed.col_entries, listed.col_masks) == index_reference(columns(rows))
+    assert listed.rows == rows
+
+
+def test_from_entries_refuses_bad_lists():
+    half = ExtReal.from_prob(F(1, 2))
+    for n, lines in [
+        (2, [[(1, half), (0, half)], []]),  # descending
+        (2, [[(0, half), (0, half)], []]),  # repeated index
+        (2, [[(2, half)], []]),  # out of range
+        (2, [[(-1, half)], []]),
+        (2, [[(0, POS_INF)], []]),  # +inf is left out, never listed
+        (2, [[]]),  # one row short
+        (0, []),
+    ]:
+        with pytest.raises(ValueError):
+            TropMatrix.from_entries(n, lines)
+    m = TropMatrix.from_entries(2, [[(1, half)], []])
+    assert m[0, 1] == half and m[0, 0] is POS_INF
+    for ij in [(0, 2), (2, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            m[ij]
 
 
 def test_funk_frozen_values():
