@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .duality import dual_decompose
 from .extension import IsometryError, boltzmann, embed_model, retraction_from_subset
@@ -83,31 +83,120 @@ def _cell_out(c: ExtReal, as_float: bool) -> str:
 
 
 def _vec_out(x, as_float: bool) -> list[str]:
-    return [_cell_out(c, as_float) for c in x.coords]
+    if as_float:
+        return [_cell_out(c, True) for c in x.coords]
+    return [
+        "inf" if c is POS_INF
+        else "-inf" if c is NEG_INF
+        else str(c.num) if c.den == 1
+        else f"{c.num}/{c.den}"
+        for c in x.coords
+    ]
 
 
 def _mult_out(z, as_float: bool) -> list[str]:
     """A cone point's multiplicative coordinates; +inf, the pair (0, 1), reads 0."""
-    return [_ratio_out(c.num, c.den, as_float) for c in z.coords]
+    if as_float:
+        return [_ratio_out(c.num, c.den, True) for c in z.coords]
+    return [str(c.num) if c.den == 1 else f"{c.num}/{c.den}" for c in z.coords]
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks) -> None:
+    """Write one string, or the strings of an iterable, to --out or stdout.
+
+    Standard output gets the pieces joined once, so a command that fails
+    part-way prints nothing; --out writes them as they come, and a failure
+    leaves no file.
+    """
     if args.out:
-        write_text_atomic(args.out, text)
+        write_text_atomic(args.out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(chunks if isinstance(chunks, str) else "".join(chunks))
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out: list[str] = []
+    _json_pieces(payload, out, "\n")
+    out.append("\n")
+    _emit(args, out)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(o) -> str:
+    """A scalar exactly as `json.dumps` writes it; any other type raises."""
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_pieces(o, out: list[str], nl: str) -> None:
+    """Append the pieces of `json.dumps(o, indent=2, sort_keys=True)` to out.
+
+    nl is a newline and the indentation of the line o starts on.  A list
+    of scalars is one piece; a dict is written in sorted key order.  A
+    value other than str, int, float, bool, None, list, tuple or dict, and
+    a key that is not a str, raise TypeError.
+    """
+    if isinstance(o, str):
+        out.append(_json_str(o))
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _json_str(k) + ": ")
+            _json_pieces(o[k], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:  # the common case, a list of strings, in one C-level join
+            body = ("," + inner).join(map(_json_str, o))
+        except TypeError:
+            if any(isinstance(v, (dict, list, tuple)) for v in o):
+                sep = "[" + inner
+                for v in o:
+                    out.append(sep)
+                    _json_pieces(v, out, inner)
+                    sep = "," + inner
+                out.append(nl + "]")
+                return
+            body = ("," + inner).join(map(_json_scalar, o))
+        out.append("[" + inner + body + nl + "]")
+    else:
+        out.append(_json_scalar(o))
+
+
+def _csv_text(header: list[str], rows):
+    """The CSV lines of the header and then each row, one line per piece."""
+    # writerow returns what its file's write returns: here the line itself
+    w = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
+    yield w.writerow(header)
+    for row in rows:
+        yield w.writerow(row)
 
 
 def _load(path: str, require_projector: bool = True):
@@ -231,7 +320,7 @@ def cmd_rays(args) -> int:
     _emit_json(args, payload)
     if args.out:
         header = ["carrier"] + list(labels)
-        rows = [["+".join(e["carrier"])] + e["vertex"] for e in entries]
+        rows = (["+".join(e["carrier"])] + e["vertex"] for e in entries)
         write_text_atomic(stem + ".csv", _csv_text(header, rows))
     return 2 if mismatch is not None else 0
 
@@ -355,31 +444,32 @@ def cmd_retract(args) -> int:
         raise ValueError("pass --subset or --max-len")
     r = retraction_from_subset(d, subset)
     in_subset = set(r.subset)
-    header = ["text"] + list(labels)
-    rows = []
-    for k in range(d.n):
-        if args.temperature is None:
-            # d is a projector, so d_S o d = d_S: R applied to d[:,k] is R[:,k],
-            # which is +inf off its listed entries
-            cells = ["inf"] * d.n
-            for c, e in r.matrix.col_entries[k]:
-                cells[c] = _cell_out(e, as_float)
-        else:
-            # the live terms: s in S with d[s,k] finite, in ascending s
-            terms = [(e, yoneda(d, s)) for s, e in d.mat.col_entries[k] if s in in_subset]
-            # a soft sum is 0 where R[:,k] is +inf, so only R's listed entries are read
-            cells = ["0"] * d.n
-            if terms:
-                res = boltzmann(terms, args.temperature)
-                verify(res.target.coords == r.matrix.column(k))
-                for c, _ in r.matrix.col_entries[k]:
-                    v = res.mult[c]
-                    if isinstance(v, Fraction):
-                        cells[c] = _ratio_out(v.numerator, v.denominator, as_float)
-                    else:
-                        cells[c] = _float_str(v)
-        rows.append([labels[k]] + cells)
-    _emit(args, _csv_text(header, rows))
+
+    def rows():
+        for k in range(d.n):
+            if args.temperature is None:
+                # d is a projector, so d_S o d = d_S: R applied to d[:,k] is R[:,k],
+                # which is +inf off its listed entries
+                cells = ["inf"] * d.n
+                for c, e in r.matrix.col_entries[k]:
+                    cells[c] = _cell_out(e, as_float)
+            else:
+                # the live terms: s in S with d[s,k] finite, in ascending s
+                terms = [(e, yoneda(d, s)) for s, e in d.mat.col_entries[k] if s in in_subset]
+                # a soft sum is 0 where R[:,k] is +inf, so only R's listed entries are read
+                cells = ["0"] * d.n
+                if terms:
+                    res = boltzmann(terms, args.temperature)
+                    verify(res.target.coords == r.matrix.column(k))
+                    for c, _ in r.matrix.col_entries[k]:
+                        v = res.mult[c]
+                        if isinstance(v, Fraction):
+                            cells[c] = _ratio_out(v.numerator, v.denominator, as_float)
+                        else:
+                            cells[c] = _float_str(v)
+            yield [labels[k]] + cells
+
+    _emit(args, _csv_text(["text"] + list(labels), rows()))
     return 0
 
 

@@ -665,24 +665,32 @@ def check_out_path(path: str) -> os.stat_result | None:
     return st
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
     """Write through a temp file + rename so readers never see partial output.
 
-    The target passes `check_out_path` before anything is written.  An
-    existing target keeps its permission bits; a new file gets 0o666 less
-    the umask, as `open` would give it.
+    text is one string or an iterable of strings, written to the temp file
+    as they come; if the iterable raises, the temp file is removed and an
+    existing target keeps its bytes.  The target passes `check_out_path`
+    before anything is written.  An existing target keeps its permission
+    bits; a new file gets 0o666 less the umask, as `open` would give it.
+    An OSError names the target, never the temp file.
     """
     st = check_out_path(path)
     dir_, base = os.path.split(os.path.abspath(path))
     tmp = os.path.join(dir_, f".{base}.{os.urandom(8).hex()}.tmp")
-    # O_EXCL: a name that already exists is an error, never a file to reuse
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            if st is not None:
-                os.fchmod(fh.fileno(), st.st_mode & 0o777)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        # O_EXCL: a name that already exists is an error, never a file to reuse
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                if st is not None:
+                    os.fchmod(fh.fileno(), st.st_mode & 0o777)
+                fh.writelines((text,) if isinstance(text, str) else text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from exc

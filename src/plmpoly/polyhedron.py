@@ -18,7 +18,7 @@ from math import gcd
 from typing import Sequence
 
 from .model import DirectedMetric, reach
-from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, funk, tmul, verify
+from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _pair, funk, tmul, verify
 
 
 class Side(enum.Enum):
@@ -35,7 +35,8 @@ def normalize_to_simplex(z: TropVector) -> TropVector:
     """Scale z so its multiplicative coordinates sum to 1 (the simplex point).
 
     The sum of the pairs num/den that are not +inf is kept as one integer
-    pair over the least common denominator; the scale is its inverse.
+    pair over the least common denominator; the scale is its inverse,
+    which the all-(+inf) vector, with sum 0, does not have.
     """
     num, den = 0, 1
     for c in z.coords:
@@ -49,7 +50,10 @@ def normalize_to_simplex(z: TropVector) -> TropVector:
             lcm = den // gcd(den, c.den) * c.den
             num = num * (lcm // den) + c.num * (lcm // c.den)
             den = lcm
-    return z.scaled(ExtReal(Fraction(den, num)))
+    if not num:
+        raise ZeroDivisionError("the all-(+inf) vector has no simplex point")
+    g = gcd(den, num)
+    return z.scaled(_pair(den // g, num // g))
 
 
 def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> bool:

@@ -2,9 +2,11 @@ import argparse
 import ast
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -25,6 +27,7 @@ from plmpoly import (
 )
 from plmpoly import cli, duality, rays
 from plmpoly.cli import main
+from plmpoly.tropical import POS_INF, TropVector
 from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
 from dense_reference import (
     dense_compose_min,
@@ -451,6 +454,27 @@ class TestRetract:
         )
         assert code == 1 and err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_failure_on_a_later_row_writes_nothing(
+        self, capsys, ex1_full_file, tmp_path, monkeypatch, to_file
+    ):
+        real, calls = cli.boltzmann, []
+
+        def wrong_on_second_call(terms, temperature):
+            res = real(terms, temperature)
+            calls.append(len(terms))
+            if len(calls) < 2:
+                return res
+            return dataclasses.replace(res, target=TropVector([POS_INF] * len(res.target)))
+
+        monkeypatch.setattr(cli, "boltzmann", wrong_on_second_call)
+        target = tmp_path / "retract.csv"
+        argv = ["retract", ex1_full_file, "--subset", "r,c", "--temperature", "1"]
+        code, out, err = run(capsys, *argv, *(["--out", str(target)] if to_file else []))
+        assert code == 2 and out == "" and err.startswith("verification failed")
+        assert len(calls) == 2  # rows "" and r came first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ex1full.json"]
+
 
 class TestIngest:
     def test_frozen_corpus(self, capsys, tmp_path):
@@ -758,6 +782,51 @@ class TestOutTarget:
         assert code == 1 and "rays.csv exists and is not a regular file" in err
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert not (tmp_path / "rays.json").exists()
+
+    def test_write_error_names_the_target(self, capsys, ex1_file, tmp_path):
+        target = tmp_path / "no" / "such" / "x.json"
+        code, out, err = run(capsys, "rays", ex1_file, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def json_text(value) -> str:
+    """What `_emit_json` writes for value on standard output."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit_json(argparse.Namespace(out=None), value)
+    return buf.getvalue()
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**256), max_value=2**256)
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1e16, 1e-7])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f\n\t", "caf\u00e9 \u20ac \U0001f600"])
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(kids, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_json_writer_matches_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [F(1, 2), {1, 2}, {1: "a"}, {"k": [0, F(1, 3)]}, [[], {2}]])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 def test_dispatch_uses_the_module_attribute(capsys, ex1_file, monkeypatch):

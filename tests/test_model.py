@@ -557,6 +557,25 @@ class TestSerialization:
         assert stat.S_IMODE(path.stat().st_mode) == mode
         assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_atomic_write_failing_part_way_leaves_no_file(self, tmp_path, existing):
+        path = tmp_path / "out.csv"
+        if existing:
+            path.write_text("old")
+            path.chmod(0o604)
+
+        def chunks():
+            yield "a,b\n"
+            yield "1,2\n" * 5000  # past the text buffer, so bytes reach the temp file
+            raise RuntimeError("row 3")
+
+        with pytest.raises(RuntimeError, match="row 3"):
+            write_text_atomic(str(path), chunks())
+        assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+        if existing:
+            assert path.read_text() == "old"
+            assert stat.S_IMODE(path.stat().st_mode) == 0o604
+
     def test_atomic_write_refuses_what_is_not_a_regular_file(self, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
