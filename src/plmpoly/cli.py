@@ -83,15 +83,7 @@ def _cell_out(c: ExtReal, as_float: bool) -> str:
 
 
 def _vec_out(x, as_float: bool) -> list[str]:
-    if as_float:
-        return [_cell_out(c, True) for c in x.coords]
-    return [
-        "inf" if c is POS_INF
-        else "-inf" if c is NEG_INF
-        else str(c.num) if c.den == 1
-        else f"{c.num}/{c.den}"
-        for c in x.coords
-    ]
+    return [_cell_out(c, True) for c in x.coords] if as_float else vector_to_strings(x)
 
 
 def _mult_out(z, as_float: bool) -> list[str]:
@@ -104,14 +96,16 @@ def _mult_out(z, as_float: bool) -> list[str]:
 def _emit(args, chunks) -> None:
     """Write one string, or the strings of an iterable, to --out or stdout.
 
-    Standard output gets the pieces joined once, so a command that fails
-    part-way prints nothing; --out writes them as they come, and a failure
-    leaves no file.
+    Standard output gets them once all are made, so a command that fails
+    part-way prints nothing, joined 256 at a time so that a large output is
+    not held twice; --out writes them as they come and leaves no file on failure.
     """
     if args.out:
         write_text_atomic(args.out, chunks)
     else:
-        sys.stdout.write(chunks if isinstance(chunks, str) else "".join(chunks))
+        parts = [chunks] if isinstance(chunks, str) else list(chunks)
+        for k in range(0, len(parts), 256):
+            sys.stdout.write("".join(parts[k : k + 256]))
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -417,7 +411,7 @@ def cmd_embed(args) -> int:
             "command": "embed",
             "mapping": {labels_s[a]: labels_b[f] for a, f in enumerate(emb.mapping)},
             "isometric": True,
-            "retractionSubset": [labels_b[i] for i in emb.retraction.subset],
+            "retractionSubset": [labels_b[i] for i in sorted(emb.mapping)],
         },
     )
     return 0

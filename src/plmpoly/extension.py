@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .model import DirectedMetric, Plm, metric_from_plm
-from .polyhedron import yoneda
+from .polyhedron import residuate, yoneda
 from .tropical import (
     NEG_INF,
     POS_INF,
@@ -89,12 +89,11 @@ def retraction_from_subset(
 
 @dataclass(frozen=True)
 class Embedding:
-    """An isometric inclusion of one metric into another, with its retraction."""
+    """An isometric inclusion of one metric into another."""
 
     mapping: tuple[int, ...]
     sub: DirectedMetric
     big: DirectedMetric
-    retraction: RetractionOp
 
     def extend(self, x: TropVector) -> TropVector:
         """Push a lower-side vector along the inclusion: span with x's weights."""
@@ -124,9 +123,7 @@ def embed_model(
                 raise IsometryError(
                     (a, b), f"{ds[a, b]!r} != {db[phi[a], phi[b]]!r}"
                 )
-    emb = Embedding(
-        mapping=phi, sub=ds, big=db, retraction=retraction_from_subset(db, phi)
-    )
+    emb = Embedding(mapping=phi, sub=ds, big=db)
     for a in range(ds.n):
         verify(emb.extend(yoneda(ds, a)) == yoneda(db, phi[a]))
     return emb
@@ -137,28 +134,23 @@ def word_decompose(
 ) -> list[tuple[int, ExtReal]]:
     """Weights writing the retracted text generator over single-word generators.
 
-    The words must be pairwise incomparable (distance +inf both ways); the
-    weight of word w is d(w, text), and the weighted span reproduces the
-    retraction of the text's generator exactly.
+    The words must be pairwise incomparable.  The weights are `residuate`'s,
+    d(w, text) on that member, and span its retraction onto the words.
     """
     d = metric_from_plm(m)
-    ws = tuple(sorted(set(words)))
-    if not ws:
-        raise ValueError("empty word list")
     if not 0 <= text < m.n:
         raise ValueError("text index out of range")
+    col = d.mat.column(text)
+    ws = sorted(set(words))
+    weights, _ = residuate(TropVector(col), d, ws)  # refuses bad words first
     for a in ws:
         for b in ws:
             if a != b and not d[a, b].is_pos_inf:
                 raise ValueError(f"words {a} and {b} are comparable")
-    below = [(w, d[w, text]) for w in ws if not d[w, text].is_pos_inf]
+    verify(weights == tuple(col[w] for w in ws))
+    below = [(w, e) for w, e in zip(ws, weights) if e is not POS_INF]
     if not below:
         raise ValueError("text contains none of the listed words")
-    r = retraction_from_subset(d, ws)
-    expected = r.matrix.column(text)
-    weights = [d[w, text] if w in ws else POS_INF for w in range(m.n)]
-    combo = d.mat.apply_min(weights)
-    verify(combo == expected)
     return below
 
 

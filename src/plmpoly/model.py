@@ -73,16 +73,19 @@ class PartialOrder:
                     raise ValueError(f"relation not antisymmetric at ({i},{j})")
                 if up[j] & ~up[i]:
                     raise ValueError(f"relation not transitive at ({i},{j})")
+        self._fill(n, up)
+
+    def _fill(self, n: int, up: tuple[int, ...]) -> None:
+        """Set the slots from the up-sets of a relation that is a partial order."""
         down = [0] * n
         for i in range(n):
             for j in bits(up[i]):
                 down[j] |= 1 << i
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_up", up)
-        object.__setattr__(self, "_down", tuple(down))
-        object.__setattr__(
-            self, "_adj", tuple((up[i] | down[i]) & ~(1 << i) for i in range(n))
-        )
+        self._set(n, up, tuple(down), tuple((up[i] | down[i]) & ~(1 << i) for i in range(n)))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError("PartialOrder is immutable")
@@ -108,13 +111,13 @@ class PartialOrder:
         A text's sub-windows are its prefixes (one-sided) or its contiguous
         windows (two-sided), the empty window included; the ones that are
         texts of the model lie below it.  This agrees with `is_subtext` on
-        every pair without comparing all pairs.
+        every pair, and is a partial order by construction, not re-checked.
         """
         if order_mode not in ("one-sided", "two-sided"):
             raise ValueError(f"unknown order mode {order_mode!r}")
         index = {t: i for i, t in enumerate(texts)}
-        if len(index) != len(texts):
-            raise ValueError("texts must be distinct")
+        if not index or len(index) != len(texts):
+            raise ValueError("texts must be nonempty and distinct")
         up = [0] * len(texts)
         for j, t in enumerate(texts):
             lt = len(t)
@@ -124,7 +127,9 @@ class PartialOrder:
                     i = index.get(t[a:b])
                     if i is not None:
                         up[i] |= 1 << j
-        return PartialOrder(len(texts), up)
+        o = PartialOrder.__new__(PartialOrder)
+        o._fill(len(texts), tuple(up))
+        return o
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self._up[i] >> j) & 1)
@@ -138,8 +143,7 @@ class PartialOrder:
     def opposite(self) -> "PartialOrder":
         """The reverse order; it is a partial order, so nothing is re-checked."""
         o = PartialOrder.__new__(PartialOrder)
-        for name, value in zip(self.__slots__, (self.n, self._down, self._up, self._adj)):
-            object.__setattr__(o, name, value)
+        o._set(self.n, self._down, self._up, self._adj)
         return o
 
     def connected(self, mask: int) -> bool:

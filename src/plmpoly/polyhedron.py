@@ -15,10 +15,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import DirectedMetric, reach
-from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _pair, funk, tmul, verify
+from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _pair, neg, tmul, verify
 
 
 class Side(enum.Enum):
@@ -110,15 +110,28 @@ def generator(d: DirectedMetric, k: int, side: Side = Side.LOWER) -> TropVector:
     return yoneda(d, k) if side is Side.LOWER else co_yoneda(d, k)
 
 
-def coordinates_as_distances(
-    x: TropVector, d: DirectedMetric, side: Side = Side.LOWER
-) -> TropVector:
-    """Each member's coordinates are its Funk distances from the generators."""
-    if not membership(x, d, side):
-        raise ValueError("vector is not in the polyhedron")
-    dists = tuple(funk(generator(d, i, side), x) for i in range(d.n))
-    verify(dists == x.coords)
-    return TropVector(dists)
+def residuate(
+    x: TropVector, d: DirectedMetric, subset: Iterable[int], side: Side = Side.LOWER
+) -> tuple[tuple[ExtReal, ...], TropVector]:
+    """The least weights lam* on the generators S, in ascending s, and D_S lam*.
+
+    With D the side's metric and D_S lam = min_s D_is + lam_s (``tmul``), lam*_s =
+    max_i (x_i - D_is) (``tmax_mul``) = -(D^t (-x))_s: ``duality``'s -B(x) on S, -A(x) upper.
+    * lam* is the least lam with D_S lam >= x, which asks lam_s >= x_i - D_is
+      wherever D_is is finite.  D_S is monotone, so D_S lam* is the least span
+      point above x, and x is in the span of S exactly when D_S lam* = x.
+    * On a member, lam*_s = x_s: by the zero diagonal the term i = s is x_s,
+      and membership, x_i <= D_is + x_s, bounds every other term by it.
+    * With S all texts, that fact is B(x) = -x, or A(x) = -x: ``check_fixed_negation``.
+    """
+    sub = sorted(set(subset))
+    if not sub or sub[0] < 0 or sub[-1] >= d.n:
+        raise ValueError("subset must be nonempty and in range")
+    mat = side_metric(d, side).mat
+    b = mat.transpose().apply_min([neg(c) for c in x.coords])
+    keep = set(sub)
+    weights = [neg(c) if s in keep else POS_INF for s, c in enumerate(b)]
+    return tuple(weights[s] for s in sub), TropVector(mat.apply_min(weights))
 
 
 Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
@@ -185,10 +198,9 @@ def terminal_decompose(
         ahead = reach(out, 1 << i, support)
         if ahead & -ahead == 1 << i and not ahead & ~reach(into, 1 << i, support):
             terms.append(i)
-    lams = [x[i] if i in terms else POS_INF for i in range(d.n)]
-    rebuilt = side_metric(d, side).mat.apply_min(lams)
-    verify(rebuilt == x.coords)
-    return TerminalDecomposition(terminals=tuple(terms), weights=tuple(x[i] for i in terms))
+    weights, rebuilt = residuate(x, d, terms, side)
+    verify(rebuilt == x)
+    return TerminalDecomposition(terminals=tuple(terms), weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +208,13 @@ def terminal_decompose(
 
 
 def vector_to_strings(x: TropVector) -> list[str]:
-    out = []
-    for c in x.coords:
-        if c.is_pos_inf:
-            out.append("inf")
-        elif c.is_neg_inf:
-            out.append("-inf")
-        else:
-            out.append(str(c.mult))
-    return out
+    return [
+        "inf" if c is POS_INF
+        else "-inf" if c is NEG_INF
+        else str(c.num) if c.den == 1
+        else f"{c.num}/{c.den}"
+        for c in x.coords
+    ]
 
 
 def vector_from_strings(items: Sequence) -> TropVector:

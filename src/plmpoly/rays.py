@@ -30,7 +30,7 @@ from .model import (
     reach,
     validate_plm,
 )
-from .polyhedron import Constraint, Side, membership, tight_graph
+from .polyhedron import Constraint, Side, membership, residuate, tight_graph
 from .tropical import POS_INF, ExtReal, TropVector, _pair, neg, verify
 
 
@@ -364,7 +364,7 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
     """Write a lower ray as a weighted (min,+) span of its maximal texts.
 
     Weights are log-probabilities of the maximal texts given the empty
-    text; the combination reproduces -log(generator) up to a shift.
+    text, one shift from `residuate`'s least weights, whose span is the generator.
     """
     if not m.has_empty_text:
         raise ValueError("model has no empty text")
@@ -376,7 +376,6 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
     )
     a0 = m.texts.index(())
     out = [(b, neg(d[a0, b])) for b in maximal]
-    weights = [neg(d[a0, i]) if i in maximal else POS_INF for i in range(m.n)]
-    combo = d.mat.apply_min(weights)
-    verify(TropVector(combo).proportional(r.generator))
+    lams, span = residuate(r.generator, d, maximal)
+    verify(span == r.generator and TropVector(lams).proportional(TropVector(w for _, w in out)))
     return out

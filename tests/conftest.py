@@ -11,6 +11,7 @@ from plmpoly import (
     PartialOrder,
     Plm,
     TropMatrix,
+    ingest_corpus,
     kleene_closure,
     metric_from_plm,
     random_forest_plm,
@@ -91,7 +92,12 @@ METRIC_KINDS = ("plm", "forest", "kleene")
 def random_metric(rng: random.Random, kind: str) -> DirectedMetric:
     """A directed metric on 1-6 points: of a `random_plm` model, of a
     `random_forest_plm` model, or the Kleene closure of a random matrix
-    with zero diagonal and entries in {+inf} | [0, log 8]."""
+    with zero diagonal and entries in {+inf} | [0, log 8].  Kind "corpus",
+    not in `METRIC_KINDS`, is the metric of a short random corpus over
+    four words."""
+    if kind == "corpus":
+        tokens = [rng.choice("abcd") for _ in range(rng.randint(2, 12))]
+        return metric_from_plm(ingest_corpus(tokens, max_len=2))
     n = rng.randint(1, 6)
     if kind == "plm":
         return metric_from_plm(random_plm(rng, n))

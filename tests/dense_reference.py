@@ -1,12 +1,14 @@
-"""Slow exact references for the products, `membership`, `max_closure`,
-`validate_plm`, `boltzmann`, the ray generators, `cross_check_rays` and
-`tight_graph`.
+"""Slow exact references for the products, `membership`, `residuate`,
+`max_closure`, `validate_plm`, `boltzmann`, the ray generators,
+`cross_check_rays` and `tight_graph`.
 
 `dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
 rows and form every term, +inf ones included, with no index to skip by.
 
 `membership_reference` scans every defining inequality x_i <= d_ij + x_j
-by hand, with no (min,+) product.  `saturation_edges_reference` looks up
+by hand, with no (min,+) product.  `residuate_reference` forms every term
+x_i - D_is, in the (max,+) convention, and every term of the span.
+`saturation_edges_reference` looks up
 d_ij densely for every support pair and keeps those with x_i = d_ij + x_j;
 `sink_texts_reference` closes such an edge set transitively and keeps
 the least text of each class that reaches only texts reaching it back.
@@ -94,6 +96,15 @@ def dense_compose_min(a, b):
         tuple(dense_min(tmul(a[i][j], b[j][k]) for j in range(n)) for k in range(n))
         for i in range(n)
     )
+
+
+def residuate_reference(x, d, subset, side=Side.LOWER):
+    """Least weights max_i (x_i - D_is) on s in S and their span, every term formed."""
+    rows = side_metric(d, side).mat.rows
+    sub = sorted(set(subset))
+    lams = tuple(dense_max(tmax_mul(x[i], neg(rows[i][s])) for i in range(d.n)) for s in sub)
+    span = tuple(dense_min(tmul(rows[i][s], lam) for s, lam in zip(sub, lams)) for i in range(d.n))
+    return lams, span
 
 
 def membership_reference(x, d, side=Side.LOWER) -> bool:

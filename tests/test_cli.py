@@ -368,6 +368,7 @@ class TestEmbed:
         assert code == 0
         assert payload["isometric"]
         assert payload["mapping"] == {"r": "r", "c": "c", "r c": "r c"}
+        assert payload["retractionSubset"] == ["r", "c", "r c"]
 
     def test_not_isometric(self, capsys, ex1_full_file, tmp_path, ex1):
         from plmpoly import Plm
@@ -857,7 +858,6 @@ def test_every_flag_is_read():
 
 # Exports that only tests call, each the one exact statement of a paper fact
 PAPER_FACTS = (
-    "coordinates_as_distances",  # a member's coordinates are its Funk distances
     "terminal_decompose",  # a member is the span of the sinks of its tight graph
     "ray_saturation_edges",  # a ray's tight graph is its carrier's order
     "ray_as_text_combination",  # a lower ray spans from its maximal texts

@@ -13,7 +13,6 @@ from plmpoly import (
     co_yoneda,
     dual_decompose,
     funk,
-    ingest_corpus,
     map_a,
     map_b,
     map_l,
@@ -24,6 +23,7 @@ from plmpoly import (
     random_extended_vector,
     random_member,
     random_plm,
+    residuate,
     vector_to_strings,
     yoneda,
 )
@@ -64,6 +64,12 @@ def test_fixed_negation_on_members(ex1):
     for k in range(3):
         assert check_fixed_negation(d, yoneda(d, k), Side.LOWER)
         assert check_fixed_negation(d, co_yoneda(d, k), Side.UPPER)
+    # a member off the generators: coordinate i is its Funk distance from
+    # generator i, which is -B(x)_i, and residuation on all texts returns x
+    x = TropVector.from_probs([F(1, 2), F(1, 3), 1])
+    assert check_fixed_negation(d, x, Side.LOWER)
+    assert tuple(funk(yoneda(d, i), x) for i in range(3)) == x.coords
+    assert residuate(x, d, range(3)) == (x.coords, x)
     with pytest.raises(ValueError):
         check_fixed_negation(d, TropVector.from_probs([F(1, 4), F(1, 3), 1]), Side.LOWER)
 
@@ -122,16 +128,10 @@ def test_negation_pairs_off_order_coordinates(ex1):
     assert POS_INF not in out.coords
 
 
-def corpus_metric(rng):
-    """The metric of a short random corpus over four words."""
-    tokens = [rng.choice("abcd") for _ in range(rng.randint(2, 12))]
-    return metric_from_plm(ingest_corpus(tokens, max_len=2))
-
-
 @given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS + ("corpus",)))
 def test_maps_are_dense_products_of_the_transpose(seed, kind):
     rng = seeded(seed)
-    d = corpus_metric(rng) if kind == "corpus" else random_metric(rng, kind)
+    d = random_metric(rng, kind)
     rows = d.mat.rows
     t_rows = tuple(zip(*rows))
     vectors = [random_extended_vector(rng, d.n) for _ in range(4)]

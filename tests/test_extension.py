@@ -111,7 +111,7 @@ class TestRetraction:
 class TestEmbedding:
     def test_frozen(self, ex1, ex1_full):
         emb = embed_model(ex1, ex1_full, [1, 2, 3])
-        assert emb.retraction.subset == (1, 2, 3)
+        assert emb.mapping == (1, 2, 3)
         ext = emb.extend(yoneda(metric_from_plm(ex1), 2))
         assert ext == yoneda(metric_from_plm(ex1_full), 3)
 
@@ -148,6 +148,11 @@ class TestWordDecompose:
     def test_requires_incomparable(self, ex1_full):
         with pytest.raises(ValueError, match="comparable"):
             word_decompose(ex1_full, [0, 1], 3)
+
+    def test_bad_words(self, ex1):
+        for words in ([0, 9], [-1], []):
+            with pytest.raises(ValueError):
+                word_decompose(ex1, words, 2)
 
     def test_requires_coverage(self, ex1):
         m = Plm(

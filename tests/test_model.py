@@ -66,6 +66,9 @@ def test_from_texts_matches_all_pairs_reference(texts, mode):
     for i, a in enumerate(texts):
         for j, b in enumerate(texts):
             assert order.leq(i, j) == is_subtext(a, b, mode)
+    # from_texts skips the checks; the checked constructor accepts its masks
+    checked = PartialOrder(order.n, order._up)
+    assert (checked._down, checked._adj) == (order._down, order._adj)
 
 
 class TestPartialOrder:

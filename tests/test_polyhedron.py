@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
     ExtReal,
@@ -11,8 +11,8 @@ from plmpoly import (
     Side,
     TropVector,
     co_yoneda,
-    coordinates_as_distances,
     funk,
+    generator,
     membership,
     metric_cone_constraints,
     metric_from_plm,
@@ -22,6 +22,8 @@ from plmpoly import (
     random_member,
     random_plm,
     random_weight,
+    residuate,
+    retraction_from_subset,
     terminal_decompose,
     tight_graph,
     vector_from_strings,
@@ -31,6 +33,7 @@ from plmpoly import (
 from conftest import METRIC_KINDS, random_metric, seeded
 from dense_reference import (
     membership_reference,
+    residuate_reference,
     saturation_edges_reference,
     sink_texts_reference,
 )
@@ -178,13 +181,6 @@ class TestIsometry:
 
 
 class TestDecompositions:
-    def test_coordinates_are_funk_distances(self, ex1):
-        d = metric_from_plm(ex1)
-        x = TropVector.from_probs([F(1, 2), F(1, 3), 1])
-        assert coordinates_as_distances(x, d).coords == x.coords
-        with pytest.raises(ValueError):
-            coordinates_as_distances(TropVector.from_probs([F(1, 4), F(1, 3), 1]), d)
-
     def test_span_decompose_round_trip(self, ex1):
         # a member is the (min,+) span of the generators with its own
         # coordinates as coefficients
@@ -200,6 +196,36 @@ class TestDecompositions:
             d = metric_from_plm(m)
             x = random_member(rng, d)
             assert project(x, d) == x
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(METRIC_KINDS + ("corpus",)),
+    st.sampled_from(list(Side)),
+    st.data(),
+)
+def test_residuate_matches_dense_reference(seed, kind, side, data):
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    members = [random_member(rng, d, side) for _ in range(2)]
+    members += [generator(d, k, side) for k in range(d.n)]
+    vectors = members + [random_extended_vector(rng, d.n) for _ in range(3)]
+    subset = data.draw(st.sets(st.integers(0, d.n - 1), min_size=1))
+    sub = sorted(subset)
+    for x in vectors:
+        lams, span = residuate(x, d, subset, side)
+        assert (lams, span.coords) == residuate_reference(x, d, subset, side)
+        assert all(p >= c for p, c in zip(span.coords, x.coords))
+        if x in members:
+            assert lams == tuple(x[s] for s in sub)
+    if side is Side.LOWER:
+        r = retraction_from_subset(d, subset)
+        for k in range(d.n):
+            assert residuate(yoneda(d, k), d, subset)[1].coords == r.matrix.column(k)
+    for bad in ([], [d.n], [-1, 0]):
+        with pytest.raises(ValueError):
+            residuate(vectors[0], d, bad, side)
 
 
 class TestSaturation:
