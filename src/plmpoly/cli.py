@@ -196,7 +196,7 @@ def _csv_text(header: list[str], rows):
 def _load(path: str, require_projector: bool = True):
     try:
         return load_model_file(path, require_projector=require_projector)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested past the stack
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
@@ -364,7 +364,7 @@ def cmd_isbell(args) -> int:
             if not isinstance(data, list):
                 raise ValueError("the file must hold a JSON list")
             x = vector_from_strings(data)
-        except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, RecursionError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot read vector file: {exc}") from exc
         if len(x) != d.n:
             raise ValueError("vector length does not match the model")
@@ -516,8 +516,10 @@ def cmd_crosssection(args) -> int:
                 f"  vertex {idx}: drift {_float_str(best_dist)}"
                 + (" (interior: exact match)" if exact else "")
             )
-    sys.stdout.write("\n".join(drift_lines) + "\n")
-    _emit(args, _csv_text(header, rows))
+    report, table = "\n".join(drift_lines) + "\n", _csv_text(header, rows)
+    _emit(args, table if args.out else [report, *table])
+    if args.out:  # once the file is written, so that a failed command prints nothing
+        sys.stdout.write(report)
     return 0
 
 

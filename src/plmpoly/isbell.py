@@ -9,12 +9,12 @@ pointwise min and max, making it the lattice completion of that span.
 
 from __future__ import annotations
 
-import operator
+from functools import reduce
 from typing import Iterable
 
-from .model import DirectedMetric
+from .model import DirectedMetric, PartialOrder
 from .polyhedron import Side, membership
-from .rays import ResourceCapExceeded
+from .rays import ResourceCapExceeded, enumerate_connected_lower_sets
 from .tropical import TropVector, verify
 
 
@@ -38,67 +38,58 @@ def isbell_member(d: DirectedMetric, x: TropVector) -> bool:
 def max_closure(
     vectors: Iterable[TropVector], d: DirectedMetric, cap: int = 10000
 ) -> list[TropVector]:
-    """Close a family of members under pointwise min and max: meets, then joins.
+    """Close a family of members under pointwise min and max.
 
-    Write a ^ b for the pointwise min (meet) and a v b for the pointwise max
-    (join).  R^n under them is a distributive lattice, so the sublattice a
-    family generates is the set of joins of its meets (Birkhoff): the meet
-    of two joins of meets is again one, as x ^ (y v z) = (x ^ y) v (x ^ z).
-    Stage one closes the distinct inputs under min, meeting each new input
-    g with every meet held so far, M <- M + {g} + {m ^ g : m in M}, so M
-    ends holding the meet of every nonempty subset of the inputs.  Stage two closes M under max the same way, J <- J + {m} +
-    {j v m : j in J}, and returns J.  The pair work is about
-    n |M| + |M| |J| for n inputs.
+    Write ^ for pointwise min (meet), v for pointwise max (join), S for the
+    distinct inputs and L for the lattice they generate.  As min and max
+    distribute, each x in L is x = v_a ^A_a over nonempty subsets A_a of S.
+    Then x = v_i y(i, x_i) with y(i, t) = ^{s in S : s_i >= t}: for each i
+    some a has (^A_a)_i = x_i, so each s in A_a has s_i >= x_i, and
+    y(i, x_i) <= ^A_a <= x with equality in coordinate i.  So the
+    candidates y(i, t), t a value s_i, lie in L and join to each x in L.
+    A candidate c = y(i, t) other than ^S is join-irreducible: were c the
+    join of elements of L below it, one of them, u, would have
+    u_i = c_i >= t, and the same step would give c <= ^A_a <= u < c.  By
+    Birkhoff's representation theorem (Davey & Priestley, *Introduction to
+    Lattices and Order*, ch. 5), x -> {join-irreducibles <= x} maps the
+    finite distributive L one-to-one onto the down-sets of its
+    join-irreducibles, the empty one to ^S: joining each down-set lists L
+    once, and no duplicate is formed.  ^S is a candidate, y(i, min of the
+    s_i), and the least one, so the nonempty connected lower sets of the
+    candidates are ^S with each down-set, which
+    `enumerate_connected_lower_sets` lists.
 
-    A coordinate of a meet is +inf only where both are, and of a join where
-    either is, so each vector carries its support (its coordinates that are
-    not +inf) as a bitmask: a meet's is the union of the two, a join's the
-    intersection.  A join of disjoint supports is therefore the all-(+inf)
-    top, outside the polyhedron by definition, and it is the only top: the
-    inputs are members, so no support is empty.  It is skipped, and with it
-    nothing else, as the top joined with anything is the top again.
-
-    A candidate already seen is skipped too.  Every seen vector is either
-    held or still pending: an input not yet met in stage one, a meet not
-    yet joined in stage two.  So after each step, each combination of the
-    vectors taken so far is held, or combines pending vectors with at most
-    one held vector; each pending vector is combined with every vector held
-    when its turn comes, so when nothing is pending, every one is held.
-
-    Every new vector is re-verified to be a member.  The cap counts the
-    distinct vectors held, inputs included, and the closure raises as soon
-    as a vector is added while more than `cap` are held: exactly when its
-    size exceeds max(cap, number of distinct inputs).
+    The all-(+inf) top, outside the polyhedron by definition, may be such a
+    join and is skipped.  Every vector that is not an input is re-verified
+    to be a member.  The closure raises exactly when it holds more than
+    max(cap, number of distinct inputs) vectors, inputs included.
     """
-    inputs: list[tuple[TropVector, int]] = []
-    seen: set[tuple] = set()
+    inputs: dict[tuple, TropVector] = {}
     for v in vectors:
         if not membership(v, d, Side.LOWER):
             raise ValueError("closure input is not in the polyhedron")
-        if v.coords not in seen:
-            seen.add(v.coords)
-            inputs.append((v, sum(1 << i for i in v.support)))
+        inputs.setdefault(v.coords, v)
     if not inputs:
         raise ValueError("empty input family")
-
-    def close(family, combine, combine_support):
-        held: list[tuple[TropVector, int]] = []
-        for g, g_support in family:
-            fresh = [(g, g_support)]
-            for h, h_support in held:
-                support = combine_support(h_support, g_support)
-                if not support:  # a join of disjoint supports: the top
-                    continue
-                cand = combine(h, g)
-                if cand.coords in seen:
-                    continue
-                verify(membership(cand, d, Side.LOWER))
-                seen.add(cand.coords)
-                if len(seen) > cap:
-                    raise ResourceCapExceeded(f"closure exceeded {cap} vectors")
-                fresh.append((cand, support))
-            held += fresh
-        return held
-
-    meets = close(inputs, TropVector.min_with, operator.or_)
-    return [j for j, _ in close(meets, TropVector.max_with, operator.and_)]
+    family = list(inputs.values())
+    cands = dict.fromkeys(
+        reduce(TropVector.min_with, [s for s in family if s[i] >= t])
+        for i in range(d.n)
+        for t in {s[i] for s in family}
+    )
+    elems = list(cands)
+    ups = [
+        sum(1 << b for b, z in enumerate(elems) if all(p <= q for p, q in zip(y, z)))
+        for y in elems
+    ]
+    # the top, when it is in L, is one more down-set, listed and then dropped
+    limit = max(cap, len(family)) + (not reduce(TropVector.max_with, family).support)
+    try:
+        down_sets = enumerate_connected_lower_sets(PartialOrder(len(elems), ups), limit)
+    except ResourceCapExceeded:
+        raise ResourceCapExceeded(f"closure exceeded {cap} vectors") from None
+    joins = (reduce(TropVector.max_with, [elems[k] for k in ks]) for ks in down_sets)
+    closure = [x for x in joins if x.support]  # the all-(+inf) top has none
+    for x in closure:
+        verify(x.coords in inputs or membership(x, d, Side.LOWER))
+    return closure

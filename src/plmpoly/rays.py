@@ -66,7 +66,9 @@ def enumerate_connected_lower_sets(
     reverse search (Avis & Fukuda 1996) gives.
 
     `ResourceCapExceeded` is raised as soon as one more set would go past
-    `cap`.  The result is sorted by bitmask.
+    `cap`.  The result is sorted by bitmask.  Besides `enumerate_rays`,
+    `isbell.max_closure` calls it, to list the down-sets of a lattice's
+    join-irreducibles.
     """
     adj, up, down = order._adj, order._up, order._down
     full = (1 << order.n) - 1

@@ -344,6 +344,16 @@ class TestIsbell:
         assert payload["closureSize"] == 12
         assert len(payload["outsideIsbell"]) == 7
 
+    def test_closure_cap_on_an_antichain(self, capsys, tmp_path):
+        # probability 0 between distinct texts: the closure is the 2^n - 1 column meets
+        def compare_span(n):
+            rows = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+            return run(capsys, "isbell", write_metric(tmp_path, rows), "--compare-span")
+
+        code, out, err = compare_span(10)
+        assert (code, err) == (0, "") and json.loads(out)["closureSize"] == 2**10 - 1
+        assert compare_span(14) == (3, "", "resource cap: closure exceeded 10000 vectors\n")
+
     def test_requires_work(self, capsys, ex1_file):
         code, _, err = run(capsys, "isbell", ex1_file)
         assert code == 1 and "nothing to do" in err
@@ -575,10 +585,18 @@ class TestExitCodes:
         assert code == 3 and "resource cap" in err
 
     def test_junk_json(self, capsys, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("not json")
-        code, _, _ = run(capsys, "check", str(path))
-        assert code == 1
+        path = str(tmp_path / "junk.json")
+        # the second nests deeper than the recursion limit
+        for text in ("not json", "[" * 100_000 + "]" * 100_000):
+            Path(path).write_text(text)
+            for argv in (
+                ["check", path],
+                ["isbell", WORKED_EXAMPLE, "--vector", path],
+                ["embed", WORKED_EXAMPLE, "--sub", path],
+            ):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (1, "") and err.startswith("error: cannot read")
+                assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["check", "dual", "rays"])
     def test_labels_do_not_match_metric(self, capsys, tmp_path, command):
@@ -766,11 +784,12 @@ class TestExitCodes:
 class TestOutTarget:
     """--out replaces its target by a rename, so a FIFO or device is refused."""
 
-    @pytest.mark.parametrize("command", ["check", "rays", "dual"])
+    @pytest.mark.parametrize("command", ["check", "rays", "dual", "crosssection"])
     def test_fifo_is_refused(self, capsys, ex1_file, tmp_path, command):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
-        code, out, err = run(capsys, command, ex1_file, "--out", str(fifo))
+        big_m = ["--big-m", "10"] if command == "crosssection" else []
+        code, out, err = run(capsys, command, ex1_file, *big_m, "--out", str(fifo))
         assert code == 1 and out == ""
         assert err == f"error: {fifo} exists and is not a regular file\n"
         assert stat.S_ISFIFO(fifo.stat().st_mode)
@@ -786,9 +805,10 @@ class TestOutTarget:
 
     def test_write_error_names_the_target(self, capsys, ex1_file, tmp_path):
         target = tmp_path / "no" / "such" / "x.json"
-        code, out, err = run(capsys, "rays", ex1_file, "--out", str(target))
-        assert code == 1 and out == ""
-        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        for argv in (["rays"], ["crosssection", "--big-m", "10"]):
+            code, out, err = run(capsys, *argv, ex1_file, "--out", str(target))
+            assert code == 1 and out == ""
+            assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def json_text(value) -> str:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +130,28 @@ def test_closure_matches_round_reference(seed, family, n, data):
     assert _closure_or_cap(max_closure, gens, d, cap) == _closure_or_cap(
         closure_reference, gens, d, cap
     )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([random_plm, random_forest_plm]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_closure_vectors_are_joins_of_meets_above_them(seed, family, n, data):
+    """Each x in the closure of S is the join over i of the meet of {s in S : s_i >= x_i}."""
+    rng = seeded(seed)
+    d = metric_from_plm(family(rng, n))
+    picked = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    gens = [yoneda(d, k).scaled(ExtReal.from_prob(F(rng.randint(1, 4), 4))) for k in picked]
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)))):
+        gens.append(a.min_with(b))
+        if set(a.support) & set(b.support):
+            gens.append(a.max_with(b))
+    for x in closure_reference(gens, d):
+        meets = [reduce(TropVector.min_with, [s for s in gens if s[i] >= x[i]]) for i in range(n)]
+        assert reduce(TropVector.max_with, meets) == x
 
 
 @given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.data())
