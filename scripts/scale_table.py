@@ -9,6 +9,12 @@ text count n, the wall time and the sha256 of the command's output file,
 so two versions of the package can be compared byte for byte:
 
     PYTHONPATH=src python3 scripts/scale_table.py --tokens 300 1000
+
+`--commands` picks which of check, dual, retract and smooth run after
+`ingest` (all four by default); at 30,000 tokens `dual` writes about
+2.5 GB, so leave it out there:
+
+    PYTHONPATH=src python3 scripts/scale_table.py --tokens 30000 --commands check retract smooth
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ from plmpoly.model import load_model_file
 
 WORDS = 200
 SEED = 1
-COMMANDS = (
-    ("check", ["check"]),
-    ("dual", ["dual"]),
-    ("retract", ["retract", "--max-len", "1"]),
-    ("smooth", ["retract", "--max-len", "1", "--temperature", "0.1"]),
-)
+COMMANDS = {
+    "check": ["check"],
+    "dual": ["dual"],
+    "retract": ["retract", "--max-len", "1"],
+    "smooth": ["retract", "--max-len", "1", "--temperature", "0.1"],
+}
 
 
 def zipf_tokens(count: int) -> list[str]:
@@ -48,18 +54,29 @@ def timed(argv: list[str], out: Path) -> tuple[float, str]:
     seconds = time.perf_counter() - t0
     if code != 0:
         raise SystemExit(f"plmpoly {' '.join(argv)} exited {code}")
-    return seconds, hashlib.sha256(out.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with out.open("rb") as fh:  # in blocks: a 30,000-token retract CSV is 0.3 GB
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return seconds, digest.hexdigest()
 
 
-def scale_rows(tokens: int, workdir: Path) -> Iterator[tuple[int, int, str, float, str]]:
-    """(tokens, n, command, seconds, sha256), yielded as each command finishes."""
+def scale_rows(
+    tokens: int, workdir: Path, commands: tuple[str, ...] = tuple(COMMANDS)
+) -> Iterator[tuple[int, int, str, float, str]]:
+    """(tokens, n, command, seconds, sha256), yielded as each command finishes.
+
+    `ingest` always runs; of the rest, those named in `commands`, in table order.
+    """
     corpus = workdir / f"corpus{tokens}.txt"
     corpus.write_text(" ".join(zipf_tokens(tokens)) + "\n", encoding="utf-8")
     model = workdir / f"model{tokens}.json"
     seconds, digest = timed(["ingest", str(corpus), "--max-len", "2"], model)
     n = load_model_file(str(model))[1].n
     yield tokens, n, "ingest", seconds, digest
-    for name, argv in COMMANDS:
+    for name, argv in COMMANDS.items():
+        if name not in commands:
+            continue
         out = workdir / f"{name}{tokens}.out"
         yield (tokens, n, name, *timed([argv[0], str(model), *argv[1:]], out))
 
@@ -67,11 +84,15 @@ def scale_rows(tokens: int, workdir: Path) -> Iterator[tuple[int, int, str, floa
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tokens", type=int, nargs="+", required=True)
+    ap.add_argument(
+        "--commands", nargs="+", choices=list(COMMANDS), default=list(COMMANDS),
+        help="commands to run after ingest (default: all four)",
+    )
     args = ap.parse_args(argv)
     print(f"{'tokens':>6}  {'n':>5}  {'command':<7}  {'seconds':>8}  sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for tokens in args.tokens:
-            for row in scale_rows(tokens, Path(tmp)):
+            for row in scale_rows(tokens, Path(tmp), tuple(args.commands)):
                 print("{:>6}  {:>5}  {:<7}  {:>8.2f}  {}".format(*row), flush=True)
     return 0
 

@@ -36,11 +36,14 @@ from .model import (
 )
 from .polyhedron import (
     Side,
+    cell_string,
     co_yoneda,
+    float_string,
     generator,
     membership,
     metric_cone_constraints,
     normalize_to_simplex,
+    ratio_string,
     vector_from_strings,
     vector_to_strings,
     violation,
@@ -54,43 +57,16 @@ from .rays import (
     oracle_rays,
     plm_cone_constraints,
 )
-from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, verify
+from .tropical import POS_INF, TropVector, verify
 
 
-def _float_str(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
+def _vec_out(x: TropVector, as_float: bool) -> list[str]:
+    return vector_to_strings(x, lambda c: cell_string(c, as_float))
 
 
-def _ratio_out(num: int, den: int, as_float: bool) -> str:
-    """The reduced ratio num/den as `Fraction` prints it, or as a decimal."""
-    if not as_float:
-        return str(num) if den == 1 else f"{num}/{den}"
-    try:
-        return _float_str(num / den)
-    except OverflowError:
-        return "inf"
-
-
-def _cell_out(c: ExtReal, as_float: bool) -> str:
-    """A log-domain value: inf, -inf, or its multiplicative mirror."""
-    if c is POS_INF:
-        return "inf"
-    if c is NEG_INF:
-        return "-inf"
-    return _ratio_out(c.num, c.den, as_float)
-
-
-def _vec_out(x, as_float: bool) -> list[str]:
-    return [_cell_out(c, True) for c in x.coords] if as_float else vector_to_strings(x)
-
-
-def _mult_out(z, as_float: bool) -> list[str]:
+def _mult_out(z: TropVector, as_float: bool) -> list[str]:
     """A cone point's multiplicative coordinates; +inf, the pair (0, 1), reads 0."""
-    if as_float:
-        return [_ratio_out(c.num, c.den, True) for c in z.coords]
-    return [str(c.num) if c.den == 1 else f"{c.num}/{c.den}" for c in z.coords]
+    return vector_to_strings(z, lambda c: ratio_string(c.num, c.den, as_float))
 
 
 def _emit(args, chunks) -> None:
@@ -374,7 +350,7 @@ def cmd_isbell(args) -> int:
             # the all-(+inf) vector is the one non-member with no such pair
             pair = violation(x, d)
             verify(
-                (pair is None) == all(c is POS_INF for c in x.coords),
+                (pair is None) == (x.fill is POS_INF and not x.entries),
                 "violation disagrees with membership",
             )
             payload["violation"] = None if pair is None else [labels[k] for k in pair]
@@ -446,7 +422,7 @@ def cmd_retract(args) -> int:
                 # which is +inf off its listed entries
                 cells = ["inf"] * d.n
                 for c, e in r.matrix.col_entries[k]:
-                    cells[c] = _cell_out(e, as_float)
+                    cells[c] = cell_string(e, as_float)
             else:
                 # the live terms: s in S with d[s,k] finite, in ascending s
                 terms = [(e, yoneda(d, s)) for s, e in d.mat.col_entries[k] if s in in_subset]
@@ -454,13 +430,13 @@ def cmd_retract(args) -> int:
                 cells = ["0"] * d.n
                 if terms:
                     res = boltzmann(terms, args.temperature)
-                    verify(res.target.coords == r.matrix.column(k))
+                    verify(res.target == r.matrix.column(k))
                     for c, _ in r.matrix.col_entries[k]:
                         v = res.mult[c]
                         if isinstance(v, Fraction):
-                            cells[c] = _ratio_out(v.numerator, v.denominator, as_float)
+                            cells[c] = ratio_string(v.numerator, v.denominator, as_float)
                         else:
-                            cells[c] = _float_str(v)
+                            cells[c] = float_string(v)
             yield [labels[k]] + cells
 
     _emit(args, _csv_text(["text"] + list(labels), rows()))
@@ -495,14 +471,14 @@ def cmd_crosssection(args) -> int:
     rows = []
     for (side_v, m_val), verts in sorted(runs.items()):
         for idx, q in enumerate(verts):
-            rows.append([side_v, _float_str(m_val), str(idx)] + _mult_out(q, as_float))
+            rows.append([side_v, float_string(m_val), str(idx)] + _mult_out(q, as_float))
     drift_lines = []
     for side in ("lower", "upper"):
         a = runs[(side, args.big_m)]
         b = runs[(side, 10 * args.big_m)]
         drift_lines.append(
-            f"side {side}: {len(a)} vertices at M={_float_str(args.big_m)}, "
-            f"{len(b)} at M={_float_str(10 * args.big_m)}"
+            f"side {side}: {len(a)} vertices at M={float_string(args.big_m)}, "
+            f"{len(b)} at M={float_string(10 * args.big_m)}"
         )
         for idx, q in enumerate(a):
             qf = [float(c) for c in q.mults()]
@@ -513,7 +489,7 @@ def cmd_crosssection(args) -> int:
                     best, best_dist = p, dist
             exact = best == q
             drift_lines.append(
-                f"  vertex {idx}: drift {_float_str(best_dist)}"
+                f"  vertex {idx}: drift {float_string(best_dist)}"
                 + (" (interior: exact match)" if exact else "")
             )
     report, table = "\n".join(drift_lines) + "\n", _csv_text(header, rows)

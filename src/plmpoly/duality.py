@@ -17,12 +17,12 @@ from .tropical import TropVector, verify
 
 def map_a(d: DirectedMetric, y: TropVector) -> TropVector:
     """A(y) = d applied (min,+) to the negated vector."""
-    return TropVector(d.mat.apply_min(y.negated().coords))
+    return d.mat.apply_min(y.negated())
 
 
 def map_b(d: DirectedMetric, x: TropVector) -> TropVector:
     """B(x) = transposed d applied (min,+) to the negated vector."""
-    return TropVector(d.mat.transpose().apply_min(x.negated().coords))
+    return d.mat.transpose().apply_min(x.negated())
 
 
 def check_fixed_negation(d: DirectedMetric, x: TropVector, side: Side) -> bool:
@@ -48,12 +48,16 @@ def dual_decompose(d: DirectedMetric, k: int) -> DualityReport:
     with coefficients d[j,k].  Negated identity: -d[:,k] equals the span of
     the *rows* d[j,:] with the negated coefficients -d[j,k]; in it the term
     j = i supplies the -inf coordinates wherever d[i,k] = +inf.
+
+    The column has fill +inf and lists the down-set of k; its negation has
+    fill -inf and lists the same indices, so both products cost the
+    entries of the rows of that down-set.
     """
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")
-    col = TropVector(d.mat.column(k))
-    primal = TropVector(d.mat.apply_min(col.coords))
-    verify(primal.coords == d.mat.column(k), f"column identity fails at index {k}")
+    col = d.mat.column(k)
+    primal = d.mat.apply_min(col)
+    verify(primal == col, f"column identity fails at index {k}")
 
     negated = map_b(d, col)
     expected = col.negated()

@@ -60,10 +60,8 @@ class RetractionOp:
 
     def apply(self, x: TropVector) -> TropVector | None:
         """Retract x; None flags the all-(+inf) result (nothing survives)."""
-        coords = self.matrix.apply_min(x.coords)
-        if all(c is POS_INF for c in coords):
-            return None
-        return TropVector(coords)
+        y = self.matrix.apply_min(x)
+        return None if y.fill is POS_INF and not y.entries else y
 
 
 def retraction_from_subset(
@@ -96,13 +94,15 @@ class Embedding:
     big: DirectedMetric
 
     def extend(self, x: TropVector) -> TropVector:
-        """Push a lower-side vector along the inclusion: span with x's weights."""
+        """Push a lower-side vector along the inclusion: span with x's weights.
+
+        The weights are x_m at the image of each m and +inf elsewhere, so
+        only the support of x is read.
+        """
         if len(x) != self.sub.n:
             raise ValueError("dimension mismatch")
-        weights = [POS_INF] * self.big.n
-        for xm, f in zip(x.coords, self.mapping):
-            weights[f] = xm
-        return TropVector(self.big.mat.apply_min(weights))
+        weights = sorted((self.mapping[m], x[m]) for m in x.support)
+        return self.big.mat.apply_min(TropVector.from_entries(self.big.n, POS_INF, weights))
 
 
 def embed_model(
@@ -142,7 +142,7 @@ def word_decompose(
         raise ValueError("text index out of range")
     col = d.mat.column(text)
     ws = sorted(set(words))
-    weights, _ = residuate(TropVector(col), d, ws)  # refuses bad words first
+    weights, _ = residuate(col, d, ws)  # refuses bad words first
     for a in ws:
         for b in ws:
             if a != b and not d[a, b].is_pos_inf:
@@ -183,7 +183,9 @@ def boltzmann(
     `readback`.  Passed the terms (d[s,k], d[:,s]) for s in a subset S,
     `target` is column k of the retraction onto S.  The bound counts the
     terms passed, +inf weights included, so a caller that passes only the
-    finite weights gets the tighter bound.
+    finite weights gets the tighter bound.  Each vector is read through its
+    listed entries: one with fill -inf holds a -inf coordinate, and one
+    with fill +inf lists exactly its coordinates that are not +inf.
     """
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
@@ -197,21 +199,22 @@ def boltzmann(
             raise ValueError("weights and vectors must avoid -inf")
         if len(v) != n:
             raise ValueError("dimension mismatch")
+        if v.fill is NEG_INF:
+            raise ValueError("weights and vectors must avoid -inf")
         live = not lam.is_pos_inf
-        for c, x in enumerate(v.coords):
-            if x is POS_INF:
-                continue
+        for c, x in v.entries:
             if x is NEG_INF:
                 raise ValueError("weights and vectors must avoid -inf")
             if live:
                 reached.setdefault(c, []).append(tmul(lam, x))
     t = float(temperature)
     bound = t * math.log(len(terms))
-    target = [POS_INF] * n
+    target = []
     mult: list = [Fraction(0) if t == 1.0 else 0.0] * n
     readback = [math.inf] * n
     for c, es in reached.items():
-        m = target[c] = tmin_all(es)
+        m = tmin_all(es)
+        target.append((c, m))
         if t == 1.0:
             total = sum((e.mult for e in es), Fraction(0))
             mult[c] = total
@@ -231,7 +234,7 @@ def boltzmann(
         temperature=t,
         mult=tuple(mult),
         readback=tuple(readback),
-        target=TropVector(target),
+        target=TropVector.from_entries(n, POS_INF, sorted(target)),
         bound=bound,
     )
 

@@ -20,12 +20,12 @@ from .tropical import TropVector, verify
 
 def map_l(d: DirectedMetric, y: TropVector) -> TropVector:
     """L(y)_i = max_j (d_ij - y_j), differences in the (max,+) convention."""
-    return TropVector(d.mat.apply_max(y.negated().coords))
+    return d.mat.apply_max(y.negated())
 
 
 def map_r(d: DirectedMetric, x: TropVector) -> TropVector:
     """R(x)_j = max_i (d_ij - x_i)."""
-    return TropVector(d.mat.transpose().apply_max(x.negated().coords))
+    return d.mat.transpose().apply_max(x.negated())
 
 
 def isbell_member(d: DirectedMetric, x: TropVector) -> bool:
@@ -64,24 +64,22 @@ def max_closure(
     to be a member.  The closure raises exactly when it holds more than
     max(cap, number of distinct inputs) vectors, inputs included.
     """
-    inputs: dict[tuple, TropVector] = {}
+    inputs: dict[TropVector, None] = {}
     for v in vectors:
         if not membership(v, d, Side.LOWER):
             raise ValueError("closure input is not in the polyhedron")
-        inputs.setdefault(v.coords, v)
+        inputs[v] = None
     if not inputs:
         raise ValueError("empty input family")
-    family = list(inputs.values())
-    cands = dict.fromkeys(
-        reduce(TropVector.min_with, [s for s in family if s[i] >= t])
-        for i in range(d.n)
-        for t in {s[i] for s in family}
-    )
+    family = list(inputs)
+    listed = [dict(s.entries) for s in family]
+    cands: dict[TropVector, None] = {}
+    for i in range(d.n):
+        column = [(s, at.get(i, s.fill)) for s, at in zip(family, listed)]
+        for t in {c for _, c in column}:
+            cands[reduce(TropVector.min_with, [s for s, c in column if c >= t])] = None
     elems = list(cands)
-    ups = [
-        sum(1 << b for b, z in enumerate(elems) if all(p <= q for p, q in zip(y, z)))
-        for y in elems
-    ]
+    ups = [sum(1 << b for b, z in enumerate(elems) if y.leq(z)) for y in elems]
     # the top, when it is in L, is one more down-set, listed and then dropped
     limit = max(cap, len(family)) + (not reduce(TropVector.max_with, family).support)
     try:
@@ -91,5 +89,5 @@ def max_closure(
     joins = (reduce(TropVector.max_with, [elems[k] for k in ks]) for ks in down_sets)
     closure = [x for x in joins if x.support]  # the all-(+inf) top has none
     for x in closure:
-        verify(x.coords in inputs or membership(x, d, Side.LOWER))
+        verify(x in inputs or membership(x, d, Side.LOWER), "a closure vector is not a member")
     return closure

@@ -565,6 +565,31 @@ def ingest_corpus(
 # ---------------------------------------------------------------------------
 # file formats
 
+# Python's default limit on the digits of an integer read from or printed as
+# a string
+MAX_DIGITS = 4300
+
+
+def read_rational(token) -> Fraction:
+    """A number as a file writes it: any `Fraction` literal, its size bounded.
+
+    `Fraction` expands a decimal exponent, so ``"1e-99999999"`` would build
+    a 10**8-digit integer.  Once expanded, the numerator and the
+    denominator have at most one digit more than the mantissa's digits
+    plus the exponent's size; a number where that sum reaches
+    ``MAX_DIGITS`` is refused with a ValueError before `Fraction` reads it,
+    so a value read can be written back.  Digits are counted as `Fraction`
+    reads them: any Unicode decimal digit.
+    """
+    text = str(token)
+    head, e, tail = text.replace("E", "e").rpartition("e")
+    if e:
+        exponent = "".join(c for c in tail if c.isdecimal()).lstrip("0")
+        size = sum(c.isdecimal() for c in head)
+        if len(exponent) > 4 or size + int(exponent or "0") >= MAX_DIGITS:
+            raise ValueError(f"{text[:40]!r} has too many digits once its exponent is expanded")
+    return Fraction(text)
+
 
 def model_to_dict(m: Plm) -> dict:
     d = {
@@ -598,7 +623,7 @@ def model_from_dict(data: dict) -> Plm:
         pr = {}
         for row in data.get("pr", []):
             i, j = index(row["from"]), index(row["to"])
-            p = Fraction(str(row["p"]))
+            p = read_rational(row["p"])
             # a reflexive row says nothing; one past the texts is kept for Plm to refuse
             if i == j and p == 1 and 0 <= i < len(texts):
                 continue
@@ -629,7 +654,7 @@ def metric_from_dict(
         labels = [str(x) for x in labels]
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        mat = TropMatrix.from_probs([[Fraction(str(v)) for v in row] for row in rows])
+        mat = TropMatrix.from_probs([[read_rational(v) for v in row] for row in rows])
         if len(labels) != mat.n:
             raise ValueError(f"{len(labels)} labels for a {mat.n}x{mat.n} metric")
         return DirectedMetric(mat, require_projector=require_projector), labels

@@ -14,10 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isinf
 from typing import Iterable, Sequence
 
-from .model import DirectedMetric, reach
+from .model import DirectedMetric, reach, read_rational
 from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _pair, neg, tmul, verify
 
 
@@ -34,14 +34,16 @@ def side_metric(d: DirectedMetric, side: Side) -> DirectedMetric:
 def normalize_to_simplex(z: TropVector) -> TropVector:
     """Scale z so its multiplicative coordinates sum to 1 (the simplex point).
 
-    The sum of the pairs num/den that are not +inf is kept as one integer
-    pair over the least common denominator; the scale is its inverse,
-    which the all-(+inf) vector, with sum 0, does not have.
+    The sum of the pairs num/den that are not +inf, the listed ones of a
+    vector with fill +inf, is kept as one integer pair over the least
+    common denominator; the scale is its inverse, which the all-(+inf)
+    vector, with sum 0, does not have.  A fill of -inf is held by some
+    coordinate.
     """
+    if z.fill is NEG_INF:
+        raise OverflowError("-inf has no finite multiplicative value")
     num, den = 0, 1
-    for c in z.coords:
-        if c is POS_INF:
-            continue
+    for _, c in z.entries:
         if c is NEG_INF:
             raise OverflowError("-inf has no finite multiplicative value")
         if c.den == den:
@@ -65,7 +67,7 @@ def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> boo
     """
     if len(x) != d.n:
         raise ValueError("dimension mismatch")
-    if all(c is POS_INF for c in x.coords):
+    if x.fill is POS_INF and not x.entries:
         return False
     return project(x, d, side) == x
 
@@ -80,30 +82,32 @@ def violation(x: TropVector, d: DirectedMetric) -> tuple[int, int] | None:
     """
     if len(x) != d.n:
         raise ValueError("dimension mismatch")
+    listed, fill = dict(x.entries), x.fill
     for i, entries in enumerate(d.mat.row_entries):
+        xi = listed.get(i, fill)
         for j, a in entries:
-            if j != i and tmul(a, x[j]) < x[i]:
+            if j != i and tmul(a, listed.get(j, fill)) < xi:
                 return i, j
     return None
 
 
 def project(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> TropVector:
     """Nearest-point projection: one (min,+) application of the metric."""
-    return TropVector(side_metric(d, side).mat.apply_min(x.coords))
+    return side_metric(d, side).mat.apply_min(x)
 
 
 def yoneda(d: DirectedMetric, k: int) -> TropVector:
-    """Column k of the metric: distances into a_k."""
+    """Column k of the metric: distances into a_k, +inf off the down-set of k."""
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")
-    return TropVector(d.mat.column(k))
+    return d.mat.column(k)
 
 
 def co_yoneda(d: DirectedMetric, k: int) -> TropVector:
-    """Row k of the metric: distances out of a_k."""
+    """Row k of the metric: distances out of a_k, +inf off the up-set of k."""
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")
-    return TropVector(d.mat.transpose().column(k))
+    return d.mat.row(k)
 
 
 def generator(d: DirectedMetric, k: int, side: Side = Side.LOWER) -> TropVector:
@@ -128,10 +132,10 @@ def residuate(
     if not sub or sub[0] < 0 or sub[-1] >= d.n:
         raise ValueError("subset must be nonempty and in range")
     mat = side_metric(d, side).mat
-    b = mat.transpose().apply_min([neg(c) for c in x.coords])
-    keep = set(sub)
-    weights = [neg(c) if s in keep else POS_INF for s, c in enumerate(b)]
-    return tuple(weights[s] for s in sub), TropVector(mat.apply_min(weights))
+    b = mat.transpose().apply_min(x.negated())
+    listed = dict(b.entries)
+    lams = tuple(neg(listed.get(s, b.fill)) for s in sub)
+    return lams, mat.apply_min(TropVector.from_entries(d.n, POS_INF, zip(sub, lams)))
 
 
 Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
@@ -157,16 +161,24 @@ def tight_graph(
     test is exact: with z_k = num_k/den_k (+inf is 0/1, -inf 1/0) and
     p = a/b, z_i = p z_j is num_i den_j b == a num_j den_i.  A row from
     the support to a +inf coordinate is never tight, so the out-edges of
-    the support stay on it.
+    the support stay on it.  A row reads its two coordinates from z's
+    entries.  When both ends are unlisted, both hold the fill, (0, 1) or
+    (1, 0), and the test reads 0 == 0: tight.  When one end is unlisted,
+    one side of the test is 0 and the other is not, as the listed end
+    differs from the fill: not tight.
     """
-    zs = z.coords
+    get = dict(z.entries).get
     out = [0] * n
     into = [0] * n
     for i, j, p in constraints:
-        zi, zj = zs[i], zs[j]
-        if zi.num * zj.den * p.denominator == p.numerator * zj.num * zi.den:
-            out[i] |= 1 << j
-            into[j] |= 1 << i
+        zi, zj = get(i), get(j)
+        if zi is None or zj is None:
+            if zi is not zj:
+                continue
+        elif zi.num * zj.den * p.denominator != p.numerator * zj.num * zi.den:
+            continue
+        out[i] |= 1 << j
+        into[j] |= 1 << i
     return out, into
 
 
@@ -207,24 +219,52 @@ def terminal_decompose(
 # vector files: log-domain entries, finite ones written multiplicatively
 
 
-def vector_to_strings(x: TropVector) -> list[str]:
-    return [
-        "inf" if c is POS_INF
-        else "-inf" if c is NEG_INF
-        else str(c.num) if c.den == 1
-        else f"{c.num}/{c.den}"
-        for c in x.coords
-    ]
+def float_string(x: float) -> str:
+    if isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.12g}"
+
+
+def ratio_string(num: int, den: int, as_float: bool = False) -> str:
+    """The reduced ratio num/den as `Fraction` prints it, or as a decimal."""
+    if not as_float:
+        return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return float_string(num / den)
+    except OverflowError:
+        return "inf"
+
+
+def cell_string(c: ExtReal, as_float: bool = False) -> str:
+    """A log-domain value: inf, -inf, or its multiplicative mirror."""
+    if c is POS_INF:
+        return "inf"
+    if c is NEG_INF:
+        return "-inf"
+    return ratio_string(c.num, c.den, as_float)
+
+
+def vector_to_strings(x: TropVector, cell=cell_string) -> list[str]:
+    """cell(c) for each coordinate c: the fill's string, repeated, then each listed entry's."""
+    out = [cell(x.fill)] * x.n
+    for i, c in x.entries:
+        out[i] = cell(c)
+    return out
 
 
 def vector_from_strings(items: Sequence) -> TropVector:
+    """A vector from its file items: the strings inf and -inf, or multiplicative values.
+
+    Only a string names an infinity: a JSON number beyond float range is
+    read as the float inf, which no rational equals, and is refused.
+    """
     coords = []
     for s in items:
-        token = str(s).strip()
+        token = s.strip() if isinstance(s, str) else s
         if token == "inf":
             coords.append(POS_INF)
         elif token == "-inf":
-            coords.append(ExtReal(None))
+            coords.append(NEG_INF)
         else:
-            coords.append(ExtReal.from_prob(Fraction(token)))
+            coords.append(ExtReal.from_prob(read_rational(token)))
     return TropVector(coords)

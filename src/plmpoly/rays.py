@@ -189,10 +189,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     if not order.connected(mask):
         raise ValueError("carrier is not connected")
 
-    coords = [POS_INF] * m.n
-    for i in mem:
-        coords[i] = values[i]
-    gen = TropVector(coords).canonical()
+    gen = TropVector.from_entries(m.n, POS_INF, ((i, values[i]) for i in mem)).canonical()
 
     rank = certify_ray(gen, constraints, m.n)
     expected = m.n - 1
@@ -209,14 +206,20 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
 
 
 def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
-    """Theory route: one ray per nonempty connected lower set of the side's order."""
+    """Theory route: one ray per nonempty connected lower set of the side's order.
+
+    Each ray is re-tested for membership.  Its generator has fill +inf and
+    lists its carrier, a lower set, so the projection reaches only the
+    carrier's columns, each listing a down-set inside it: the test costs
+    the order's pairs within the carrier.
+    """
     d = metric_from_plm(m)
     rays = [
         ray_from_lower_set(m, members, side)
         for members in enumerate_connected_lower_sets(_side_order(m, side))
     ]
     for r in rays:
-        verify(membership(r.generator, d, side))
+        verify(membership(r.generator, d, side), "a certified ray is not a member")
     return rays
 
 
@@ -341,10 +344,11 @@ def cross_check_rays(rays: Sequence[Ray], oracle: Sequence[TropVector]) -> bool:
     """Same ray multisets up to scale: the canonical coordinates, counted.
 
     Coordinates are reduced integer pairs, equal exactly when the values are,
-    so counting the canonical tuples compares the rays exactly.
+    and each vector has one form, so counting the canonical vectors compares
+    the rays exactly.
     """
-    mine = Counter(r.generator.canonical().coords for r in rays)
-    return mine == Counter(q.canonical().coords for q in oracle)
+    mine = Counter(r.generator.canonical() for r in rays)
+    return mine == Counter(q.canonical() for q in oracle)
 
 
 def ray_saturation_edges(r: Ray, m: Plm) -> dict[int, int]:

@@ -25,19 +25,31 @@ entry is implicit, as in GraphBLAS.  The dense rows, columns and single
 entries are built from the lists on demand, so a text model's metric, +inf
 off the order, holds as many entries as the order has pairs.
 
+A ``TropVector`` is stored the same way: ``n``, a fill (+inf or -inf) and
+the ``(index, value)`` entries that differ from it, ascending, with their
+bitmask.  Each dense vector has one form: the fill is the infinity that
+more coordinates hold, on a tie the one at the lowest index holding
+either, and +inf when none is infinite.  A column of a metric, +inf off a
+down-set, lists that down-set; its negation, -inf there, has fill -inf and
+lists the same indices; negation swaps the fill.
+
 ``_min_plus`` is the one (min,+) kernel.  ``TropMatrix.apply_min`` runs it
-on a vector, and projection (and with it membership), spans, retractions,
-extensions and the duality identities go through that;
-``TropMatrix.compose_min`` runs it on each listed column of its right
-factor and lists the product's entries directly.  ``TropMatrix.apply_max``
-is the one (max,+) product, behind the Isbell maps.  The kernel forms a
-term only where neither the entry nor the coordinate is +inf: +inf absorbs
-any other term under ``tmul``, even against -inf, and a minimum over no
-terms is +inf.  ``apply_max`` gives +inf in a row where a coordinate other
-than -inf meets a +inf entry; elsewhere every +inf entry meets -inf, which
-absorbs under ``tmax_mul``, so the maximum runs over the row's listed
-entries.  So on a text model's metric every product costs as many terms as
-the order has pairs.
+on a vector with fill +inf, and projection (and with it membership),
+spans, retractions, extensions and the duality identities go through
+``apply_min``; ``TropMatrix.compose_min`` runs it on each listed column of
+its right factor and lists the product's entries directly.
+``TropMatrix.apply_max`` is the one (max,+) product, behind the Isbell
+maps.  Each product proves its output fill in its docstring:
+
+* ``apply_min`` keeps the fill.  With fill +inf a row no listed term
+  reaches is +inf, since +inf absorbs under ``tmul``, even against -inf;
+  with fill -inf a row that lists an unlisted index is -inf.
+* ``apply_max`` gives fill +inf: a row that misses (is +inf at) an index
+  whose coordinate is not -inf is +inf, and with fill -inf the rows that
+  miss no listed index are the AND of their column masks.
+
+So on a text model's metric every product costs the entries of the order
+that its listed indices reach, not n per product.
 """
 
 from __future__ import annotations
@@ -171,6 +183,7 @@ class ExtReal:
 
 
 _new = object.__new__
+_index0 = itemgetter(0)  # the index of an (index, value) entry
 
 
 def _pair(num: int, den: int) -> ExtReal:
@@ -249,22 +262,36 @@ def tmax_all(values: Iterable[ExtReal]) -> ExtReal:
 
 
 class TropVector:
-    """Immutable coordinate vector over ExtReal: any nonempty tuple of them.
+    """Immutable vector over ExtReal, stored as a fill and its listed entries.
+
+    A vector of length ``n`` keeps its ``fill``, ``POS_INF`` or ``NEG_INF``,
+    and its ``entries``: the ``(index, value)`` pairs whose value is not the
+    fill, in ascending index, with ``mask``, the bitmask of their indices.
+    Every coordinate the list leaves out holds the fill, as in GraphBLAS.
+    Each dense vector has exactly one such form, so ``==`` and ``hash``
+    compare forms.  The rule: the fill is the infinity that more
+    coordinates hold; on a tie, the one at the lowest index that holds
+    either; and +inf when no coordinate is infinite.  Negation swaps the
+    two counts and the sign at each index, so it swaps the fill whenever
+    some coordinate is infinite.
 
     Coordinates may be -inf or +inf; the duality and Isbell maps produce
     both.  A vector with no -inf coordinate and not all +inf is at once the
     point z = exp(-x) of the multiplicative cone (nonnegative, not all
     zero), which ``mults`` reads exactly and ``canonical`` checks; ray
-    generators are kept so.
+    generators are kept so.  Such a vector has fill +inf and lists its
+    support.  ``TropVector(coords)`` takes the dense coordinates, and
+    ``TropVector.from_entries`` a fill and entries; ``coords`` builds the
+    dense tuple on demand, for file output and the dense test references.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = ("n", "fill", "entries", "mask")
 
     def __init__(self, coords: Iterable[ExtReal]):
         cs = tuple(coords)
         if not cs:
             raise ValueError("empty vector")
-        object.__setattr__(self, "coords", cs)
+        _assign(self, *_form(len(cs), POS_INF, enumerate(cs)))
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("TropVector is immutable")
@@ -273,42 +300,105 @@ class TropVector:
     def from_probs(ps: Sequence[Rational]) -> "TropVector":
         return TropVector(ExtReal.from_prob(p) for p in ps)
 
+    @staticmethod
+    def from_entries(
+        n: int, fill: ExtReal, entries: Iterable[tuple[int, ExtReal]]
+    ) -> "TropVector":
+        """The vector of length n that holds `fill` (+inf or -inf) off `entries`.
+
+        `entries` lists ``(index, value)`` pairs in strictly ascending index
+        in range(n); a value equal to the fill may be listed.
+        """
+        if n <= 0:
+            raise ValueError("empty vector")
+        if fill is not POS_INF and fill is not NEG_INF:
+            raise ValueError("the fill must be +inf or -inf")
+        es = tuple(entries)
+        last = -1
+        for i, _ in es:
+            if not last < i < n:
+                raise ValueError("entries must ascend in range")
+            last = i
+        return _vector(n, fill, es)
+
+    @property
+    def coords(self) -> tuple[ExtReal, ...]:
+        """The dense coordinates, built from the entries."""
+        out = [self.fill] * self.n
+        for i, v in self.entries:
+            out[i] = v
+        return tuple(out)
+
     def __len__(self) -> int:
-        return len(self.coords)
+        return self.n
 
     def __iter__(self):
         return iter(self.coords)
 
     def __getitem__(self, i: int) -> ExtReal:
-        return self.coords[i]
+        if not 0 <= i < self.n:
+            raise IndexError(f"index {i} out of range")
+        if not (self.mask >> i) & 1:
+            return self.fill
+        es = self.entries
+        return es[bisect_left(es, i, key=_index0)][1]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TropVector) and self.coords == other.coords
+        return (
+            isinstance(other, TropVector)
+            and self.mask == other.mask
+            and self.n == other.n
+            and self.fill is other.fill
+            and self.entries == other.entries
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coords)
+        return hash((self.n, self.fill is POS_INF, self.entries))
 
     def __repr__(self) -> str:
         return "TropVector(%s)" % ", ".join(f"{c.log:.4g}" for c in self.coords)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c is not POS_INF)
+        """The indices whose coordinate is not +inf, ascending."""
+        if self.fill is POS_INF:
+            return tuple(i for i, _ in self.entries)
+        gaps = {i for i, v in self.entries if v is POS_INF}
+        return tuple(i for i in range(self.n) if i not in gaps)
 
     def min_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        return TropVector(map(tmin, self.coords, other.coords))
+        pairs = [(i, tmin(a, b)) for i, a, b in _aligned(self, other)]
+        return _vector(self.n, tmin(self.fill, other.fill), pairs)
 
     def max_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        return TropVector(map(tmax, self.coords, other.coords))
+        pairs = [(i, tmax(a, b)) for i, a, b in _aligned(self, other)]
+        return _vector(self.n, tmax(self.fill, other.fill), pairs)
+
+    def leq(self, other: "TropVector") -> bool:
+        """Whether self <= other in every coordinate."""
+        _check_len(self, other)
+        if (self.mask | other.mask) != (1 << self.n) - 1 and not self.fill <= other.fill:
+            return False  # some index that neither lists compares the fills
+        return all(a <= b for _, a, b in _aligned(self, other))
 
     def scaled(self, lam: ExtReal) -> "TropVector":
         """lam + self coordinatewise, (min,+) convention."""
-        return TropVector(tmul(lam, c) for c in self.coords)
+        entries = [(i, tmul(lam, c)) for i, c in self.entries]
+        return _vector(self.n, tmul(lam, self.fill), entries)
 
     def negated(self) -> "TropVector":
-        return TropVector(neg(c) for c in self.coords)
+        """-self: the entries negated and, unless every coordinate is listed, the fill swapped.
+
+        A vector that lists all n coordinates has fill +inf and no infinite
+        coordinate (otherwise the infinities would outnumber the fill's
+        zero), and so has its negation.
+        """
+        fill = self.fill
+        if len(self.entries) < self.n:
+            fill = NEG_INF if fill is POS_INF else POS_INF
+        return _make(self.n, fill, tuple((i, neg(c)) for i, c in self.entries), self.mask)
 
     def canonical(self) -> "TropVector":
         """The same ray scaled so its largest multiplicative coordinate is 1.
@@ -316,12 +406,17 @@ class TropVector:
         The smallest log coordinate is the largest multiplicative one, so
         adding its negation makes that coordinate 0; +inf ones stay +inf.
         Only a cone point has one: the smallest coordinate is -inf when any
-        is, and +inf when all are, and either raises.
+        is, and +inf when all are, and either raises.  A fill of -inf is
+        held by some coordinate, and with a fill of +inf the smallest
+        coordinate is the smallest listed one, +inf when none is listed.
+        A vector whose smallest coordinate is 0 already is returned as it
+        is: most of the ray generators that reach here are, and scaling
+        them again made perfbench's sweep pass 3% slower.
         """
-        top = tmin_all(self.coords)
+        top = NEG_INF if self.fill is NEG_INF else tmin_all(c for _, c in self.entries)
         if not top.is_finite:
             raise ValueError("not a cone point")
-        return self.scaled(neg(top))
+        return self if top.num == top.den else self.scaled(neg(top))
 
     def proportional(self, other: "TropVector") -> bool:
         """Whether both span the same ray (differ by one additive shift)."""
@@ -332,9 +427,91 @@ class TropVector:
         return tuple(c.mult for c in self.coords)
 
 
-def _check_len(x, y) -> None:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+# Every vector is built here, through the slots' own setters, which get past
+# the guard in `__setattr__`: `object.__setattr__`, a lookup by name per slot,
+# made perfbench's corpus pass 6% slower (2-core x86-64, Python 3.11).
+_SET_N, _SET_FILL, _SET_ENTRIES, _SET_MASK = (
+    TropVector.__dict__[name].__set__ for name in TropVector.__slots__
+)
+
+
+def _assign(v: TropVector, n: int, fill: ExtReal, entries: tuple, mask: int) -> None:
+    _SET_N(v, n)
+    _SET_FILL(v, fill)
+    _SET_ENTRIES(v, entries)
+    _SET_MASK(v, mask)
+
+
+def _make(n: int, fill: ExtReal, entries: tuple, mask: int) -> TropVector:
+    """Unchecked constructor from a form that already follows the fill rule."""
+    v = _new(TropVector)
+    _assign(v, n, fill, entries, mask)
+    return v
+
+
+def _vector(n: int, fill: ExtReal, entries: Iterable[tuple[int, ExtReal]]) -> TropVector:
+    """The vector of length n that holds `fill` off `entries`, in its one form."""
+    return _make(*_form(n, fill, entries))
+
+
+def _form(n: int, fill: ExtReal, entries: Iterable[tuple[int, ExtReal]]) -> tuple:
+    """(n, fill, entries, mask) of the vector that holds `fill` off `entries`.
+
+    `entries` lists (index, value) pairs in ascending index; those whose
+    value is the fill are dropped.  When the other infinity wins the fill
+    rule, it holds at least as many coordinates as the fill does, all of
+    them listed, so the unlisted indices that become entries number at
+    most the listed ones, and the swap costs O(listed).
+    """
+    other = NEG_INF if fill is POS_INF else POS_INF
+    listed = [e for e in entries if e[1] is not fill]
+    mask = count = 0
+    first = n  # the lowest index that holds the other infinity
+    for i, v in listed:
+        mask |= 1 << i
+        if v is other:
+            if not count:
+                first = i
+            count += 1
+    held = n - len(listed)
+    if count > held or count == held and (
+        first < ((mask + 1) & ~mask).bit_length() - 1 if count else fill is NEG_INF
+    ):
+        gaps = [(i, fill) for i in bits(((1 << n) - 1) & ~mask)]
+        kept = [e for e in listed if e[1] is not other]
+        listed = sorted(gaps + kept)
+        fill = other
+        mask = 0
+        for i, _ in listed:
+            mask |= 1 << i
+    return n, fill, tuple(listed), mask
+
+
+def _aligned(x: TropVector, y: TropVector):
+    """(i, x_i, y_i) for each index that x or y lists, ascending."""
+    a, b = x.entries, y.entries
+    p = q = 0
+    while p < len(a) and q < len(b):
+        (i, u), (j, v) = a[p], b[q]
+        if i == j:
+            yield i, u, v
+            p += 1
+            q += 1
+        elif i < j:
+            yield i, u, y.fill
+            p += 1
+        else:
+            yield j, x.fill, v
+            q += 1
+    for i, u in a[p:]:
+        yield i, u, y.fill
+    for j, v in b[q:]:
+        yield j, x.fill, v
+
+
+def _check_len(x: TropVector, y: TropVector) -> None:
+    if x.n != y.n:
+        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
 
 
 class TropMatrix:
@@ -344,15 +521,24 @@ class TropMatrix:
     column, the ``(index, entry)`` pairs whose entry is not +inf, listed in
     ascending index, with the bitmask of the indices.  A +inf entry is
     implicit, as in GraphBLAS: it is every entry the lists leave out, so
-    two matrices are equal exactly when their row lists are.  The dense
-    ``rows``, ``cols``, ``column(j)`` and ``m[i, j]`` are built from the
-    lists when asked for, for file output and the dense test references.
+    two matrices are equal exactly when their row lists are.  ``gaps``
+    lists the indices whose diagonal entry is +inf, none in a metric.
+    ``column(j)`` and ``row(i)`` are vectors, and the dense ``rows`` and
+    ``cols`` and ``m[i, j]`` are built from the lists when asked for, for
+    file output and the dense test references.
 
     ``TropMatrix(rows)`` takes dense rows; ``TropMatrix.from_entries``
     takes the row lists themselves.
     """
 
-    __slots__ = ("n", "row_entries", "row_masks", "col_entries", "col_masks")
+    __slots__ = (
+        "n",
+        "row_entries",
+        "row_masks",
+        "col_entries",
+        "col_masks",
+        "gaps",
+    )
 
     def __init__(self, rows: Iterable[Iterable[ExtReal]]):
         rs = tuple(tuple(r) for r in rows)
@@ -387,6 +573,7 @@ class TropMatrix:
         cols: list[list] = [[] for _ in range(n)]
         col_masks = [0] * n
         row_masks = []
+        gaps = []
         for i, line in enumerate(row_entries):
             bit = 1 << i
             mask = 0
@@ -395,7 +582,10 @@ class TropMatrix:
                 col_masks[j] |= bit
                 mask |= 1 << j
             row_masks.append(mask)
-        self._set(n, row_entries, tuple(row_masks), tuple(map(tuple, cols)), tuple(col_masks))
+            if not mask & bit:
+                gaps.append(i)
+        cols = tuple(map(tuple, cols))
+        self._set(n, row_entries, tuple(row_masks), cols, tuple(col_masks), tuple(gaps))
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -422,8 +612,13 @@ class TropMatrix:
     def cols(self) -> tuple[tuple[ExtReal, ...], ...]:
         return tuple(map(self._dense, self.col_entries))
 
-    def column(self, j: int) -> tuple[ExtReal, ...]:
-        return self._dense(self.col_entries[j])
+    def column(self, j: int) -> TropVector:
+        """Column j as a vector: +inf off its listed entries."""
+        return _vector(self.n, POS_INF, self.col_entries[j])
+
+    def row(self, i: int) -> TropVector:
+        """Row i as a vector: +inf off its listed entries."""
+        return _vector(self.n, POS_INF, self.row_entries[i])
 
     def __getitem__(self, ij: tuple[int, int]) -> ExtReal:
         i, j = ij
@@ -432,7 +627,7 @@ class TropMatrix:
         if not (self.row_masks[i] >> j) & 1:
             return POS_INF
         line = self.row_entries[i]
-        return line[bisect_left(line, j, key=itemgetter(0))][1]
+        return line[bisect_left(line, j, key=_index0)][1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TropMatrix) and self.row_entries == other.row_entries
@@ -443,34 +638,90 @@ class TropMatrix:
     def transpose(self) -> "TropMatrix":
         """The same lists with the roles of rows and columns swapped."""
         t = TropMatrix.__new__(TropMatrix)
-        t._set(self.n, self.col_entries, self.col_masks, self.row_entries, self.row_masks)
+        t._set(self.n, self.col_entries, self.col_masks, self.row_entries, self.row_masks, self.gaps)
         return t
 
-    def apply_min(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
-        """(min,+) matrix-vector product, returned as raw coordinates.
+    def apply_min(self, x: TropVector) -> TropVector:
+        """(min,+) matrix-vector product: row i is min_j a_ij + x_j (``tmul``).
 
-        Each coordinate that is not +inf adds one term per listed entry of
-        its column; every other term is +inf.
+        A term is +inf when either factor is, since +inf absorbs under
+        ``tmul``, and -inf when neither is +inf and one is -inf.
+
+        * Fill +inf: only a listed x_j adds terms, one per listed entry of
+          column j, and a row that none of them reaches is +inf.  The
+          output has fill +inf, and costs the listed entries of x's
+          columns.
+        * Fill -inf: a row that lists an index x leaves out has the term
+          a_ij + (-inf) = -inf, so it is -inf, the output's fill.  Any
+          other row lists only indices that x lists; it lists its own
+          index, which x lists then, unless it is one of ``gaps``.  Each
+          such row is the minimum over its entries, so the product costs
+          the entries of the rows x lists.
         """
-        if len(coords) != self.n:
+        n = self.n
+        if x.n != n:
             raise ValueError("dimension mismatch")
-        out = [POS_INF] * self.n
-        _min_plus(self.col_entries, [(j, x) for j, x in enumerate(coords) if x is not POS_INF], out)
-        return tuple(out)
+        if x.fill is POS_INF:
+            return _vector(n, POS_INF, _min_plus(self.col_entries, x.entries))
+        listed = dict(x.entries)
+        rows = self.row_entries
+        out = []
+        for i in sorted(listed.keys() | set(self.gaps)):
+            num, den = 0, 1  # the mirror of the least term so far, +inf
+            for j, a in rows[i]:
+                v = listed.get(j)
+                if v is None:  # x_j = -inf
+                    num, den = 1, 0
+                    break
+                # a + x_j multiplies the mirrors; +inf (0, 1) never wins
+                tn, td = a.num * v.num, a.den * v.den
+                if tn * den > num * td:
+                    num, den = tn, td
+            out.append((i, _reduced(num, den)))
+        return _vector(n, NEG_INF, out)
 
-    def apply_max(self, coords: Sequence[ExtReal]) -> tuple[ExtReal, ...]:
-        """(max,+) matrix-vector product, returned as raw coordinates.
+    def apply_max(self, x: TropVector) -> TropVector:
+        """(max,+) matrix-vector product: row i is max_j a_ij + x_j (``tmax_mul``).
 
-        A row with a +inf entry where the coordinate is not -inf is +inf;
-        any other row is the maximum over its listed entries.
+        A term is -inf when either factor is, since -inf absorbs under
+        ``tmax_mul``, and +inf when neither is -inf and one is +inf.  Call
+        j live when x_j is not -inf.  A row that misses a live j (a_ij =
+        +inf) has a +inf term and is +inf, the output's fill; in any other
+        row the terms off the live indices are -inf, so the row is the
+        maximum over its live terms, each of them listed in the row.
+
+        * Fill -inf: the live indices are the listed ones, and the rows
+          that miss none are the AND of their column masks.  With none
+          listed, every term is -inf and so is every row.
+        * Fill +inf: every unlisted index is live, and the rows that miss
+          none lie in the column mask of the least live index.
         """
-        if len(coords) != self.n:
+        n = self.n
+        if x.n != n:
             raise ValueError("dimension mismatch")
-        live = sum(1 << j for j, x in enumerate(coords) if x is not NEG_INF)
-        return tuple(
-            POS_INF if live & ~mask else tmax_all(tmax_mul(a, coords[j]) for j, a in entries)
-            for entries, mask in zip(self.row_entries, self.row_masks)
-        )
+        masks = self.col_masks
+        fill = x.fill
+        if fill is NEG_INF:
+            if not x.entries:
+                return x
+            live = x.mask
+            reached = masks[x.entries[0][0]]
+            for j, _ in x.entries:
+                reached &= masks[j]
+        else:
+            live = (1 << n) - 1
+            for j, v in x.entries:
+                if v is NEG_INF:
+                    live ^= 1 << j
+            reached = masks[(live & -live).bit_length() - 1]
+        listed = dict(x.entries)
+        rows, row_masks = self.row_entries, self.row_masks
+        out = []
+        for i in bits(reached):
+            if fill is POS_INF and live & ~row_masks[i]:
+                continue  # row i misses a live index
+            out.append((i, _max_sum([(a, listed.get(j, fill)) for j, a in rows[i]])))
+        return _vector(n, POS_INF, out)
 
     def compose_min(self, other: "TropMatrix") -> "TropMatrix":
         """(min,+) matrix product self * other, listed column by column.
@@ -481,45 +732,63 @@ class TropMatrix:
         its entries that are not +inf: entry (i, k) is the minimum over j
         of a_ij + b_jk; a term with a +inf factor is +inf under ``tmul``
         and two factors that are not +inf never sum to +inf, so the entry
-        is not +inf exactly when some j has both factors listed.  Those i
-        are the union of the masks of the columns j that column k lists;
-        they are read in ascending order, and the accumulator is reset
-        there for the next column.
+        is not +inf exactly when some j has both factors listed, which is
+        when `_min_plus` reaches row i.
         """
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        acc = [POS_INF] * self.n
-        masks = self.col_masks
-        cols = []
-        for line in other.col_entries:
-            _min_plus(self.col_entries, line, acc)
-            reached = 0
-            for j, _ in line:
-                reached |= masks[j]
-            col = []
-            for i in bits(reached):
-                col.append((i, acc[i]))
-                acc[i] = POS_INF
-            cols.append(tuple(col))
+        cols = tuple(tuple(_min_plus(self.col_entries, line)) for line in other.col_entries)
         t = TropMatrix.__new__(TropMatrix)
-        t._index(self.n, tuple(cols))
+        t._index(self.n, cols)
         return t.transpose()
 
 
 def _min_plus(
     col_entries: Sequence[Sequence[tuple[int, ExtReal]]],
-    pairs: Iterable[tuple[int, ExtReal]],
-    out: list[ExtReal],
-) -> None:
-    """The one (min,+) kernel: out_i = min(out_i, a_ij + x_j) on listed terms.
+    pairs: Sequence[tuple[int, ExtReal]],
+) -> list[tuple[int, ExtReal]]:
+    """The one (min,+) kernel: (i, min_j a_ij + x_j) for each row the terms reach.
 
     `pairs` lists the (j, x_j) with x_j not +inf, and each column j lists
-    its (i, a_ij) with a_ij not +inf; every other term is +inf and leaves
-    out unchanged.
+    its (i, a_ij) with a_ij not +inf; every other term is +inf, and a row
+    that no listed term reaches is left out.  The rows come in ascending
+    order.  Each term is the product of the two mirrors, -inf's (1, 0)
+    included, and only each row's least term is reduced.
     """
+    acc: dict[int, tuple[int, int]] = {}
+    get = acc.get
     for j, x in pairs:
+        xn, xd = x.num, x.den
         for i, a in col_entries[j]:
-            out[i] = tmin(out[i], tmul(a, x))
+            num, den = a.num * xn, a.den * xd
+            cur = get(i)
+            if cur is None or num * cur[1] > cur[0] * den:
+                acc[i] = num, den
+    return [(i, _reduced(*acc[i])) for i in sorted(acc)]
+
+
+def _max_sum(pairs: Iterable[tuple[ExtReal, ExtReal]]) -> ExtReal:
+    """max over the pairs of a + v, (max,+) convention; -inf when there are none."""
+    num, den = 1, 0  # the mirror of the greatest term so far, -inf
+    for a, v in pairs:
+        if a is NEG_INF or v is NEG_INF:
+            continue
+        if a is POS_INF or v is POS_INF:
+            return POS_INF
+        tn, td = a.num * v.num, a.den * v.den
+        if tn * den < num * td:
+            num, den = tn, td
+    return _reduced(num, den)
+
+
+def _reduced(num: int, den: int) -> ExtReal:
+    """The value whose mirror is num/den, not 0/0: a shared infinity or a reduced pair."""
+    if not num:
+        return POS_INF
+    if not den:
+        return NEG_INF
+    g = math.gcd(num, den)
+    return _pair(num // g, den // g)
 
 
 def bits(mask: int) -> tuple[int, ...]:
@@ -540,4 +809,3 @@ def funk(x: TropVector, y: TropVector) -> ExtReal:
     return tmax_all(
         tmax_mul(yi, neg(xi)) for xi, yi in zip(x, y) if xi is not POS_INF
     )
-

@@ -25,9 +25,10 @@ from plmpoly import (
     model_to_dict,
     write_text_atomic,
 )
-from plmpoly import cli, duality, rays
+from plmpoly import cli, duality, isbell, rays
 from plmpoly.cli import main
-from plmpoly.tropical import POS_INF, TropVector
+from plmpoly.model import read_rational
+from plmpoly.tropical import POS_INF, ExtReal, TropMatrix, TropVector
 from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
 from dense_reference import (
     dense_compose_min,
@@ -248,6 +249,13 @@ class TestRays:
         assert rows[0] == ["carrier", "r", "c", "r c"]
         assert len(rows) == 4
 
+    def test_ray_outside_the_polyhedron_exits_2(self, capsys, ex1_file, monkeypatch):
+        # the per-ray membership re-test, not the certificate, catches it
+        monkeypatch.setattr(rays, "membership", lambda x, d, side: False)
+        code, out, err = run(capsys, "rays", ex1_file)
+        assert code == 2 and out == ""
+        assert err == "verification failed: a certified ray is not a member\n"
+
     def test_failed_certificate_exits_2(self, capsys, ex1_file, monkeypatch):
         monkeypatch.setattr(rays, "certify_ray", lambda z, cons, n: 0)
         code, out, err = run(capsys, "rays", ex1_file)
@@ -296,6 +304,14 @@ class TestDual:
         code, out, err = run(capsys, "dual", ex1_file)
         assert code == 2 and out == ""
         assert err == "verification failed: negated identity fails at index 0\n"
+
+    def test_failed_column_identity_names_the_index(self, capsys, ex1_file, monkeypatch):
+        # every product off by log 2: the column identity is checked first
+        half = ExtReal.from_prob(F(1, 2))
+        monkeypatch.setattr(TropMatrix, "apply_min", lambda m, x: x.scaled(half))
+        code, out, err = run(capsys, "dual", ex1_file)
+        assert code == 2 and out == ""
+        assert err == "verification failed: column identity fails at index 0\n"
 
 
 class TestIsbell:
@@ -354,6 +370,17 @@ class TestIsbell:
         assert (code, err) == (0, "") and json.loads(out)["closureSize"] == 2**10 - 1
         assert compare_span(14) == (3, "", "resource cap: closure exceeded 10000 vectors\n")
 
+    def test_closure_vector_outside_the_polyhedron_exits_2(
+        self, capsys, ex1, ex1_file, monkeypatch
+    ):
+        # the Yoneda columns pass as inputs; a meet or join that is not one fails
+        d = metric_from_plm(ex1)
+        columns = {d.mat.column(k) for k in range(d.n)}
+        monkeypatch.setattr(isbell, "membership", lambda x, d, side: x in columns)
+        code, out, err = run(capsys, "isbell", ex1_file, "--compare-span")
+        assert code == 2 and out == ""
+        assert err == "verification failed: a closure vector is not a member\n"
+
     def test_requires_work(self, capsys, ex1_file):
         code, _, err = run(capsys, "isbell", ex1_file)
         assert code == 1 and "nothing to do" in err
@@ -363,6 +390,14 @@ class TestIsbell:
         vec.write_text(json.dumps(["1", "1"]))
         code, _, err = run(capsys, "isbell", ex1_file, "--vector", str(vec))
         assert code == 1
+
+    def test_vector_number_beyond_float_range_is_refused(self, capsys, ex1_file, tmp_path):
+        # json reads 1e400 as the float inf, which must not pass for the token "inf"
+        vec = tmp_path / "v.json"
+        for text in ("[1e400, 1, 1]", "[-1e400, 1, 1]"):
+            vec.write_text(text)
+            code, out, err = run(capsys, "isbell", ex1_file, "--vector", str(vec))
+            assert (code, out) == (1, "") and err.startswith("error: cannot read vector file")
 
     def test_vector_file_not_a_list(self, capsys, ex1_file, tmp_path):
         vec = tmp_path / "v.json"
@@ -625,6 +660,45 @@ class TestExitCodes:
         code, out, err = run(capsys, command, str(path), *subset)
         assert (code, out) == (1, "")
         assert err == "error: bad model data: labels must be distinct: 'a b' repeats\n"
+
+    # Fraction would expand each into an integer past the 4,300 digits Python
+    # prints: 1e-99999999 into 10**8 digits, also with full-width exponent
+    # digits, which Fraction reads as decimal digits too, and a 400-digit
+    # mantissa into a 4,401-digit denominator
+    HUGE = ["1e-99999999", "1e-" + "\uff19" * 8, "0." + "1" * 400 + "e-4000"]
+
+    @pytest.mark.parametrize("big", HUGE, ids=["exponent", "full-width", "mantissa"])
+    @pytest.mark.parametrize("kind", ["model", "metric", "vector"])
+    def test_huge_decimal_exponent_is_refused(self, capsys, tmp_path, ex1_file, kind, big):
+        path = tmp_path / f"{kind}.json"
+        if kind == "model":
+            data = {"texts": [["a"], ["a", "b"]], "orderMode": "one-sided",
+                    "pr": [{"from": 0, "to": 1, "p": big}]}
+            argv, line = ["check", str(path)], "bad model data"
+        elif kind == "metric":
+            data = {"labels": ["a", "b"], "metric": [["1", big], ["0", "1"]]}
+            argv, line = ["check", str(path)], "bad metric data"
+        else:
+            data = ["1", big, "1"]
+            argv, line = ["isbell", ex1_file, "--vector", str(path)], "cannot read vector file"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {line}: {big[:40]!r} has too many digits once its exponent is expanded\n"
+        )
+
+    def test_decimal_exponent_within_the_bound_is_read(self, capsys, tmp_path):
+        data = {"texts": [["a"], ["a", "b"]], "orderMode": "one-sided",
+                "pr": [{"from": 0, "to": 1, "p": "1e-4000"}]}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, "check", str(path))[0] == 0
+        # 299 digits and the exponent 4000 sum to one below the bound: the
+        # denominator 10**4299 has 4,300 digits, and prints
+        assert len(str(read_rational("." + "1" * 299 + "e-4000").denominator)) == 4300
+        with pytest.raises(ValueError, match="too many digits"):
+            read_rational("." + "1" * 300 + "e-4000")
 
     def test_invalid_model_via_rays(self, capsys, tmp_path):
         bad = {

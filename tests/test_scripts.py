@@ -126,3 +126,38 @@ def test_scale_table_rows(tmp_path):
     # the 40-token retraction and smoothing, byte for byte
     assert rows[3][4] == "dc3ccf9fc06ff1cc5c07094bd94ba705b1ba55960fc9d774a6501ba6a506ac31"
     assert rows[4][4] == "6f817e8eba545c2c950027b73cc132fc585c299dd222c0b156d6d81309987220"
+
+
+# `scale_table.py --tokens 300` (n = 344): every corpus command's output,
+# byte for byte
+SCALE_300 = {
+    "ingest": "c64868285ca403ef72732d002c8d74166dc3adb6e934274b4e157bb170aa1c13",
+    "check": "eb8697a65da1cfc6808f6c4259ed0e67c39f09e2b41243e8bcc6a3f2ebfb0ee2",
+    "dual": "99b44bffbf1b9df63b47a370cdbc3673cad24f87008aa4f32d6efa876f44c901",
+    "retract": "6c0f35687e43cbc7bba37a2496680c5919ebd6b0f5c23decc3b19679da19f3e6",
+    "smooth": "a406259fe28ddd9e9042450d80d7ccb79f63a6f9760cb5526f1f55094af4da55",
+}
+
+
+def test_scale_table_pins_the_300_token_outputs(tmp_path):
+    done = run_script("scale_table.py", "--tokens", "300", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert [row[2] for row in rows] == list(SCALE_300)
+    assert {(row[0], row[1]) for row in rows} == {("300", "344")}
+    assert {row[2]: row[4] for row in rows} == SCALE_300
+
+
+def test_scale_table_runs_the_chosen_commands(tmp_path):
+    full = run_script("scale_table.py", "--tokens", "40", cwd=tmp_path)
+    chosen = run_script(
+        "scale_table.py", "--tokens", "40", "--commands", "smooth", "check", cwd=tmp_path
+    )
+    assert full.returncode == chosen.returncode == 0, chosen.stderr
+    digests = {line.split()[2]: line.split()[4] for line in full.stdout.splitlines()[1:]}
+    rows = [line.split() for line in chosen.stdout.splitlines()[1:]]
+    # ingest first, then the chosen ones in table order, each with its full-run bytes
+    assert [row[2] for row in rows] == ["ingest", "check", "smooth"]
+    assert all(row[4] == digests[row[2]] for row in rows)
+    refused = run_script("scale_table.py", "--tokens", "40", "--commands", "ingest", cwd=tmp_path)
+    assert refused.returncode == 2 and "invalid choice" in refused.stderr

@@ -304,7 +304,7 @@ def test_matrix_products():
     assert m.transpose()[1, 0].mult == F(1, 2)
     assert m.compose_min(m) == m
     x = TropVector.from_probs([1, 1])
-    assert m.apply_min(x.coords) == (ZERO, ZERO)
+    assert m.apply_min(x).coords == (ZERO, ZERO)
     ident = TropMatrix.from_probs([["1", "0"], ["0", "1"]])
     assert ident.compose_min(m) == m
 
@@ -354,17 +354,17 @@ def columns(rows):
 @given(dense_or_sparse_mx)
 def test_sparse_apply_min_matches_dense(mx):
     rows, coords = mx
-    m = TropMatrix(rows)
-    assert m.apply_min(coords) == dense_apply_min(rows, coords)
-    assert m.transpose().apply_min(coords) == dense_apply_min(columns(rows), coords)
+    m, x = TropMatrix(rows), TropVector(coords)
+    assert m.apply_min(x).coords == dense_apply_min(rows, coords)
+    assert m.transpose().apply_min(x).coords == dense_apply_min(columns(rows), coords)
 
 
 @given(dense_or_sparse_mx)
 def test_sparse_apply_max_matches_dense(mx):
     rows, coords = mx
-    m = TropMatrix(rows)
-    assert m.apply_max(coords) == dense_apply_max(rows, coords)
-    assert m.transpose().apply_max(coords) == dense_apply_max(columns(rows), coords)
+    m, x = TropMatrix(rows), TropVector(coords)
+    assert m.apply_max(x).coords == dense_apply_max(rows, coords)
+    assert m.transpose().apply_max(x).coords == dense_apply_max(columns(rows), coords)
 
 
 @given(st.one_of(rows_pair(), rows_pair(sparse_entries, 9)))
@@ -399,7 +399,7 @@ def test_sparse_index_and_transpose(rows):
     assert (t.row_entries, t.row_masks) == index_reference(cols)
     assert (t.col_entries, t.col_masks) == index_reference(rows)
     assert t.transpose() == m and t == TropMatrix(cols)
-    assert all(m.column(j) == cols[j] for j in range(n))
+    assert all(m.column(j).coords == cols[j] for j in range(n))
     assert all(m[i, j] == rows[i][j] == t[j, i] for i in range(n) for j in range(n))
 
 
