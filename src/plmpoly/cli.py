@@ -44,6 +44,7 @@ from .polyhedron import (
     metric_cone_constraints,
     normalize_to_simplex,
     ratio_string,
+    simplex_scale,
     vector_from_strings,
     vector_to_strings,
     violation,
@@ -67,6 +68,23 @@ def _vec_out(x: TropVector, as_float: bool) -> list[str]:
 def _mult_out(z: TropVector, as_float: bool) -> list[str]:
     """A cone point's multiplicative coordinates; +inf, the pair (0, 1), reads 0."""
     return vector_to_strings(z, lambda c: ratio_string(c.num, c.den, as_float))
+
+
+def _ray_out(z: TropVector, as_float: bool) -> tuple[list[str], list[str]]:
+    """`_mult_out` of z and of its simplex point, in one pass over z's pairs.
+
+    Each vertex entry is a listed pair times `simplex_scale(z)`, reduced,
+    as `normalize_to_simplex` forms it; an unlisted coordinate reads 0 in both.
+    """
+    a, b = simplex_scale(z)
+    gen = [ratio_string(0, 1, as_float)] * z.n
+    vertex = gen[:]
+    for i, c in z.entries:
+        num, den = c.num * a, c.den * b
+        g = math.gcd(num, den)
+        gen[i] = ratio_string(c.num, c.den, as_float)
+        vertex[i] = ratio_string(num // g, den // g, as_float)
+    return gen, vertex
 
 
 def _emit(args, chunks) -> None:
@@ -243,10 +261,11 @@ def cmd_rays(args) -> int:
                 mismatch = _ray_differences(rays, qs, labels, as_float)
             method = "lower-sets+oracle"
         for r in sorted(rays, key=lambda r: tuple(sorted(r.carrier))):
+            gen, vertex = _ray_out(r.generator, as_float)
             entries.append(
                 {
-                    "generator": _mult_out(r.generator, as_float),
-                    "vertex": _mult_out(normalize_to_simplex(r.generator), as_float),
+                    "generator": gen,
+                    "vertex": vertex,
                     "carrier": [labels[i] for i in sorted(r.carrier)],
                     "principal": None if r.principal_of is None else labels[r.principal_of],
                     "certificateRank": r.certificate_rank,
@@ -261,10 +280,11 @@ def cmd_rays(args) -> int:
             principal = next(
                 (labels[k] for k in range(d.n) if q.proportional(generator(d, k, side))), None
             )
+            gen, vertex = _ray_out(q, as_float)
             entries.append(
                 {
-                    "generator": _mult_out(q, as_float),
-                    "vertex": _mult_out(normalize_to_simplex(q), as_float),
+                    "generator": gen,
+                    "vertex": vertex,
                     "carrier": [labels[i] for i in q.support],
                     "principal": principal,
                     "certificateRank": certify_ray(q, cons, d.n),

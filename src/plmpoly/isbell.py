@@ -15,7 +15,7 @@ from typing import Iterable
 from .model import DirectedMetric, PartialOrder
 from .polyhedron import Side, membership
 from .rays import ResourceCapExceeded, enumerate_connected_lower_sets
-from .tropical import TropVector, verify
+from .tropical import TropVector, bits, verify
 
 
 def map_l(d: DirectedMetric, y: TropVector) -> TropVector:
@@ -59,6 +59,12 @@ def max_closure(
     candidates are ^S with each down-set, which
     `enumerate_connected_lower_sets` lists.
 
+    Numbered by a linear extension (fewest candidates below first), the
+    highest index k of a down-set D is maximal in it, so D minus k is a
+    down-set again, nonempty (holding ^S, index 0) unless D = {^S}, and
+    listed before D, whose mask it precedes.  Each join is then that
+    parent's join with the one candidate k: one `max_with` per vector.
+
     The all-(+inf) top, outside the polyhedron by definition, may be such a
     join and is skipped.  Every vector that is not an input is re-verified
     to be a member.  The closure raises exactly when it holds more than
@@ -80,14 +86,22 @@ def max_closure(
             cands[reduce(TropVector.min_with, [s for s, c in column if c >= t])] = None
     elems = list(cands)
     ups = [sum(1 << b for b, z in enumerate(elems) if y.leq(z)) for y in elems]
+    # renumber by a linear extension, fewest elements below first
+    rank = sorted(range(len(elems)), key=lambda b: sum(u >> b & 1 for u in ups))
+    at = {b: k for k, b in enumerate(rank)}
+    elems = [elems[b] for b in rank]
+    ups = [sum(1 << at[b] for b in bits(ups[a])) for a in rank]
     # the top, when it is in L, is one more down-set, listed and then dropped
     limit = max(cap, len(family)) + (not reduce(TropVector.max_with, family).support)
     try:
         down_sets = enumerate_connected_lower_sets(PartialOrder(len(elems), ups), limit)
     except ResourceCapExceeded:
         raise ResourceCapExceeded(f"closure exceeded {cap} vectors") from None
-    joins = (reduce(TropVector.max_with, [elems[k] for k in ks]) for ks in down_sets)
-    closure = [x for x in joins if x.support]  # the all-(+inf) top has none
+    joins: dict[tuple[int, ...], TropVector] = {}
+    for ks in down_sets:
+        top = elems[ks[-1]]
+        joins[ks] = joins[ks[:-1]].max_with(top) if len(ks) > 1 else top
+    closure = [x for x in joins.values() if x.support]  # the all-(+inf) top has none
     for x in closure:
         verify(x in inputs or membership(x, d, Side.LOWER), "a closure vector is not a member")
     return closure

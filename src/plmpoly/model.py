@@ -158,13 +158,15 @@ def reach(adj: Sequence[int], seed: int, mask: int) -> int:
     """Bitmask of the vertices of `mask` reachable from `seed` inside `mask`.
 
     `adj[i]` is the neighbour bitmask of vertex i; the walk advances one
-    whole frontier per round.
+    whole frontier per round, taking its bits off one at a time.
     """
     seen = frontier = seed & mask
     while frontier:
         nxt = 0
-        for i in bits(frontier):
-            nxt |= adj[i]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & mask & ~seen
         seen |= frontier
     return seen
@@ -200,6 +202,11 @@ class Plm:
         pr: Mapping[tuple[int, int], Rational],
         order: PartialOrder | None = None,
     ):
+        self._setup(texts, order_mode, pr, order, None)
+
+    def _setup(self, texts, order_mode, pr, order, subtext_order) -> None:
+        """`__init__`; `ingest_corpus` alone passes a `subtext_order`, the
+        derived order it already built from these texts, which `order` refuses."""
         tts = tuple(tuple(t) for t in texts)
         if not tts:
             raise ValueError("model needs at least one text")
@@ -219,7 +226,7 @@ class Plm:
         else:
             if order is not None:
                 raise ValueError("derived order modes do not take an explicit order")
-            order = PartialOrder.from_texts(tts, order_mode)
+            order = subtext_order or PartialOrder.from_texts(tts, order_mode)
         if order.n != len(tts):
             raise ValueError("order size does not match text count")
         for i, j in pr:
@@ -555,11 +562,11 @@ def ingest_corpus(
     if include_empty:
         occ[()] = len(toks) + 1  # one occurrence per boundary position
     texts = sorted(occ, key=lambda t: (len(t), t))
-    pr = {
-        (i, j): Fraction(occ[texts[j]], occ[texts[i]])
-        for i, j in PartialOrder.from_texts(texts, order_mode).strict_pairs()
-    }
-    return Plm(texts, order_mode, pr)
+    order = PartialOrder.from_texts(texts, order_mode)
+    pr = {(i, j): Fraction(occ[texts[j]], occ[texts[i]]) for i, j in order.strict_pairs()}
+    m = Plm.__new__(Plm)
+    m._setup(texts, order_mode, pr, None, order)
+    return m
 
 
 # ---------------------------------------------------------------------------

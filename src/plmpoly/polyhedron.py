@@ -18,7 +18,7 @@ from math import gcd, isinf
 from typing import Iterable, Sequence
 
 from .model import DirectedMetric, reach, read_rational
-from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _pair, neg, tmul, verify
+from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _rescaled, neg, tmul, verify
 
 
 class Side(enum.Enum):
@@ -31,14 +31,15 @@ def side_metric(d: DirectedMetric, side: Side) -> DirectedMetric:
     return d if side is Side.LOWER else d.transpose()
 
 
-def normalize_to_simplex(z: TropVector) -> TropVector:
-    """Scale z so its multiplicative coordinates sum to 1 (the simplex point).
+def simplex_scale(z: TropVector) -> tuple[int, int]:
+    """The reduced pair (a, b) with a/b the inverse of the sum of z's mirrors.
 
     The sum of the pairs num/den that are not +inf, the listed ones of a
     vector with fill +inf, is kept as one integer pair over the least
     common denominator; the scale is its inverse, which the all-(+inf)
     vector, with sum 0, does not have.  A fill of -inf is held by some
-    coordinate.
+    coordinate.  So a scale is returned only for a fill of +inf and
+    finite listed entries, and it is finite and positive.
     """
     if z.fill is NEG_INF:
         raise OverflowError("-inf has no finite multiplicative value")
@@ -55,7 +56,19 @@ def normalize_to_simplex(z: TropVector) -> TropVector:
     if not num:
         raise ZeroDivisionError("the all-(+inf) vector has no simplex point")
     g = gcd(den, num)
-    return z.scaled(_pair(den // g, num // g))
+    return den // g, num // g
+
+
+def normalize_to_simplex(z: TropVector) -> TropVector:
+    """Scale z so its multiplicative coordinates sum to 1 (the simplex point).
+
+    Each listed mirror is multiplied by `simplex_scale(z)`.  That returns
+    only for a fill of +inf and finite listed entries, and its scale is
+    finite and positive, so `tropical._rescaled` keeps z's mask and the
+    fill +inf, and the result is in its one form: no entry turns +inf or
+    -inf, and with no -inf coordinate the fill rule picks +inf.
+    """
+    return _rescaled(z, *simplex_scale(z))
 
 
 def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> bool:

@@ -31,7 +31,7 @@ from .model import (
     validate_plm,
 )
 from .polyhedron import Constraint, Side, membership, residuate, tight_graph
-from .tropical import POS_INF, ExtReal, TropVector, _pair, neg, verify
+from .tropical import POS_INF, ExtReal, TropVector, _make, _pair, _rescaled, neg, verify
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -172,30 +172,42 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     scale, so the restriction of the model's one potential is the
     carrier's own, and a model that no one potential reproduces (the
     crown) is refused whatever the carrier.
+
+    The values are finite and positive, so their restriction to the
+    carrier, fill +inf with the carrier listed, is in its one form, and
+    dividing by the largest value is `canonical()` without its checks:
+    `_rescaled` by a finite positive factor keeps that form.
     """
     values, constraints = _side_cone(m, side)
     order = _side_order(m, side)
     mem = tuple(sorted(set(members)))
     if not mem:
         raise ValueError("carrier must be nonempty")
-    mask = 0
+    if mem[0] < 0 or mem[-1] >= m.n:
+        bad = next(i for i in mem if not 0 <= i < m.n)
+        raise ValueError(f"index {bad} out of range")
+    down = order._down
+    mask = below = 0
+    top = values[mem[0]]
     for i in mem:
-        if not 0 <= i < m.n:
-            raise ValueError(f"index {i} out of range")
         mask |= 1 << i
-    for i in mem:
-        if order.down_mask(i) & ~mask:
-            raise ValueError("carrier is not downward closed on this side")
+        below |= down[i]
+        v = values[i]
+        if v.num * top.den > top.num * v.den:
+            top = v
+    if below & ~mask:
+        raise ValueError("carrier is not downward closed on this side")
     if not order.connected(mask):
         raise ValueError("carrier is not connected")
 
-    gen = TropVector.from_entries(m.n, POS_INF, ((i, values[i]) for i in mem)).canonical()
+    restricted = _make(m.n, POS_INF, tuple((i, values[i]) for i in mem), mask)
+    gen = _rescaled(restricted, top.den, top.num)
 
     rank = certify_ray(gen, constraints, m.n)
     expected = m.n - 1
     verify(rank == expected, f"certificate rank {rank} != {expected}")
 
-    principal = next((k for k in mem if order.down_mask(k) == mask), None)
+    principal = next((k for k in mem if down[k] == mask), None)
     return Ray(
         generator=gen,
         carrier=frozenset(mem),

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from plmpoly import (
+    NEG_INF,
     POS_INF,
     ZERO,
     DirectedMetric,
@@ -112,3 +113,22 @@ def random_metric(rng: random.Random, kind: str) -> DirectedMetric:
         return ExtReal.from_prob(F(rng.randint(1, 8), 8))
 
     return kleene_closure(TropMatrix([[entry(i, j) for j in range(n)] for i in range(n)]))
+
+
+def fill_rule(coords):
+    """The fill the docstring's rule picks for a dense tuple."""
+    pos = sum(c is POS_INF for c in coords)
+    negs = sum(c is NEG_INF for c in coords)
+    if pos != negs:
+        return POS_INF if pos > negs else NEG_INF
+    return next((c for c in coords if c is POS_INF or c is NEG_INF), POS_INF)
+
+
+def assert_form(x, coords):
+    """x is the one form of the dense tuple coords."""
+    coords = tuple(coords)
+    fill = fill_rule(coords)
+    assert x.coords == coords and x.n == len(coords)
+    assert x.fill is fill
+    assert x.entries == tuple((i, c) for i, c in enumerate(coords) if c is not fill)
+    assert x.mask == sum(1 << i for i, _ in x.entries)

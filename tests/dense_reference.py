@@ -1,6 +1,6 @@
 """Slow exact references for the products, `membership`, `residuate`,
 `max_closure`, `validate_plm`, `boltzmann`, the ray generators,
-`cross_check_rays` and `tight_graph`.
+`canonical`, `normalize_to_simplex`, `cross_check_rays` and `tight_graph`.
 
 `dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
 rows and form every term, +inf ones included, with no index to skip by.
@@ -35,7 +35,12 @@ vectors with its target distance.
 `lower_sets_reference` walks every lower set of the order, connected or
 not, and keeps the connected ones; `generator_reference` walks a fresh
 potential on each carrier, as the ray generators did before they read the
-model's one potential.
+model's one potential, and scales it by `canonical_reference`.
+`canonical_reference` and `simplex_reference` rescale a cone point
+through the general `TropVector.scaled` (a `tmul` per entry, then the fill
+rule), the first by the negated smallest coordinate, the second by the
+inverse of the `Fraction` sum of `mults()`.  `join_per_down_set_reference`
+is `max_closure` joining each down-set of the candidates from scratch.
 
 `potential_reference` is the potential walk in `Fraction` arithmetic, as
 `model.potential` walked it before it took integer pairs, and
@@ -47,9 +52,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
-from plmpoly import ResourceCapExceeded, Side, ValidationFailed, potential, side_metric
+from plmpoly import (
+    PartialOrder,
+    ResourceCapExceeded,
+    Side,
+    ValidationFailed,
+    enumerate_connected_lower_sets,
+    potential,
+    side_metric,
+)
 from plmpoly.model import ValidationReport, bits, components_of, validate_plm
 from plmpoly.extension import BoltzmannResult
 from plmpoly.tropical import (
@@ -438,7 +452,45 @@ def generator_reference(m, members, side=Side.LOWER) -> TropVector:
     coords = [POS_INF] * m.n
     for i in members:
         coords[i] = ExtReal(1 / w[i] if side is Side.LOWER else w[i])
-    return TropVector(coords).canonical()
+    return canonical_reference(TropVector(coords))
+
+
+def canonical_reference(z: TropVector) -> TropVector:
+    """z scaled by its negated smallest coordinate through `scaled`."""
+    top = tmin_all(z.coords)
+    if not top.is_finite:
+        raise ValueError("not a cone point")
+    return z.scaled(neg(top))
+
+
+def simplex_reference(z: TropVector) -> TropVector:
+    """z scaled through `scaled` so that its `Fraction` mults sum to 1."""
+    return z.scaled(ExtReal(1 / sum(z.mults())))
+
+
+def join_per_down_set_reference(vectors, d, cap: int = 10000) -> list:
+    """`max_closure` with each down-set's join formed from scratch by `reduce`."""
+    inputs: dict = {}
+    for v in vectors:
+        if not membership_reference(v, d):
+            raise ValueError("closure input is not in the polyhedron")
+        inputs[v] = None
+    if not inputs:
+        raise ValueError("empty input family")
+    family = list(inputs)
+    cands: dict = {}
+    for i in range(d.n):
+        for t in {s[i] for s in family}:
+            cands[reduce(TropVector.min_with, [s for s in family if s[i] >= t])] = None
+    elems = list(cands)
+    ups = [sum(1 << b for b, z in enumerate(elems) if y.leq(z)) for y in elems]
+    limit = max(cap, len(family)) + (not reduce(TropVector.max_with, family).support)
+    try:
+        down_sets = enumerate_connected_lower_sets(PartialOrder(len(elems), ups), limit)
+    except ResourceCapExceeded:
+        raise ResourceCapExceeded(f"closure exceeded {cap} vectors") from None
+    joins = (reduce(TropVector.max_with, [elems[k] for k in ks]) for ks in down_sets)
+    return [x for x in joins if x.support]
 
 
 def potential_reference(m, mask: int) -> dict[int, Fraction]:

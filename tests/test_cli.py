@@ -3,6 +3,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -23,6 +24,7 @@ from plmpoly import (
     metric_from_dict,
     metric_from_plm,
     model_to_dict,
+    random_forest_plm,
     write_text_atomic,
 )
 from plmpoly import cli, duality, isbell, rays
@@ -90,6 +92,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# sha256 of `rays` standard output on ex1 and on random_forest_plm(seeded(seed), n)
+RAYS_PINS = {
+    ("ex1", "lower", "exact"): "62cee70de79e45f25e250a932cd45081fee5d8be896f6ebb338eb67a41337e16",
+    ("ex1", "lower", "--float"): "34dce22af3245f7f9cf3a11cc32ad3c5c871d64033519eb852246756138940db",
+    ("ex1", "lower", "--oracle"): "f6940bcd4758fc42be7ff538d7e51b4f38a658f1fc43eaa3ea0080a030beb14b",
+    ("ex1", "upper", "exact"): "bd62d20d825316a5ff1104eade5709f297ce3b926a74fcfe51f5b451f9de149c",
+    ("ex1", "upper", "--float"): "366effbaf466888e4456c5f76e0d7762c3dba5acee924805f5ccce8508c39488",
+    ("ex1", "upper", "--oracle"): "ee0eba310e8b2953f363514454b5e4d1e39d9f8a340d25626d5871087e0d0b76",
+    ("forest-1-8", "lower", "exact"): "09eaac5e8ffccc9327b45aa9808f9593709b53da39c0110726ac05cbcc4ab316",
+    ("forest-1-8", "lower", "--float"): "4bbdf752538576cdeb615f3ad49bdcdc8401f0be2f304072b197aac10ee3282c",
+    ("forest-1-8", "lower", "--oracle"): "79c740c9defa7af12d1a7016d65443b424fd624aac8580991224882c1ecfa703",
+    ("forest-1-8", "upper", "exact"): "48c83cd963d830088fcb4b71527ba853a2c7707f878eec583da2c7a2753f0fc3",
+    ("forest-1-8", "upper", "--float"): "57abfc08b03ea859da3b53b4092f1d85253ccbc2a7825258409cd3510c729225",
+    ("forest-1-8", "upper", "--oracle"): "c1732b42e11a69ba24251e95da4c841b4e0004acae03c39b825ad4a3898f99dc",
+    ("forest-2-10", "lower", "exact"): "378ef16af3705f220d44eb492495e2de63c16de413286242f207c9e3a278bff3",
+    ("forest-2-10", "lower", "--float"): "888a8be2fe5eab6971019ec52f1515686bfac62507ddb6cf07fed5ee08e5d61a",
+    ("forest-2-10", "lower", "--oracle"): "ca3d82f716465e3100ee2432b85519261e7eff1e60544835d842c8055a2a70a8",
+    ("forest-2-10", "upper", "exact"): "5e17e7367487a5ccb3c13354d0ba2c1b838f7d787f82b5b664bf746bb3a7e262",
+    ("forest-2-10", "upper", "--float"): "382af539fd3071dfa98765c35e31baf3dafc5e9bad4a178aac40d0634a9e98db",
+    ("forest-2-10", "upper", "--oracle"): "bd20db50ed288b253224497f8332f3b273817b0ec1209dab6e1c71a011b6cd42",
+    ("forest-3-12", "lower", "exact"): "ee50169ac85fb55a7a5b08e68430771e66063326b93e584f7f77bdb0e203b341",
+    ("forest-3-12", "lower", "--float"): "3aaa22cef0059a139855b33e33a519c1d4f783f145ca91ede084de278f96b2ba",
+    ("forest-3-12", "lower", "--oracle"): "15e344d11f57d07336bc990cb3bb6b5a2233282872cf2a4c95e2260cd8954845",
+    ("forest-3-12", "upper", "exact"): "bc382545a6bd5229def078866166e89a2f24f6a6bbe6df6de57566ac72f66afb",
+    ("forest-3-12", "upper", "--float"): "d8a2ee5832bd3be2c935978336cc1d55baa654710ca4b11e8362c12bf6b6f6d0",
+    ("forest-3-12", "upper", "--oracle"): "79604e1e98b91776b4b80d35b23c96e171c9e5727d4b2a5c530fa826fcd6469e",
+}
 
 
 class TestCheck:
@@ -286,6 +317,20 @@ class TestRays:
         payload = json.loads(out)
         vals = {v for r in payload["rays"] for v in r["vertex"]}
         assert "0.272727272727" in vals  # 3/11 to 12 significant digits
+
+    @pytest.mark.parametrize("model, side, mode", list(RAYS_PINS))
+    def test_output_bytes_are_pinned(self, capsys, tmp_path, ex1, model, side, mode):
+        if model == "ex1":
+            m = ex1
+        else:
+            seed, n = map(int, model.split("-")[1:])
+            m = random_forest_plm(seeded(seed), n)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(m)))
+        argv = ["rays", str(path), "--side", side] + ([] if mode == "exact" else [mode])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == RAYS_PINS[model, side, mode]
 
 
 class TestDual:

@@ -26,7 +26,11 @@ from plmpoly import (
     yoneda,
 )
 from conftest import METRIC_KINDS, make_d2, random_metric, seeded
-from dense_reference import closure_reference, membership_reference
+from dense_reference import (
+    closure_reference,
+    join_per_down_set_reference,
+    membership_reference,
+)
 
 
 def test_triple_composites_random():
@@ -129,6 +133,31 @@ def test_closure_matches_round_reference(seed, family, n, data):
     cap = data.draw(st.integers(1, len(ref) + 1))
     assert _closure_or_cap(max_closure, gens, d, cap) == _closure_or_cap(
         closure_reference, gens, d, cap
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([random_plm, random_forest_plm]),
+    st.integers(1, 7),
+    st.data(),
+)
+def test_one_join_per_vector_matches_joining_each_down_set(seed, family, n, data):
+    """Each down-set's join from its parent's equals its join from scratch."""
+    rng = seeded(seed)
+    d = metric_from_plm(family(rng, n))
+    picked = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    gens = [yoneda(d, k).scaled(ExtReal.from_prob(F(rng.randint(1, 4), 4))) for k in picked]
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)))):
+        gens.append(a.min_with(b))
+    gens = data.draw(st.permutations(gens))
+    ref = join_per_down_set_reference(gens, d)
+    got = max_closure(gens, d)
+    assert len(got) == len(ref) and set(got) == set(ref)
+    cap = data.draw(st.integers(1, len(ref) + 1))
+    assert _closure_or_cap(max_closure, gens, d, cap) == _closure_or_cap(
+        join_per_down_set_reference, gens, d, cap
     )
 
 

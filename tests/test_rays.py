@@ -28,6 +28,7 @@ from plmpoly import (
     ray_saturation_edges,
     truncate_big_m,
 )
+from plmpoly import cli
 from basis_reference import MAX_N, basis_rays, saturated_rank
 from dense_reference import (
     certify_ray_reference,
@@ -35,8 +36,9 @@ from dense_reference import (
     generator_reference,
     lower_sets_reference,
     saturation_edges_reference,
+    simplex_reference,
 )
-from conftest import make_d2, seeded
+from conftest import assert_form, make_d2, seeded
 
 
 class TestLowerSets:
@@ -352,7 +354,9 @@ class TestCrossCheckAgainstFractionReference:
 
 
 class TestGeneratorsAgainstCarrierPotential:
-    """The model's one potential gives the generators a walk per carrier gives."""
+    """The model's one potential gives the generators a walk per carrier gives,
+    in their one form, and the output strings `normalize_to_simplex` gives
+    through `scaled`."""
 
     @settings(deadline=None)
     @given(
@@ -366,7 +370,14 @@ class TestGeneratorsAgainstCarrierPotential:
         rays = enumerate_rays(m, side)
         assert rays
         for r in rays:
-            assert r.generator == generator_reference(m, sorted(r.carrier), side)
+            ref = generator_reference(m, sorted(r.carrier), side)
+            assert r.generator == ref
+            assert_form(r.generator, ref.coords)
+            for as_float in (False, True):
+                assert cli._ray_out(r.generator, as_float) == (
+                    cli._mult_out(ref, as_float),
+                    cli._mult_out(simplex_reference(ref), as_float),
+                )
 
 
 class TestDiagonalScaling:

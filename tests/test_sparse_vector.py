@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plmpoly import Side, membership, residuate
+from plmpoly import Side, membership, normalize_to_simplex, residuate
 from plmpoly.tropical import (
     NEG_INF,
     POS_INF,
@@ -26,12 +26,14 @@ from plmpoly.tropical import (
     tmin_all,
     tmul,
 )
-from conftest import METRIC_KINDS, random_metric, seeded
+from conftest import METRIC_KINDS, assert_form, random_metric, seeded
 from dense_reference import (
+    canonical_reference,
     dense_apply_max,
     dense_apply_min,
     membership_reference,
     residuate_reference,
+    simplex_reference,
 )
 
 finite = st.fractions(min_value=F(1, 20), max_value=F(20)).map(ExtReal.from_prob)
@@ -61,29 +63,10 @@ def sized(n):
 pairs = st.integers(1, 9).flatmap(sized)
 
 
-def fill_rule(coords):
-    """The fill the docstring's rule picks for a dense tuple."""
-    pos = sum(c is POS_INF for c in coords)
-    negs = sum(c is NEG_INF for c in coords)
-    if pos != negs:
-        return POS_INF if pos > negs else NEG_INF
-    return next((c for c in coords if c is POS_INF or c is NEG_INF), POS_INF)
-
-
 def relisted(x, fill):
     """x built from its dense coordinates with the given fill, before the rule applies."""
     entries = [(i, c) for i, c in enumerate(x.coords) if c is not fill]
     return TropVector.from_entries(x.n, fill, entries)
-
-
-def assert_form(x, coords):
-    """x is the one form of the dense tuple coords."""
-    coords = tuple(coords)
-    fill = fill_rule(coords)
-    assert x.coords == coords and x.n == len(coords)
-    assert x.fill is fill
-    assert x.entries == tuple((i, c) for i, c in enumerate(coords) if c is not fill)
-    assert x.mask == sum(1 << i for i, _ in x.entries)
 
 
 @given(pairs)
@@ -133,6 +116,19 @@ def test_operations_match_dense(xy, lam, infinite):
     else:
         with pytest.raises(ValueError, match="not a cone point"):
             x.canonical()
+
+
+def is_cone_point(x):
+    return x.fill is POS_INF and bool(x.entries) and all(c is not NEG_INF for _, c in x.entries)
+
+
+@given(st.integers(1, 9).flatmap(vectors).filter(is_cone_point))
+def test_cone_point_rescales_match_the_scaled_reference(x):
+    ref = canonical_reference(x)
+    assert_form(x.canonical(), ref.coords)
+    ref = simplex_reference(x)
+    assert_form(normalize_to_simplex(x), ref.coords)
+    assert sum(ref.mults()) == 1
 
 
 metric_kinds = st.sampled_from(METRIC_KINDS + ("corpus",))
