@@ -194,6 +194,18 @@ def _load(path: str, require_projector: bool = True):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _indices(labels: list[str], wanted: list[str], unknown: str) -> list[int]:
+    """The index of each wanted label, looked up in one dict of the distinct labels.
+
+    Unknown labels raise ValueError, `unknown` followed by the list of them.
+    """
+    at = {lbl: i for i, lbl in enumerate(labels)}
+    missing = [lbl for lbl in wanted if lbl not in at]
+    if missing:
+        raise ValueError(f"{unknown}: {missing}")
+    return [at[lbl] for lbl in wanted]
+
+
 def _metric_of(kind: str, obj) -> DirectedMetric:
     return metric_from_plm(obj) if kind == "plm" else obj
 
@@ -391,11 +403,7 @@ def cmd_isbell(args) -> int:
 def cmd_embed(args) -> int:
     kind_b, obj_b, labels_b = _load(args.model)
     kind_s, obj_s, labels_s = _load(args.sub)
-    try:
-        mapping = [labels_b.index(lbl) for lbl in labels_s]
-    except ValueError:
-        missing = [lbl for lbl in labels_s if lbl not in labels_b]
-        raise ValueError(f"sub-model texts missing from the big model: {missing}")
+    mapping = _indices(labels_b, labels_s, "sub-model texts missing from the big model")
     try:
         emb = embed_model(_metric_of(kind_s, obj_s), _metric_of(kind_b, obj_b), mapping)
     except IsometryError as exc:
@@ -419,11 +427,7 @@ def cmd_retract(args) -> int:
     as_float = args.float
     if args.subset:
         wanted = [s.strip() for s in args.subset.split(",") if s.strip()]
-        try:
-            subset = [labels.index(lbl) for lbl in wanted]
-        except ValueError:
-            missing = [lbl for lbl in wanted if lbl not in labels]
-            raise ValueError(f"unknown texts: {missing}")
+        subset = _indices(labels, wanted, "unknown texts")
     elif args.max_len is not None:
         if kind != "plm":
             raise ValueError("--max-len needs a text model, not a general metric")

@@ -20,11 +20,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .tropical import (
     ExtReal,
+    NEG_INF,
     POS_INF,
     ZERO,
     TropMatrix,
     Rational,
     _as_fraction,
+    _index0,
     _pair,
     bits,
     verify,
@@ -73,15 +75,16 @@ class PartialOrder:
                     raise ValueError(f"relation not antisymmetric at ({i},{j})")
                 if up[j] & ~up[i]:
                     raise ValueError(f"relation not transitive at ({i},{j})")
-        self._fill(n, up)
-
-    def _fill(self, n: int, up: tuple[int, ...]) -> None:
-        """Set the slots from the up-sets of a relation that is a partial order."""
         down = [0] * n
         for i in range(n):
             for j in bits(up[i]):
                 down[j] |= 1 << i
-        self._set(n, up, tuple(down), tuple((up[i] | down[i]) & ~(1 << i) for i in range(n)))
+        self._set_masks(up, down)
+
+    def _set_masks(self, up: Sequence[int], down: Sequence[int]) -> None:
+        """Set the slots from the up-sets and down-sets of a partial order."""
+        adj = tuple((u | d) & ~(1 << i) for i, (u, d) in enumerate(zip(up, down)))
+        self._set(len(up), tuple(up), tuple(down), adj)
 
     def _set(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -112,23 +115,26 @@ class PartialOrder:
         windows (two-sided), the empty window included; the ones that are
         texts of the model lie below it.  This agrees with `is_subtext` on
         every pair, and is a partial order by construction, not re-checked.
+        Each window found sets its bits in the up-sets and the down-sets at once.
         """
         if order_mode not in ("one-sided", "two-sided"):
             raise ValueError(f"unknown order mode {order_mode!r}")
         index = {t: i for i, t in enumerate(texts)}
         if not index or len(index) != len(texts):
             raise ValueError("texts must be nonempty and distinct")
-        up = [0] * len(texts)
+        up, down = [0] * len(texts), []
         for j, t in enumerate(texts):
-            lt = len(t)
+            lt, bit, below = len(t), 1 << j, 0
             starts = (0,) if order_mode == "one-sided" else range(lt + 1)
             for a in starts:
                 for b in range(a, lt + 1):
                     i = index.get(t[a:b])
                     if i is not None:
-                        up[i] |= 1 << j
+                        up[i] |= bit
+                        below |= 1 << i
+            down.append(below)
         o = PartialOrder.__new__(PartialOrder)
-        o._fill(len(texts), tuple(up))
+        o._set_masks(up, down)
         return o
 
     def leq(self, i: int, j: int) -> bool:
@@ -213,11 +219,11 @@ class Plm:
         if len(set(tts)) != len(tts):
             raise ValueError("texts must be distinct")
         # a label joins tokens with spaces, so ("a b",) and ("a", "b") would share one
-        seen: set[str] = set()
-        for label in map(" ".join, tts):
-            if label in seen:
-                raise ValueError(f"labels must be distinct: {label!r} repeats")
-            seen.add(label)
+        labels = tuple(map(" ".join, tts))
+        if len(set(labels)) != len(labels):
+            seen: set[str] = set()
+            label = next(x for x in labels if x in seen or seen.add(x))
+            raise ValueError(f"labels must be distinct: {label!r} repeats")
         if order_mode not in ORDER_MODES:
             raise ValueError(f"unknown order mode {order_mode!r}")
         if order_mode == "explicit":
@@ -233,6 +239,7 @@ class Plm:
             if not (0 <= i < len(tts) and 0 <= j < len(tts)):
                 raise ValueError(f"pair ({i},{j}) out of range")
         self.texts = tts
+        self._labels = labels
         self.order_mode = order_mode
         self.order = order
         self.pr = {(i, j): _as_fraction(p) for (i, j), p in pr.items()}
@@ -248,10 +255,10 @@ class Plm:
         return () in self.texts
 
     def label(self, i: int) -> str:
-        return " ".join(self.texts[i])
+        return self._labels[i]
 
     def labels(self) -> list[str]:
-        return [self.label(i) for i in range(self.n)]
+        return list(self._labels)
 
 
 @dataclass
@@ -298,6 +305,10 @@ class ValidationReport:
 def validate_plm(m: Plm) -> ValidationReport:
     """Check the model axioms, the last being that `potential` exists.
 
+    One pass over the probabilities masks each row's listed pairs; the bits
+    where a mask and the row's up-set differ are the extraneous and the
+    missing pairs.  Each list of the report is in ascending pair order.
+
     A potential implies the chain rule Pr(k|i) = Pr(k|j) Pr(j|i), both sides
     being w_k / w_i; it also refuses models that the chain rule lets through,
     path-dependent around a cycle that no chain explains (the crown a, b <= c, d).
@@ -305,20 +316,23 @@ def validate_plm(m: Plm) -> ValidationReport:
     later calls.
     """
     rep = ValidationReport()
-    order = m.order
-    for (i, j), p in sorted(m.pr.items()):
+    up = m.order._up
+    listed = [1 << i for i in range(m.n)]
+    zeros = []
+    for (i, j), p in m.pr.items():
         if i == j:
             if p != 1:
                 rep.reflexivity.append((i, p))
-            continue
-        if not order.leq(i, j):
-            rep.extraneous.append((i, j))
-        elif p <= 0:
-            rep.nonpositive.append((i, j, p))
-    have = {(i, j) for (i, j) in m.pr if i != j and order.leq(i, j)}
-    for i, j in order.strict_pairs():
-        if (i, j) not in have:
-            rep.missing.append((i, j))
+        else:
+            listed[i] |= 1 << j
+            if p.numerator <= 0:
+                zeros.append((i, j, p))
+    rep.reflexivity.sort()
+    rep.nonpositive = [(i, j, p) for i, j, p in sorted(zeros) if (up[i] >> j) & 1]
+    for i, (u, have) in enumerate(zip(up, listed)):
+        if u != have:
+            rep.extraneous += [(i, j) for j in bits(have & ~u)]
+            rep.missing += [(i, j) for j in bits(u & ~have)]
     if rep.ok and m._potential is None:
         try:
             m._potential = _potential_pairs(m, (1 << m.n) - 1)
@@ -342,11 +356,12 @@ def potential(m: Plm, mask: int) -> dict[int, Fraction]:
 def _potential_pairs(m: Plm, mask: int) -> dict[int, tuple[int, int]]:
     """`potential`'s walk, each weight kept as its reduced pair (num, den).
 
-    A step multiplies by a probability's own reduced pair, or by the pair
-    swapped; reducing the product keeps each weight's pair unique, so a
-    cycle check compares two pairs as tuples.
+    A step multiplies by a probability's own pair, or by the pair swapped
+    when a bit test on the up-set says the edge points down; the product is
+    reduced when it sets a weight, and an edge back to a weight already set
+    is checked by cross-multiplication: a/b = c/d exactly when ad = bc.
     """
-    order, pr = m.order, m.pr
+    adj, ups, pr = m.order._adj, m.order._up, m.pr
     w: dict[int, tuple[int, int]] = {}
     left = mask
     while left:
@@ -357,22 +372,26 @@ def _potential_pairs(m: Plm, mask: int) -> dict[int, tuple[int, int]]:
         while stack:
             i = stack.pop()
             num, den = w[i]
-            for j in bits(order._adj[i] & mask):
-                up = order.leq(i, j)
-                if up:
+            up = ups[i]
+            rest = adj[i] & mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length() - 1
+                if up & low:
                     p = pr[(i, j)]
                     a, b = num * p.numerator, den * p.denominator
                 else:
                     p = pr[(j, i)]
                     a, b = num * p.denominator, den * p.numerator
-                g = gcd(a, b)
-                wj = (a // g, b // g)
-                if j not in w:
-                    w[j] = wj
+                wj = w.get(j)
+                if wj is None:
+                    g = gcd(a, b)
+                    w[j] = (a // g, b // g)
                     stack.append(j)
-                    left &= ~(1 << j)
-                elif w[j] != wj:
-                    lo, hi = (i, j) if up else (j, i)
+                    left ^= low
+                elif wj[0] * b != a * wj[1]:
+                    lo, hi = (i, j) if up & low else (j, i)
                     q = Fraction(*w[hi]) / Fraction(*w[lo])
                     edge = (lo, hi, pr[(lo, hi)], q)
                     raise ValidationFailed(ValidationReport(multiplicativity=[edge]))
@@ -390,11 +409,16 @@ class DirectedMetric:
 
     def __init__(self, mat: TropMatrix, require_projector: bool = True):
         for i, entries in enumerate(mat.row_entries):
-            if mat[i, i] != ZERO:
-                raise ValueError(f"diagonal entry {i} is not 0")
+            diagonal, neg_inf_at = POS_INF, None
             for j, e in entries:
-                if e.is_neg_inf:
-                    raise ValueError(f"-inf entry at ({i},{j})")
+                if j == i:
+                    diagonal = e
+                elif e is NEG_INF and neg_inf_at is None:
+                    neg_inf_at = j
+            if diagonal != ZERO:
+                raise ValueError(f"diagonal entry {i} is not 0")
+            if neg_inf_at is not None:
+                raise ValueError(f"-inf entry at ({i},{neg_inf_at})")
         if require_projector and not check_projector(mat):
             raise ValueError("triangle inequality fails: d o d != d")
         object.__setattr__(self, "mat", mat)
@@ -447,23 +471,19 @@ def metric_from_plm(m: Plm) -> DirectedMetric:
     entry.
 
     Validation also found a probability on every comparable pair and on
-    no other, so row i lists exactly the up-set of i: 0 on the diagonal
-    and each Pr(a_k|a_i), a reduced positive Fraction, as its pair.
+    no other, and 1 on a listed diagonal pair, so row i, read off the
+    listed pairs (i, k) and sorted, lists exactly the up-set of i: 0 on the
+    diagonal and each Pr(a_k|a_i), a reduced positive Fraction, as its pair.
     """
     rep = validate_plm(m)
     if not rep.ok:
         raise ValidationFailed(rep)
-    pr = m.pr
-    lines = []
-    for i, up in enumerate(m.order._up):
-        line = []
-        for k in bits(up):
-            if k == i:
-                line.append((i, ZERO))
-            else:
-                p = pr[(i, k)]
-                line.append((k, _pair(p.numerator, p.denominator)))
-        lines.append(line)
+    lines = [[(i, ZERO)] for i in range(m.n)]
+    for (i, k), p in m.pr.items():
+        if i != k:
+            lines[i].append((k, _pair(p.numerator, p.denominator)))
+    for line in lines:
+        line.sort(key=_index0)
     return DirectedMetric(TropMatrix.from_entries(m.n, lines), require_projector=False)
 
 
@@ -589,6 +609,10 @@ def read_rational(token) -> Fraction:
     reads them: any Unicode decimal digit.
     """
     text = str(token)
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        # the form `str(Fraction)` writes; `int` keeps the digit limit
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     head, e, tail = text.replace("E", "e").rpartition("e")
     if e:
         exponent = "".join(c for c in tail if c.isdecimal()).lstrip("0")

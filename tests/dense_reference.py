@@ -45,7 +45,12 @@ is `max_closure` joining each down-set of the candidates from scratch.
 `potential_reference` is the potential walk in `Fraction` arithmetic, as
 `model.potential` walked it before it took integer pairs, and
 `metric_rows_reference` fills a dense n x n grid from the model's
-probabilities through `ExtReal.from_prob`.
+probabilities through `ExtReal.from_prob`.  `validate_reference` is
+`validate_plm` as a sorted scan of the listed pairs with an `order.leq`
+test each, a set of the comparable ones and the list of strict pairs, and
+`potential_reference` for the last axiom.  `read_rational_reference` is
+`model.read_rational` before its fast path: the digit bound, then
+`Fraction(text)` on every form.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from plmpoly import (
     potential,
     side_metric,
 )
-from plmpoly.model import ValidationReport, bits, components_of, validate_plm
+from plmpoly.model import MAX_DIGITS, ValidationReport, bits, components_of, validate_plm
 from plmpoly.extension import BoltzmannResult
 from plmpoly.tropical import (
     NEG_INF,
@@ -517,6 +522,40 @@ def potential_reference(m, mask: int) -> dict[int, Fraction]:
                     edge = (lo, hi, pr[(lo, hi)], w[hi] / w[lo])
                     raise ValidationFailed(ValidationReport(multiplicativity=[edge]))
     return w
+
+
+def validate_reference(m) -> ValidationReport:
+    """The model axioms, each list in sorted pair order; `m` is left as it was."""
+    rep = ValidationReport()
+    order = m.order
+    for (i, j), p in sorted(m.pr.items()):
+        if i == j:
+            if p != 1:
+                rep.reflexivity.append((i, p))
+            continue
+        if not order.leq(i, j):
+            rep.extraneous.append((i, j))
+        elif p <= 0:
+            rep.nonpositive.append((i, j, p))
+    have = {(i, j) for (i, j) in m.pr if i != j and order.leq(i, j)}
+    rep.missing = [ij for ij in order.strict_pairs() if ij not in have]
+    if rep.ok:
+        try:
+            potential_reference(m, (1 << m.n) - 1)
+        except ValidationFailed as exc:
+            rep.multiplicativity = exc.report.multiplicativity
+    return rep
+
+
+def read_rational_reference(token) -> Fraction:
+    text = str(token)
+    head, e, tail = text.replace("E", "e").rpartition("e")
+    if e:
+        exponent = "".join(c for c in tail if c.isdecimal()).lstrip("0")
+        size = sum(c.isdecimal() for c in head)
+        if len(exponent) > 4 or size + int(exponent or "0") >= MAX_DIGITS:
+            raise ValueError("too many digits once the exponent is expanded")
+    return Fraction(text)
 
 
 def metric_rows_reference(m) -> tuple[tuple[ExtReal, ...], ...]:

@@ -538,6 +538,21 @@ class TestRetract:
         code, _, err = run(capsys, "retract", ex1_full_file, "--subset", "zz")
         assert code == 1 and "unknown texts" in err
 
+    @pytest.mark.parametrize(
+        "options, out",
+        [
+            ([], "text,r,c,r c\nr,1,inf,inf\nc,inf,1,inf\nr c,1/2,1/3,inf\n"),
+            (["--temperature", "1"], "text,r,c,r c\nr,1,0,0\nc,0,1,0\nr c,1/2,1/3,0\n"),
+        ],
+    )
+    def test_repeated_label_is_one_subset_member(self, capsys, options, out):
+        code, got, _ = run(capsys, "retract", WORKED_EXAMPLE, "--subset", "r,c,r", *options)
+        assert (code, got) == (0, out)
+
+    def test_unknown_labels_are_named_in_order(self, capsys):
+        code, _, err = run(capsys, "retract", WORKED_EXAMPLE, "--subset", "zz,r,yy,zz")
+        assert (code, err) == (1, "error: unknown texts: ['zz', 'yy', 'zz']\n")
+
     @pytest.mark.parametrize("temperature", ["nan", "inf"])
     def test_non_finite_temperature(self, capsys, ex1_full_file, temperature):
         code, _, err = run(

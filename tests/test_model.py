@@ -36,13 +36,15 @@ from plmpoly import (
     validate_plm,
     write_text_atomic,
 )
-from plmpoly.model import bits, components_of
+from plmpoly.model import MAX_DIGITS, ValidationReport, bits, components_of, read_rational
 from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
 from dense_reference import (
     chain_scan,
     metric_rows_reference,
     potential_reference,
+    read_rational_reference,
     top_potential_reproduces,
+    validate_reference,
 )
 
 
@@ -66,9 +68,12 @@ def test_from_texts_matches_all_pairs_reference(texts, mode):
     for i, a in enumerate(texts):
         for j, b in enumerate(texts):
             assert order.leq(i, j) == is_subtext(a, b, mode)
-    # from_texts skips the checks; the checked constructor accepts its masks
-    checked = PartialOrder(order.n, order._up)
-    assert (checked._down, checked._adj) == (order._down, order._adj)
+    # from_texts skips the checks; the checked constructor, given the
+    # reference up-sets, sets the same slots
+    up = [sum(1 << j for j, b in enumerate(texts) if is_subtext(a, b, mode)) for a in texts]
+    checked = PartialOrder(len(texts), up)
+    slots = PartialOrder.__slots__
+    assert [getattr(order, s) for s in slots] == [getattr(checked, s) for s in slots]
 
 
 class TestPartialOrder:
@@ -262,6 +267,38 @@ def test_potential_validation_matches_references(seed, kind, perturb):
     assert ok == top_potential_reproduces(m)
 
 
+def broken_model(rng: random.Random, kind: str) -> Plm:
+    """A `random_model` with its rows listed in a random order and up to four
+    of them changed: a row set on the diagonal, off the order or to 0 gives
+    a reflexive, extraneous or nonpositive entry, a dropped row a missing
+    one, and a row scaled by 1/2 or 3 may leave no potential."""
+    m = random_model(rng, kind)
+    pr = dict(rng.sample(sorted(m.pr.items()), len(m.pr)))
+    for _ in range(rng.randint(0, 4)):
+        action = rng.random()
+        if action < 0.6 or not pr:
+            pr[rng.randrange(m.n), rng.randrange(m.n)] = rng.choice([F(0), F(1), F(1, 2), F(3)])
+        elif action < 0.8:
+            pr[rng.choice(sorted(pr))] *= rng.choice([F(0), F(1, 2), F(3)])
+        else:
+            del pr[rng.choice(sorted(pr))]
+    return Plm(m.texts, m.order_mode, pr, m.order if m.order_mode == "explicit" else None)
+
+
+@pytest.mark.parametrize("kind", ["plm", "forest", "corpus", "crown"])
+def test_validation_report_matches_the_sorted_scan(kind):
+    filled = set()
+    for seed in range(200):
+        m = broken_model(random.Random(seed), kind)
+        expected = validate_reference(m)
+        assert validate_plm(m) == expected
+        if expected.ok:  # a valid model may list diagonal pairs, each 1
+            assert metric_from_plm(m).mat.rows == metric_rows_reference(m)
+        filled |= {name for name, value in vars(expected).items() if value}
+    # every list of the report was filled by some model
+    assert filled == set(vars(ValidationReport()))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 2**32),
@@ -339,6 +376,13 @@ class TestMetric:
         d = metric_from_plm(ex1)
         assert d.transpose().transpose() == d
         assert d.transpose()[2, 0] == d[0, 2]
+
+    def test_names_a_bad_diagonal_before_the_first_neg_inf_entry(self):
+        z, ninf = ZERO, ExtReal(None)
+        with pytest.raises(ValueError, match=r"^diagonal entry 2 is not 0$"):
+            DirectedMetric(TropMatrix([[z, z, z], [z, z, z], [ninf, z, ExtReal(2)]]))
+        with pytest.raises(ValueError, match=r"^-inf entry at \(1,0\)$"):
+            DirectedMetric(TropMatrix([[z, z, z], [ninf, z, ninf], [ninf, ninf, z]]))
 
     def test_rejects_bad_diagonal_and_triangle(self):
         with pytest.raises(ValueError, match="diagonal"):
@@ -488,6 +532,55 @@ class TestIngest:
         i = {t: k for k, t in enumerate(m.texts)}
         assert (i[("b",)], i[("a", "b")]) not in m.pr  # b is not a prefix of ab
         assert (i[("a",)], i[("a", "b")]) in m.pr
+
+
+def read_outcome(read, token):
+    """The value read, or the type of the exception raised."""
+    try:
+        return read(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@given(st.from_regex(r"[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+def test_read_rational_reads_fraction_strings_as_fraction(text):
+    # leading zeros and a zero denominator included
+    assert read_outcome(read_rational, text) == read_outcome(F, text)
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        (" 3/4 ", F(3, 4)),
+        ("+3/4", F(3, 4)),
+        ("1_000/3", F(1000, 3)),
+        ("\u0663/\u0664", F(3, 4)),  # Arabic-Indic digits
+        ("\u00b2", ValueError),  # a superscript digit is no decimal digit
+        ("1.5", F(3, 2)),
+        ("1e-3", F(1, 1000)),
+        ("3/0", ZeroDivisionError),
+        ("007/010", F(7, 10)),
+        ("3/", ValueError),
+        ("/3", ValueError),
+        ("3//4", ValueError),
+        ("", ValueError),
+        (True, ValueError),
+        (7, F(7)),
+        (0.5, F(1, 2)),
+        pytest.param("1" * MAX_DIGITS, F(int("1" * MAX_DIGITS)), id="at-the-limit"),
+        pytest.param("1" * (MAX_DIGITS + 1), ValueError, id="past-the-limit"),
+        pytest.param("1/" + "1" * (MAX_DIGITS + 1), ValueError, id="denominator-past-the-limit"),
+        pytest.param("1" * 4000 + "e300", ValueError, id="exponent-past-the-limit"),
+    ],
+)
+def test_read_rational_keeps_every_form(token, expected):
+    assert read_outcome(read_rational, token) == expected
+    assert read_outcome(read_rational_reference, token) == expected
+
+
+@given(st.text(alphabet="0123456789/ +-_.eE\u0663\u00b2", max_size=12))
+def test_read_rational_matches_the_reference(text):
+    assert read_outcome(read_rational, text) == read_outcome(read_rational_reference, text)
 
 
 class TestSerialization:
