@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -52,11 +53,12 @@ from .polyhedron import (
 )
 from .rays import (
     ResourceCapExceeded,
+    _side_cone,
     certify_ray,
     cross_check_rays,
     enumerate_rays,
     oracle_rays,
-    plm_cone_constraints,
+    ray_key,
 )
 from .tropical import POS_INF, TropVector, verify
 
@@ -268,7 +270,8 @@ def cmd_rays(args) -> int:
         rays = enumerate_rays(obj, side)
         method = "lower-sets"
         if args.oracle:
-            qs = oracle_rays(plm_cone_constraints(obj, side), obj.n)
+            _, _, cons = _side_cone(obj, side)
+            qs = oracle_rays(cons, obj.n)
             if not cross_check_rays(rays, qs):
                 mismatch = _ray_differences(rays, qs, labels, as_float)
             method = "lower-sets+oracle"
@@ -328,20 +331,20 @@ def cmd_rays(args) -> int:
 
 
 def _ray_differences(rays, qs, labels, as_float: bool) -> dict:
-    """The rays only one route found, each with its carrier and generator."""
-    theory = {r.generator.canonical().mults(): r.generator for r in rays}
-    oracle = {q.canonical().mults(): q for q in qs}
+    """The rays one route found more often than the other, each with its carrier
+    and generator: every surplus copy of a `ray_key` is listed, in `mults` order."""
+    theory = [r.generator for r in rays]
 
-    def listed(only: dict, other: dict) -> list[dict]:
+    def listed(mine: list, other: list) -> list[dict]:
+        keys = list(map(ray_key, mine))
+        found = dict(zip(keys, mine))
+        only = (found[k] for k in (Counter(keys) - Counter(map(ray_key, other))).elements())
         return [
-            {
-                "carrier": [labels[i] for i in only[key].support],
-                "generator": _mult_out(only[key], as_float),
-            }
-            for key in sorted(only.keys() - other.keys())
+            {"carrier": [labels[i] for i in v.support], "generator": _mult_out(v, as_float)}
+            for v in sorted(only, key=lambda v: v.canonical().mults())
         ]
 
-    return {"theoryOnly": listed(theory, oracle), "oracleOnly": listed(oracle, theory)}
+    return {"theoryOnly": listed(theory, qs), "oracleOnly": listed(qs, theory)}
 
 
 def cmd_dual(args) -> int:

@@ -197,8 +197,8 @@ class Plm:
 
     A Plm is not changed once built: `validate_plm` keeps the potential
     it walks in `_potential`, each weight as its reduced pair (num, den),
-    and the ray generators keep their per-side values in `_side_cones`,
-    so neither is walked twice for one model.
+    and the ray generators keep their per-side values, order and cone
+    constraints in `_side_cones`, so none is built twice for one model.
     """
 
     def __init__(

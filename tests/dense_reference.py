@@ -39,7 +39,11 @@ model's one potential, and scales it by `canonical_reference`.
 `canonical_reference` and `simplex_reference` rescale a cone point
 through the general `TropVector.scaled` (a `tmul` per entry, then the fill
 rule), the first by the negated smallest coordinate, the second by the
-inverse of the `Fraction` sum of `mults()`.  `join_per_down_set_reference`
+inverse of the `Fraction` sum of `mults()`.  `canonical_rays_reference`
+is `oracle_rays`' output step before it stayed in integers: each
+primitive integer vector through `TropVector.from_probs` and `canonical`,
+a set of the vectors, sorted by their `Fraction` `mults()`.
+`join_per_down_set_reference`
 is `max_closure` joining each down-set of the candidates from scratch.
 
 `potential_reference` is the potential walk in `Fraction` arithmetic, as
@@ -466,6 +470,11 @@ def canonical_reference(z: TropVector) -> TropVector:
     if not top.is_finite:
         raise ValueError("not a cone point")
     return z.scaled(neg(top))
+
+
+def canonical_rays_reference(zs) -> list[TropVector]:
+    """The canonical rays of integer vectors, once each, in `mults` order."""
+    return sorted({TropVector.from_probs(z).canonical() for z in zs}, key=TropVector.mults)
 
 
 def simplex_reference(z: TropVector) -> TropVector:

@@ -304,6 +304,37 @@ class TestRays:
             "oracleOnly": [],
         }
 
+    def test_oracle_mismatch_names_each_surplus_copy(self, capsys, ex1_file, monkeypatch):
+        # the same rays, one found twice: the extra copy is the difference
+        real = cli.oracle_rays
+        monkeypatch.setattr(cli, "oracle_rays", lambda cons, n: real(cons, n) + real(cons, n)[:1])
+        code, out, err = run(capsys, "rays", ex1_file, "--oracle")
+        assert code == 2 and "disagrees with the oracle" in err
+        assert json.loads(out)["oracleMismatch"] == {
+            "theoryOnly": [],
+            "oracleOnly": [{"carrier": ["c"], "generator": ["0", "1", "0"]}],
+        }
+        # every surplus copy is listed, in `mults` order whatever the route's order
+        monkeypatch.setattr(
+            cli, "oracle_rays", lambda cons, n: (qs := real(cons, n))[::-1] + [qs[2], qs[0]]
+        )
+        code, out, _ = run(capsys, "rays", ex1_file, "--oracle")
+        assert code == 2 and json.loads(out)["oracleMismatch"]["oracleOnly"] == [
+            {"carrier": ["c"], "generator": ["0", "1", "0"]},
+            {"carrier": ["r"], "generator": ["1", "0", "0"]},
+        ]
+        # and a copy the theory route has twice is listed under it
+        enumerate_real = cli.enumerate_rays
+        monkeypatch.setattr(cli, "oracle_rays", real)
+        monkeypatch.setattr(
+            cli, "enumerate_rays", lambda m, side: (rs := enumerate_real(m, side)) + rs[-1:]
+        )
+        code, out, _ = run(capsys, "rays", ex1_file, "--oracle")
+        assert code == 2 and json.loads(out)["oracleMismatch"] == {
+            "theoryOnly": [{"carrier": ["r", "c", "r c"], "generator": ["1/2", "1/3", "1"]}],
+            "oracleOnly": [],
+        }
+
     def test_metric_file_beyond_twelve_texts(self, capsys, tmp_path):
         # a chain of 13 texts: one ray per nonempty lower set
         rows = [

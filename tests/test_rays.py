@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -29,8 +31,11 @@ from plmpoly import (
     truncate_big_m,
 )
 from plmpoly import cli
+from plmpoly.model import DirectedMetric
+from plmpoly.rays import _canonical_rays
 from basis_reference import MAX_N, basis_rays, saturated_rank
 from dense_reference import (
+    canonical_rays_reference,
     certify_ray_reference,
     cross_check_reference,
     generator_reference,
@@ -120,6 +125,20 @@ class TestExampleRays:
             qs = oracle_rays(plm_cone_constraints(ex1, side), 3)
             assert cross_check_rays(rays, qs)
 
+    def test_side_objects_are_built_once(self, monkeypatch):
+        # the upper side's order once per model, its metric once per enumeration
+        built = Counter()
+        for cls, name in ((PartialOrder, "opposite"), (DirectedMetric, "transpose")):
+            real = getattr(cls, name)
+            monkeypatch.setattr(
+                cls, name, lambda self, real=real, name=name: built.update([name]) or real(self)
+            )
+        m = random_forest_plm(seeded(5), 10)
+        assert len(enumerate_rays(m, Side.UPPER)) > 1
+        assert built == {"opposite": 1, "transpose": 1}
+        enumerate_rays(m, Side.UPPER)
+        assert built == {"opposite": 1, "transpose": 2}
+
     def test_full_model_counts(self, ex1_full):
         # diamond-with-bottom: 5 connected downward-closed sets either way up
         assert len(enumerate_rays(ex1_full, Side.LOWER)) == 5
@@ -201,9 +220,9 @@ class TestOracle:
 
 
 @st.composite
-def constraint_systems(draw):
+def constraint_systems(draw, max_n=MAX_N):
     """Random systems with i == j rows, mutual p = 1 pairs and duplicates."""
-    n = draw(st.integers(1, MAX_N))
+    n = draw(st.integers(1, max_n))
     index = st.integers(0, n - 1)
     prob = st.builds(F, st.integers(1, 9), st.integers(1, 9))
     cons = draw(st.lists(st.tuples(index, index, prob), max_size=8))
@@ -232,6 +251,61 @@ class TestOracleAgainstBasisReference:
         m = draw_model(random.Random(seed), n)
         cons = plm_cone_constraints(m, side)
         assert oracle_rays(cons, n) == basis_rays(cons, n)
+
+
+def spelled(cons):
+    """The rows with p as a `Fraction`, a string, or an `int` where it is whole."""
+    forms = [lambda p: p, str, lambda p: int(p) if p.denominator == 1 else str(p)]
+    return [(i, j, forms[k % 3](p)) for k, (i, j, p) in enumerate(cons)]
+
+
+def assert_oracle_output(qs, cons, n):
+    """Distinct canonical vectors in `mults` order, whatever the spelling of p."""
+    assert len(set(qs)) == len(qs)
+    for q in qs:
+        assert q.canonical() == q
+        assert_form(q, q.coords)
+    assert [q.mults() for q in qs] == sorted(q.mults() for q in qs)
+    assert oracle_rays(spelled(cons), n) == qs
+
+
+@st.composite
+def primitive_vectors(draw):
+    """Nonnegative integer vectors divided by their gcd, some repeated."""
+    n = draw(st.integers(1, 8))
+    value = st.one_of(st.integers(0, 12), st.integers(0, 10**30))
+    vector = st.lists(value, min_size=n, max_size=n).filter(any)
+    zs = [tuple(x // math.gcd(*z) for x in z) for z in draw(st.lists(vector, max_size=12))]
+    if zs:
+        zs += draw(st.lists(st.sampled_from(zs), max_size=3))
+    return draw(st.permutations(zs))
+
+
+class TestOracleOutput:
+    """Beyond the basis reference: the output step on larger cones and on its own."""
+
+    @settings(deadline=None)
+    @given(primitive_vectors())
+    def test_builder_matches_the_from_probs_route(self, zs):
+        assert _canonical_rays(zs) == canonical_rays_reference(zs)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(6, 9),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+    )
+    def test_model_cones(self, seed, n, draw_model, side):
+        m = draw_model(random.Random(seed), n)
+        cons = plm_cone_constraints(m, side)
+        assert_oracle_output(oracle_rays(cons, n), cons, n)
+
+    @settings(deadline=None)
+    @given(constraint_systems(max_n=9))
+    def test_random_systems(self, system):
+        cons, n = system
+        assert_oracle_output(oracle_rays(cons, n), cons, n)
 
 
 @st.composite
