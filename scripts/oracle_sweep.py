@@ -9,7 +9,6 @@ ray sets agree exactly, and records timings per model in a CSV.
 from __future__ import annotations
 
 import argparse
-import csv
 import random
 import statistics
 import time
@@ -24,6 +23,7 @@ from plmpoly import (
     plm_cone_constraints,
     random_plm,
 )
+from plmpoly.files import csv_text, write_text_atomic
 
 
 @dataclass
@@ -83,10 +83,7 @@ def main(argv=None) -> int:
     rows, all_ok = run_sweep(cfg)
     header = ["model", "n", "orderMode", "side", "rays", "enumSec", "oracleSec", "match"]
     if cfg.out:
-        with cfg.out.open("w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+        write_text_atomic(str(cfg.out), csv_text(header, rows))
         print(f"wrote {cfg.out}")
 
     enum_t = [float(r[5]) for r in rows]

@@ -19,7 +19,6 @@ Every number is exact unless the column name says float.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,6 +44,7 @@ from plmpoly import (
     vector_to_strings,
     yoneda,
 )
+from plmpoly.files import csv_text, write_text_atomic
 
 
 @dataclass
@@ -75,16 +75,12 @@ def uniform_metric(t: Fraction, n: int = 3) -> DirectedMetric:
 
 
 def write_csv(cfg: FigureConfig, name: str, header: list[str], rows: list[list[str]]) -> None:
-    path = cfg.out_dir / name
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-    cfg.files.append(name)
+    write_text(cfg, name, csv_text(header, rows))
 
 
-def write_text(cfg: FigureConfig, name: str, text: str) -> None:
-    (cfg.out_dir / name).write_text(text)
+def write_text(cfg: FigureConfig, name: str, text) -> None:
+    """text is one string or an iterable of strings, as `write_text_atomic` takes."""
+    write_text_atomic(str(cfg.out_dir / name), text)
     cfg.files.append(name)
 
 

@@ -16,6 +16,7 @@ from .tropical import (
     tmul,
     verify,
 )
+from .files import vector_from_strings, vector_to_strings, write_text_atomic
 from .model import (
     ORDER_MODES,
     DirectedMetric,
@@ -37,7 +38,6 @@ from .model import (
     potential,
     truncate_big_m,
     validate_plm,
-    write_text_atomic,
 )
 from .polyhedron import (
     Side,
@@ -52,8 +52,6 @@ from .polyhedron import (
     project,
     terminal_decompose,
     tight_graph,
-    vector_from_strings,
-    vector_to_strings,
     violation,
     yoneda,
 )

@@ -11,43 +11,34 @@ FIFO, a device) is refused.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .duality import dual_decompose
 from .extension import IsometryError, boltzmann, embed_model, retraction_from_subset
+from . import files
 from .isbell import isbell_member, map_l, map_r, max_closure
 from .model import (
     DirectedMetric,
     ValidationFailed,
-    check_out_path,
     check_projector,
     ingest_corpus,
     load_model_file,
     metric_from_plm,
     model_to_dict,
     truncate_big_m,
-    write_text_atomic,
 )
 from .polyhedron import (
     Side,
-    cell_string,
     co_yoneda,
-    float_string,
     generator,
     membership,
     metric_cone_constraints,
     normalize_to_simplex,
-    ratio_string,
     simplex_scale,
-    vector_from_strings,
-    vector_to_strings,
     violation,
     yoneda,
 )
@@ -64,12 +55,12 @@ from .tropical import POS_INF, TropVector, verify
 
 
 def _vec_out(x: TropVector, as_float: bool) -> list[str]:
-    return vector_to_strings(x, lambda c: cell_string(c, as_float))
+    return files.vector_to_strings(x, lambda c: files.cell_string(c, as_float))
 
 
 def _mult_out(z: TropVector, as_float: bool) -> list[str]:
     """A cone point's multiplicative coordinates; +inf, the pair (0, 1), reads 0."""
-    return vector_to_strings(z, lambda c: ratio_string(c.num, c.den, as_float))
+    return files.vector_to_strings(z, lambda c: files.ratio_string(c.num, c.den, as_float))
 
 
 def _ray_out(z: TropVector, as_float: bool) -> tuple[list[str], list[str]]:
@@ -79,121 +70,14 @@ def _ray_out(z: TropVector, as_float: bool) -> tuple[list[str], list[str]]:
     as `normalize_to_simplex` forms it; an unlisted coordinate reads 0 in both.
     """
     a, b = simplex_scale(z)
-    gen = [ratio_string(0, 1, as_float)] * z.n
+    gen = [files.ratio_string(0, 1, as_float)] * z.n
     vertex = gen[:]
     for i, c in z.entries:
         num, den = c.num * a, c.den * b
         g = math.gcd(num, den)
-        gen[i] = ratio_string(c.num, c.den, as_float)
-        vertex[i] = ratio_string(num // g, den // g, as_float)
+        gen[i] = files.ratio_string(c.num, c.den, as_float)
+        vertex[i] = files.ratio_string(num // g, den // g, as_float)
     return gen, vertex
-
-
-def _emit(args, chunks) -> None:
-    """Write one string, or the strings of an iterable, to --out or stdout.
-
-    Standard output gets them once all are made, so a command that fails
-    part-way prints nothing, joined 256 at a time so that a large output is
-    not held twice; --out writes them as they come and leaves no file on failure.
-    """
-    if args.out:
-        write_text_atomic(args.out, chunks)
-    else:
-        parts = [chunks] if isinstance(chunks, str) else list(chunks)
-        for k in range(0, len(parts), 256):
-            sys.stdout.write("".join(parts[k : k + 256]))
-
-
-def _emit_json(args, payload: dict) -> None:
-    out: list[str] = []
-    _json_pieces(payload, out, "\n")
-    out.append("\n")
-    _emit(args, out)
-
-
-_json_str = json.encoder.encode_basestring_ascii
-
-
-def _json_scalar(o) -> str:
-    """A scalar exactly as `json.dumps` writes it; any other type raises."""
-    if isinstance(o, str):
-        return _json_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
-def _json_pieces(o, out: list[str], nl: str) -> None:
-    """Append the pieces of `json.dumps(o, indent=2, sort_keys=True)` to out.
-
-    nl is a newline and the indentation of the line o starts on.  A list
-    of scalars is one piece; a dict is written in sorted key order.  A
-    value other than str, int, float, bool, None, list, tuple or dict, and
-    a key that is not a str, raise TypeError.
-    """
-    if isinstance(o, str):
-        out.append(_json_str(o))
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for k in sorted(o):
-            out.append(sep + _json_str(k) + ": ")
-            _json_pieces(o[k], out, inner)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        try:  # the common case, a list of strings, in one C-level join
-            body = ("," + inner).join(map(_json_str, o))
-        except TypeError:
-            if any(isinstance(v, (dict, list, tuple)) for v in o):
-                sep = "[" + inner
-                for v in o:
-                    out.append(sep)
-                    _json_pieces(v, out, inner)
-                    sep = "," + inner
-                out.append(nl + "]")
-                return
-            body = ("," + inner).join(map(_json_scalar, o))
-        out.append("[" + inner + body + nl + "]")
-    else:
-        out.append(_json_scalar(o))
-
-
-def _csv_text(header: list[str], rows):
-    """The CSV lines of the header and then each row, one line per piece."""
-    # writerow returns what its file's write returns: here the line itself
-    w = csv.writer(SimpleNamespace(write=lambda line: line), lineterminator="\n")
-    yield w.writerow(header)
-    for row in rows:
-        yield w.writerow(row)
-
-
-def _load(path: str, require_projector: bool = True):
-    try:
-        return load_model_file(path, require_projector=require_projector)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # nested past the stack
-        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _indices(labels: list[str], wanted: list[str], unknown: str) -> list[int]:
@@ -217,7 +101,7 @@ def _metric_of(kind: str, obj) -> DirectedMetric:
 
 
 def cmd_check(args) -> int:
-    kind, obj, labels = _load(args.model, require_projector=False)
+    kind, obj, labels = load_model_file(args.model, require_projector=False)
     rows: list[tuple[str, bool, str]] = []
     d = None
     if kind == "plm":
@@ -250,12 +134,12 @@ def cmd_check(args) -> int:
     for name, ok, detail in rows:
         mark = "PASS" if ok else "FAIL"
         lines.append(f"{name:<{width}}  {mark}" + (f"  {detail}" if detail else ""))
-    _emit(args, "\n".join(lines) + "\n")
+    files.emit(args.out, "\n".join(lines) + "\n")
     return 0 if all(ok for _, ok, _ in rows) else 2
 
 
 def cmd_rays(args) -> int:
-    kind, obj, labels = _load(args.model)
+    kind, obj, labels = load_model_file(args.model)
     side = Side(args.side)
     as_float = args.float
     if args.big_m is not None:
@@ -321,12 +205,12 @@ def cmd_rays(args) -> int:
         sys.stderr.write("ray enumeration disagrees with the oracle\n")
     if args.out:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
-        check_out_path(stem + ".csv")  # refused before the JSON is written
-    _emit_json(args, payload)
+        files.check_out_path(stem + ".csv")  # refused before the JSON is written
+    files.emit_json(args.out, payload)
     if args.out:
         header = ["carrier"] + list(labels)
         rows = (["+".join(e["carrier"])] + e["vertex"] for e in entries)
-        write_text_atomic(stem + ".csv", _csv_text(header, rows))
+        files.write_text_atomic(stem + ".csv", files.csv_text(header, rows))
     return 2 if mismatch is not None else 0
 
 
@@ -348,7 +232,7 @@ def _ray_differences(rays, qs, labels, as_float: bool) -> dict:
 
 
 def cmd_dual(args) -> int:
-    kind, obj, labels = _load(args.model)
+    kind, obj, labels = load_model_file(args.model)
     d = _metric_of(kind, obj)
     entries = []
     for k in range(d.n):
@@ -360,26 +244,19 @@ def cmd_dual(args) -> int:
                 "negated": _vec_out(rep.negated, args.float),
             }
         )
-    _emit_json(args, {"command": "dual", "count": len(entries), "pairs": entries})
+    files.emit_json(args.out, {"command": "dual", "count": len(entries), "pairs": entries})
     return 0
 
 
 def cmd_isbell(args) -> int:
-    kind, obj, labels = _load(args.model)
+    kind, obj, labels = load_model_file(args.model)
     d = _metric_of(kind, obj)
     payload: dict = {"command": "isbell"}
     if args.vector:
-        try:
-            with open(args.vector, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, list):
-                raise ValueError("the file must hold a JSON list")
-            x = vector_from_strings(data)
-        except (OSError, ValueError, RecursionError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot read vector file: {exc}") from exc
+        x = files.read_vector(args.vector)
         if len(x) != d.n:
             raise ValueError("vector length does not match the model")
-        payload["vector"] = vector_to_strings(x)
+        payload["vector"] = files.vector_to_strings(x)
         payload["member"] = membership(x, d, Side.LOWER)
         if not payload["member"]:
             # the all-(+inf) vector is the one non-member with no such pair
@@ -390,30 +267,30 @@ def cmd_isbell(args) -> int:
             )
             payload["violation"] = None if pair is None else [labels[k] for k in pair]
         hull = map_l(d, map_r(d, x))
-        payload["hull"] = vector_to_strings(hull)
+        payload["hull"] = files.vector_to_strings(hull)
         payload["isbellFixed"] = hull == x
     if args.compare_span:
         closure = max_closure([yoneda(d, k) for k in range(d.n)], d)
         gaps = [v for v in closure if not isbell_member(d, v)]
         payload["closureSize"] = len(closure)
-        payload["outsideIsbell"] = sorted(vector_to_strings(v) for v in gaps)
+        payload["outsideIsbell"] = sorted(files.vector_to_strings(v) for v in gaps)
     if not args.vector and not args.compare_span:
         raise ValueError("nothing to do: pass --vector and/or --compare-span")
-    _emit_json(args, payload)
+    files.emit_json(args.out, payload)
     return 0
 
 
 def cmd_embed(args) -> int:
-    kind_b, obj_b, labels_b = _load(args.model)
-    kind_s, obj_s, labels_s = _load(args.sub)
+    kind_b, obj_b, labels_b = load_model_file(args.model)
+    kind_s, obj_s, labels_s = load_model_file(args.sub)
     mapping = _indices(labels_b, labels_s, "sub-model texts missing from the big model")
     try:
         emb = embed_model(_metric_of(kind_s, obj_s), _metric_of(kind_b, obj_b), mapping)
     except IsometryError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    _emit_json(
-        args,
+    files.emit_json(
+        args.out,
         {
             "command": "embed",
             "mapping": {labels_s[a]: labels_b[f] for a, f in enumerate(emb.mapping)},
@@ -425,7 +302,7 @@ def cmd_embed(args) -> int:
 
 
 def cmd_retract(args) -> int:
-    kind, obj, labels = _load(args.model)
+    kind, obj, labels = load_model_file(args.model)
     d = _metric_of(kind, obj)
     as_float = args.float
     if args.subset:
@@ -449,7 +326,7 @@ def cmd_retract(args) -> int:
                 # which is +inf off its listed entries
                 cells = ["inf"] * d.n
                 for c, e in r.matrix.col_entries[k]:
-                    cells[c] = cell_string(e, as_float)
+                    cells[c] = files.cell_string(e, as_float)
             else:
                 # the live terms: s in S with d[s,k] finite, in ascending s
                 terms = [(e, yoneda(d, s)) for s, e in d.mat.col_entries[k] if s in in_subset]
@@ -461,31 +338,27 @@ def cmd_retract(args) -> int:
                     for c, _ in r.matrix.col_entries[k]:
                         v = res.mult[c]
                         if isinstance(v, Fraction):
-                            cells[c] = ratio_string(v.numerator, v.denominator, as_float)
+                            cells[c] = files.ratio_string(v.numerator, v.denominator, as_float)
                         else:
-                            cells[c] = float_string(v)
+                            cells[c] = files.float_string(v)
             yield [labels[k]] + cells
 
-    _emit(args, _csv_text(["text"] + list(labels), rows()))
+    files.emit(args.out, files.csv_text(["text"] + list(labels), rows()))
     return 0
 
 
 def cmd_ingest(args) -> int:
-    try:
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.corpus}: {exc}") from exc
+    tokens = files.read_text(args.corpus).split()
     mode = {"one": "one-sided", "two": "two-sided"}.get(args.order_mode, args.order_mode)
     m = ingest_corpus(
         tokens, order_mode=mode, max_len=args.max_len, include_empty=args.include_empty
     )
-    _emit_json(args, model_to_dict(m))
+    files.emit_json(args.out, model_to_dict(m))
     return 0
 
 
 def cmd_crosssection(args) -> int:
-    kind, obj, labels = _load(args.model)
+    kind, obj, labels = load_model_file(args.model)
     d = _metric_of(kind, obj)
     as_float = args.float
     runs: dict[tuple[str, float], list[TropVector]] = {}
@@ -498,14 +371,14 @@ def cmd_crosssection(args) -> int:
     rows = []
     for (side_v, m_val), verts in sorted(runs.items()):
         for idx, q in enumerate(verts):
-            rows.append([side_v, float_string(m_val), str(idx)] + _mult_out(q, as_float))
+            rows.append([side_v, files.float_string(m_val), str(idx)] + _mult_out(q, as_float))
     drift_lines = []
     for side in ("lower", "upper"):
         a = runs[(side, args.big_m)]
         b = runs[(side, 10 * args.big_m)]
         drift_lines.append(
-            f"side {side}: {len(a)} vertices at M={float_string(args.big_m)}, "
-            f"{len(b)} at M={float_string(10 * args.big_m)}"
+            f"side {side}: {len(a)} vertices at M={files.float_string(args.big_m)}, "
+            f"{len(b)} at M={files.float_string(10 * args.big_m)}"
         )
         for idx, q in enumerate(a):
             qf = [float(c) for c in q.mults()]
@@ -516,11 +389,11 @@ def cmd_crosssection(args) -> int:
                     best, best_dist = p, dist
             exact = best == q
             drift_lines.append(
-                f"  vertex {idx}: drift {float_string(best_dist)}"
+                f"  vertex {idx}: drift {files.float_string(best_dist)}"
                 + (" (interior: exact match)" if exact else "")
             )
-    report, table = "\n".join(drift_lines) + "\n", _csv_text(header, rows)
-    _emit(args, table if args.out else [report, *table])
+    report, table = "\n".join(drift_lines) + "\n", files.csv_text(header, rows)
+    files.emit(args.out, table if args.out else [report, *table])
     if args.out:  # once the file is written, so that a failed command prints nothing
         sys.stdout.write(report)
     return 0

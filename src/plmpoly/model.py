@@ -10,14 +10,13 @@ probabilities.  The induced directed metric d(a,b) = -log Pr(b|a) (with
 from __future__ import annotations
 
 import json
-import os
-import stat
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from .files import read_json, read_rational
 from .tropical import (
     ExtReal,
     NEG_INF,
@@ -590,36 +589,7 @@ def ingest_corpus(
 
 
 # ---------------------------------------------------------------------------
-# file formats
-
-# Python's default limit on the digits of an integer read from or printed as
-# a string
-MAX_DIGITS = 4300
-
-
-def read_rational(token) -> Fraction:
-    """A number as a file writes it: any `Fraction` literal, its size bounded.
-
-    `Fraction` expands a decimal exponent, so ``"1e-99999999"`` would build
-    a 10**8-digit integer.  Once expanded, the numerator and the
-    denominator have at most one digit more than the mantissa's digits
-    plus the exponent's size; a number where that sum reaches
-    ``MAX_DIGITS`` is refused with a ValueError before `Fraction` reads it,
-    so a value read can be written back.  Digits are counted as `Fraction`
-    reads them: any Unicode decimal digit.
-    """
-    text = str(token)
-    num, slash, den = text.partition("/")
-    if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
-        # the form `str(Fraction)` writes; `int` keeps the digit limit
-        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    head, e, tail = text.replace("E", "e").rpartition("e")
-    if e:
-        exponent = "".join(c for c in tail if c.isdecimal()).lstrip("0")
-        size = sum(c.isdecimal() for c in head)
-        if len(exponent) > 4 or size + int(exponent or "0") >= MAX_DIGITS:
-            raise ValueError(f"{text[:40]!r} has too many digits once its exponent is expanded")
-    return Fraction(text)
+# the model and metric file schemas
 
 
 def model_to_dict(m: Plm) -> dict:
@@ -698,8 +668,7 @@ def load_model_file(path: str, require_projector: bool = True):
 
     Returns ("plm", Plm, labels) or ("metric", DirectedMetric, labels).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError("model file must hold a JSON object")
     if "metric" in data:
@@ -708,49 +677,3 @@ def load_model_file(path: str, require_projector: bool = True):
     m = model_from_dict(data)
     return "plm", m, m.labels()
 
-
-def check_out_path(path: str) -> os.stat_result | None:
-    """The status of an existing output target, or None when there is none.
-
-    Output replaces its target by a rename, which would turn a FIFO or a
-    device into a regular file, so a target that exists and is not a
-    regular file is refused with ValueError.
-    """
-    try:
-        st = os.stat(path)
-    except FileNotFoundError:
-        return None
-    if not stat.S_ISREG(st.st_mode):
-        raise ValueError(f"{path} exists and is not a regular file")
-    return st
-
-
-def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
-    """Write through a temp file + rename so readers never see partial output.
-
-    text is one string or an iterable of strings, written to the temp file
-    as they come; if the iterable raises, the temp file is removed and an
-    existing target keeps its bytes.  The target passes `check_out_path`
-    before anything is written.  An existing target keeps its permission
-    bits; a new file gets 0o666 less the umask, as `open` would give it.
-    An OSError names the target, never the temp file.
-    """
-    st = check_out_path(path)
-    dir_, base = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(dir_, f".{base}.{os.urandom(8).hex()}.tmp")
-    try:
-        # O_EXCL: a name that already exists is an error, never a file to reuse
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                if st is not None:
-                    os.fchmod(fh.fileno(), st.st_mode & 0o777)
-                fh.writelines((text,) if isinstance(text, str) else text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        if exc.filename != tmp:
-            raise
-        raise OSError(exc.errno, exc.strerror, path) from exc

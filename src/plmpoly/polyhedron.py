@@ -14,10 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isinf
+from math import gcd
 from typing import Iterable, Sequence
 
-from .model import DirectedMetric, reach, read_rational
+from .model import DirectedMetric, reach
 from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _rescaled, neg, tmul, verify
 
 
@@ -227,57 +227,3 @@ def terminal_decompose(
     verify(rebuilt == x)
     return TerminalDecomposition(terminals=tuple(terms), weights=weights)
 
-
-# ---------------------------------------------------------------------------
-# vector files: log-domain entries, finite ones written multiplicatively
-
-
-def float_string(x: float) -> str:
-    if isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
-
-
-def ratio_string(num: int, den: int, as_float: bool = False) -> str:
-    """The reduced ratio num/den as `Fraction` prints it, or as a decimal."""
-    if not as_float:
-        return str(num) if den == 1 else f"{num}/{den}"
-    try:
-        return float_string(num / den)
-    except OverflowError:
-        return "inf"
-
-
-def cell_string(c: ExtReal, as_float: bool = False) -> str:
-    """A log-domain value: inf, -inf, or its multiplicative mirror."""
-    if c is POS_INF:
-        return "inf"
-    if c is NEG_INF:
-        return "-inf"
-    return ratio_string(c.num, c.den, as_float)
-
-
-def vector_to_strings(x: TropVector, cell=cell_string) -> list[str]:
-    """cell(c) for each coordinate c: the fill's string, repeated, then each listed entry's."""
-    out = [cell(x.fill)] * x.n
-    for i, c in x.entries:
-        out[i] = cell(c)
-    return out
-
-
-def vector_from_strings(items: Sequence) -> TropVector:
-    """A vector from its file items: the strings inf and -inf, or multiplicative values.
-
-    Only a string names an infinity: a JSON number beyond float range is
-    read as the float inf, which no rational equals, and is refused.
-    """
-    coords = []
-    for s in items:
-        token = s.strip() if isinstance(s, str) else s
-        if token == "inf":
-            coords.append(POS_INF)
-        elif token == "-inf":
-            coords.append(NEG_INF)
-        else:
-            coords.append(ExtReal.from_prob(read_rational(token)))
-    return TropVector(coords)

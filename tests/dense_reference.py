@@ -53,7 +53,7 @@ probabilities through `ExtReal.from_prob`.  `validate_reference` is
 `validate_plm` as a sorted scan of the listed pairs with an `order.leq`
 test each, a set of the comparable ones and the list of strict pairs, and
 `potential_reference` for the last axiom.  `read_rational_reference` is
-`model.read_rational` before its fast path: the digit bound, then
+`files.read_rational` before its fast path: the digit bound, then
 `Fraction(text)` on every form.
 """
 
@@ -73,7 +73,8 @@ from plmpoly import (
     potential,
     side_metric,
 )
-from plmpoly.model import MAX_DIGITS, ValidationReport, bits, components_of, validate_plm
+from plmpoly.files import MAX_DIGITS
+from plmpoly.model import ValidationReport, bits, components_of, validate_plm
 from plmpoly.extension import BoltzmannResult
 from plmpoly.tropical import (
     NEG_INF,

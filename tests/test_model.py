@@ -36,7 +36,8 @@ from plmpoly import (
     validate_plm,
     write_text_atomic,
 )
-from plmpoly.model import MAX_DIGITS, ValidationReport, bits, components_of, read_rational
+from plmpoly.files import MAX_DIGITS, read_rational
+from plmpoly.model import ValidationReport, bits, components_of
 from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
 from dense_reference import (
     chain_scan,

@@ -1,4 +1,5 @@
-"""The library's self-checks raise `VerificationError` and survive `python -O`."""
+"""The library's self-checks raise `VerificationError` and survive `python -O`;
+only `files.py` touches the file system."""
 
 import ast
 import os
@@ -16,6 +17,36 @@ def test_no_assert_statements_in_the_library():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_only_files_touches_the_file_system():
+    """`files.py` alone opens files or imports os, stat or csv, and it builds
+    on `tropical` only; `cli.py` and `polyhedron.py` import no json, and
+    `polyhedron.py` nothing from `files`."""
+    found = []
+    for path in sorted((SRC / "plmpoly").glob("*.py")):
+        name = path.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # `from . import files` names the module among the imported names
+                mods = [node.module.split(".")[0]] if node.module else [a.name for a in node.names]
+                if node.level:
+                    mods = ["." + m for m in mods]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                mods = ["open()"]
+            else:
+                continue
+            for mod in mods:
+                if (
+                    (mod in ("os", "stat", "csv", "open()") and name != "files.py")
+                    or (mod == "json" and name in ("cli.py", "polyhedron.py"))
+                    or (mod.startswith(".") and mod != ".tropical" and name == "files.py")
+                    or (mod == ".files" and name == "polyhedron.py")
+                ):
+                    found.append(f"{name}:{node.lineno} {mod}")
     assert found == []
 
 
