@@ -19,8 +19,9 @@ from plmpoly import (
     Side,
     cross_check_rays,
     enumerate_rays,
+    metric_cone_constraints,
+    metric_from_plm,
     oracle_rays,
-    plm_cone_constraints,
     random_plm,
 )
 from plmpoly.files import csv_text, write_text_atomic
@@ -45,7 +46,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[list[str]], bool]:
             t0 = time.perf_counter()
             rays = enumerate_rays(m, side)
             t1 = time.perf_counter()
-            qs = oracle_rays(plm_cone_constraints(m, side), m.n)
+            qs = oracle_rays(metric_cone_constraints(metric_from_plm(m), side), m.n)
             t2 = time.perf_counter()
             ok = cross_check_rays(rays, qs)
             all_ok = all_ok and ok

@@ -47,16 +47,14 @@ from plmpoly import (
 from plmpoly.files import csv_text, write_text_atomic
 
 
+BIG_M = (10.0, 100.0)  # cross-section horizons, each also compared with 10 M
+UNIFORM_T = (Fraction(1, 3), Fraction(1, 2), Fraction(9, 10))
+TEMPERATURES = (1.0, 0.1, 0.001)
+
+
 @dataclass
 class FigureConfig:
     out_dir: Path = Path("out")
-    big_m: tuple[float, ...] = (10.0, 100.0)
-    uniform_t: tuple[Fraction, ...] = (
-        Fraction(1, 3),
-        Fraction(1, 2),
-        Fraction(9, 10),
-    )
-    temperatures: tuple[float, ...] = (1.0, 0.1, 0.001)
     files: list[str] = field(default_factory=list)
 
 
@@ -111,7 +109,7 @@ def emit_crosssection(cfg: FigureConfig, m: Plm) -> None:
     d = metric_from_plm(m)
     labels = m.labels()
     runs: dict[tuple[str, float], list[TropVector]] = {}
-    for big_m in sorted(set(cfg.big_m) | {10 * max(cfg.big_m)}):
+    for big_m in sorted(set(BIG_M) | {10 * max(BIG_M)}):
         dm = truncate_big_m(d, big_m)
         rows = []
         for side in (Side.LOWER, Side.UPPER):
@@ -122,7 +120,7 @@ def emit_crosssection(cfg: FigureConfig, m: Plm) -> None:
             runs[(side.value, big_m)] = qs
             for idx, q in enumerate(qs):
                 rows.append([side.value, str(idx)] + [str(c) for c in q.mults()])
-        if big_m in cfg.big_m:
+        if big_m in BIG_M:
             write_csv(
                 cfg,
                 f"crosssection_M{big_m:g}.csv",
@@ -131,7 +129,7 @@ def emit_crosssection(cfg: FigureConfig, m: Plm) -> None:
             )
     lines = []
     for side in ("lower", "upper"):
-        for big_m in cfg.big_m:
+        for big_m in BIG_M:
             coarse = runs[(side, big_m)]
             fine = runs[(side, 10 * big_m)] if (side, 10 * big_m) in runs else None
             lines.append(f"side {side}, M={big_m:g}: {len(coarse)} vertices")
@@ -153,7 +151,7 @@ def emit_crosssection(cfg: FigureConfig, m: Plm) -> None:
 def emit_uniform_rays(cfg: FigureConfig) -> None:
     header = ["t", "vertex", "principal", "x0", "x1", "x2"]
     rows = []
-    for t in cfg.uniform_t:
+    for t in UNIFORM_T:
         d2 = uniform_metric(t)
         cols = [yoneda(d2, k) for k in range(3)]
         for idx, q in enumerate(oracle_rays(metric_cone_constraints(d2, Side.LOWER), 3)):
@@ -194,7 +192,7 @@ def emit_retraction(cfg: FigureConfig, m: Plm) -> None:
 
     terms = [(d[s, 2], yoneda(d, s)) for s in subset]
     brows = []
-    for t in cfg.temperatures:
+    for t in TEMPERATURES:
         res = boltzmann(terms, t)
         brows.append(
             [f"{t:g}", f"{res.bound:.6g}"]

@@ -63,7 +63,6 @@ from .rays import (
     enumerate_connected_lower_sets,
     enumerate_rays,
     oracle_rays,
-    plm_cone_constraints,
     ray_as_text_combination,
     ray_from_lower_set,
     ray_saturation_edges,

@@ -142,53 +142,46 @@ def cmd_rays(args) -> int:
     kind, obj, labels = load_model_file(args.model)
     side = Side(args.side)
     as_float = args.float
-    if args.big_m is not None:
-        d = truncate_big_m(_metric_of(kind, obj), args.big_m)
-        kind = "metric"
-    elif kind == "metric":
-        d = obj
-
-    entries = []
     mismatch = None
-    if kind == "plm":
+    # each route yields (generator, principal text or None, certificate rank)
+    if kind == "metric" or args.big_m is not None:
+        # a general metric has no subtext order: oracle route only
+        d = _metric_of(kind, obj)
+        if args.big_m is not None:
+            d = truncate_big_m(d, args.big_m)
+        rows = metric_cone_constraints(d, side)
+        found = (
+            (
+                q,
+                next((k for k in range(d.n) if q.proportional(generator(d, k, side))), None),
+                certify_ray(q, rows),
+            )
+            for q in oracle_rays(rows, d.n)
+        )
+        method = "oracle"
+    else:
         rays = enumerate_rays(obj, side)
         method = "lower-sets"
         if args.oracle:
-            _, _, cons = _side_cone(obj, side)
-            qs = oracle_rays(cons, obj.n)
+            qs = oracle_rays(_side_cone(obj, side)[3], obj.n)
             if not cross_check_rays(rays, qs):
                 mismatch = _ray_differences(rays, qs, labels, as_float)
             method = "lower-sets+oracle"
-        for r in sorted(rays, key=lambda r: tuple(sorted(r.carrier))):
-            gen, vertex = _ray_out(r.generator, as_float)
-            entries.append(
-                {
-                    "generator": gen,
-                    "vertex": vertex,
-                    "carrier": [labels[i] for i in sorted(r.carrier)],
-                    "principal": None if r.principal_of is None else labels[r.principal_of],
-                    "certificateRank": r.certificate_rank,
-                }
-            )
-    else:
-        # a general metric has no subtext order: oracle route only
-        cons = metric_cone_constraints(d, side)
-        qs = oracle_rays(cons, d.n)
-        method = "oracle"
-        for q in qs:
-            principal = next(
-                (labels[k] for k in range(d.n) if q.proportional(generator(d, k, side))), None
-            )
-            gen, vertex = _ray_out(q, as_float)
-            entries.append(
-                {
-                    "generator": gen,
-                    "vertex": vertex,
-                    "carrier": [labels[i] for i in q.support],
-                    "principal": principal,
-                    "certificateRank": certify_ray(q, cons, d.n),
-                }
-            )
+        rays = sorted(rays, key=lambda r: tuple(sorted(r.carrier)))
+        found = ((r.generator, r.principal_of, r.certificate_rank) for r in rays)
+
+    entries = []
+    for z, principal, rank in found:
+        gen, vertex = _ray_out(z, as_float)
+        entries.append(
+            {
+                "generator": gen,
+                "vertex": vertex,
+                "carrier": [labels[i] for i in z.support],
+                "principal": None if principal is None else labels[principal],
+                "certificateRank": rank,
+            }
+        )
 
     payload = {
         "command": "rays",

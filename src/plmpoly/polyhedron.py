@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -151,44 +150,42 @@ def residuate(
     return lams, mat.apply_min(TropVector.from_entries(d.n, POS_INF, zip(sub, lams)))
 
 
-Constraint = tuple[int, int, Fraction]  # (i, j, p): z_i >= p * z_j
+Constraint = tuple[int, int, ExtReal]  # (i, j, e): x_i <= e + x_j, so z_i >= exp(-e) z_j
 
 
 def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[Constraint]:
-    """One row z_i >= p z_j per off-diagonal finite entry, p = exp(-d_ij)."""
+    """One row per off-diagonal finite entry of the side's metric: the entry itself."""
     return [
-        (i, j, e.mult)
+        (i, j, e)
         for i, entries in enumerate(side_metric(d, side).mat.row_entries)
         for j, e in entries
         if i != j
     ]
 
 
-def tight_graph(
-    z: TropVector, constraints: Sequence[Constraint], n: int
-) -> tuple[list[int], list[int]]:
-    """Out- and in-neighbour bitmasks of the rows z_i >= p z_j that z makes tight.
+def tight_graph(z: TropVector, constraints: Sequence[Constraint]) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks of the rows x_i <= e + x_j that z makes tight.
 
     For the rows of `metric_cone_constraints` this is the graph of tight
     inequalities x_i = d_ij + x_j of z read as a log-domain point.  The
     test is exact: with z_k = num_k/den_k (+inf is 0/1, -inf 1/0) and
-    p = a/b, z_i = p z_j is num_i den_j b == a num_j den_i.  A row from
-    the support to a +inf coordinate is never tight, so the out-edges of
-    the support stay on it.  A row reads its two coordinates from z's
-    entries.  When both ends are unlisted, both hold the fill, (0, 1) or
-    (1, 0), and the test reads 0 == 0: tight.  When one end is unlisted,
-    one side of the test is 0 and the other is not, as the listed end
-    differs from the fill: not tight.
+    the entry's mirror exp(-e) = a/b, z_i = (a/b) z_j is num_i den_j b ==
+    a num_j den_i.  A row from the support to a +inf coordinate is never
+    tight, so the out-edges of the support stay on it.  A row reads its
+    two coordinates from z's entries.  When both ends are unlisted, both
+    hold the fill, (0, 1) or (1, 0), and the test reads 0 == 0: tight.
+    When one end is unlisted, one side of the test is 0 and the other is
+    not, as the listed end differs from the fill: not tight.
     """
     get = dict(z.entries).get
-    out = [0] * n
-    into = [0] * n
-    for i, j, p in constraints:
+    out = [0] * z.n
+    into = [0] * z.n
+    for i, j, e in constraints:
         zi, zj = get(i), get(j)
         if zi is None or zj is None:
             if zi is not zj:
                 continue
-        elif zi.num * zj.den * p.denominator != p.numerator * zj.num * zi.den:
+        elif zi.num * zj.den * e.den != e.num * zj.num * zi.den:
             continue
         out[i] |= 1 << j
         into[j] |= 1 << i
@@ -216,7 +213,7 @@ def terminal_decompose(
     """
     if not membership(x, d, side):
         raise ValueError("vector is not in the polyhedron")
-    out, into = tight_graph(x, metric_cone_constraints(d, side), d.n)
+    out, into = tight_graph(x, metric_cone_constraints(d, side))
     support = sum(1 << i for i in x.support)
     terms = []
     for i in x.support:

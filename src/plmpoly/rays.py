@@ -3,34 +3,34 @@
 On the lower side the cone is {z >= 0 : z_i >= Pr(a_j|a_i) z_j for a_i <= a_j};
 its extremal rays correspond one-to-one with the nonempty connected lower
 sets of the order.  The upper side is the same statement in the opposite
-order.  `oracle_rays` recomputes rays of an arbitrary such constraint system
-from scratch by the double description method: it starts from the unit
-rays of the orthant and adds one constraint at a time, combining a ray on
-the constraint's positive side with one on its negative side whenever the
-two are adjacent, which a bitmask of their tight constraints decides
-exactly.  It works in integers and knows nothing about orders, so the two
-routes check each other.
+order.  Each constraint is one off-diagonal entry d_ij = -log Pr(a_j|a_i)
+of the side's metric, read as x_i <= d_ij + x_j.  `oracle_rays`
+recomputes rays of an arbitrary such constraint system from scratch by
+the double description method: it starts from the unit rays of the
+orthant and adds one constraint at a time, combining a ray on the
+constraint's positive side with one on its negative side whenever the two
+are adjacent, which a bitmask of their tight constraints decides exactly.
+It works in integers and knows nothing about orders, so the two routes
+check each other.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    PartialOrder,
-    Plm,
-    ValidationFailed,
-    bits,
-    components_of,
-    metric_from_plm,
-    reach,
-    validate_plm,
+from .model import DirectedMetric, PartialOrder, Plm, bits, components_of, metric_from_plm, reach
+from .polyhedron import (
+    Constraint,
+    Side,
+    membership,
+    metric_cone_constraints,
+    residuate,
+    side_metric,
+    tight_graph,
 )
-from .polyhedron import Constraint, Side, membership, residuate, side_metric, tight_graph
 from .tropical import POS_INF, ExtReal, TropVector, _make, _pair, _rescaled, neg, verify
 
 
@@ -111,12 +111,7 @@ class Ray:
     certificate_rank: int
 
 
-def plm_cone_constraints(m: Plm, side: Side = Side.LOWER) -> list[Constraint]:
-    rows = [(i, j, m.pr[(i, j)]) for i, j in m.order.strict_pairs()]
-    return rows if side is Side.LOWER else sorted((j, i, p) for i, j, p in rows)
-
-
-def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int:
+def certify_ray(z: TropVector, constraints: Sequence[Constraint]) -> int:
     """Rank of the rows of {z_k >= 0} and the constraints that z makes tight.
 
     The rank is n-1 exactly when z spans an extremal ray, and it is
@@ -124,8 +119,8 @@ def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int
     undirected and induced on the support of z:
 
     * each zero coordinate k gives the unit row e_k;
-    * a tight row z_i = p z_j (p > 0) with one zero end has both ends zero,
-      so its row e_i - p e_j lies in the span of the unit rows;
+    * a tight row z_i = p z_j (p = exp(-e) > 0) with one zero end has
+      both ends zero, so its row e_i - p e_j lies in the span of the unit rows;
     * on a component C the remaining rows form a weighted incidence matrix
       of a connected graph; v_i = p v_j on every edge fixes v on C from one
       coordinate, so its kernel on C is spanned by z|C and its rank is
@@ -134,30 +129,31 @@ def certify_ray(z: TropVector, constraints: Sequence[Constraint], n: int) -> int
     The unit rows and the blocks of the components act on disjoint
     coordinates, so the ranks add up to (n - |supp z|) + sum (|C| - 1).
     """
-    out, into = tight_graph(z, constraints, n)
+    out, into = tight_graph(z, constraints)
     support = sum(1 << k for k in z.support)
-    return n - len(components_of([a | b for a, b in zip(out, into)], support))
+    return z.n - len(components_of([a | b for a, b in zip(out, into)], support))
 
 
-def _side_cone(m: Plm, side: Side) -> tuple[list[ExtReal], PartialOrder, list[Constraint]]:
-    """The side's generator values, order and cone constraints, kept on the model.
+def _side_cone(
+    m: Plm, side: Side
+) -> tuple[list[ExtReal], PartialOrder, DirectedMetric, list[Constraint]]:
+    """The side's generator values, order, metric and cone rows, kept on the model.
 
-    With the model's potential w (validation walks it once), the value
-    of text i is 1/w_i on the lower side and w_i on the upper side.  The
-    upper side's order is the opposite one, built once here.
+    `metric_from_plm` validates the model, which keeps its potential w on
+    it; the value of text i is 1/w_i on the lower side and w_i on the
+    upper side.  The upper side's order and metric are the opposite order
+    and the transposed metric, each built once here, and the rows are the
+    side metric's off-diagonal entries.
     """
     cone = m._side_cones.get(side)
     if cone is None:
-        if m._potential is None:
-            rep = validate_plm(m)
-            if not rep.ok:
-                raise ValidationFailed(rep)
+        d = side_metric(metric_from_plm(m), side)
         w = m._potential  # w_i = a/b as its reduced pair (a, b); 1/w_i swaps it
         lower = side is Side.LOWER
         pairs = (w[i] for i in range(m.n))
         values = [_pair(b, a) if lower else _pair(a, b) for a, b in pairs]
         order = m.order if lower else m.order.opposite()
-        cone = m._side_cones[side] = (values, order, plm_cone_constraints(m, side))
+        cone = m._side_cones[side] = (values, order, d, metric_cone_constraints(d))
     return cone
 
 
@@ -176,7 +172,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     dividing by the largest value is `canonical()` without its checks:
     `_rescaled` by a finite positive factor keeps that form.
     """
-    values, order, constraints = _side_cone(m, side)
+    values, order, _, constraints = _side_cone(m, side)
     mem = tuple(sorted(set(members)))
     if not mem:
         raise ValueError("carrier must be nonempty")
@@ -200,7 +196,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     restricted = _make(m.n, POS_INF, tuple((i, values[i]) for i in mem), mask)
     gen = _rescaled(restricted, top.den, top.num)
 
-    rank = certify_ray(gen, constraints, m.n)
+    rank = certify_ray(gen, constraints)
     expected = m.n - 1
     verify(rank == expected, f"certificate rank {rank} != {expected}")
 
@@ -218,13 +214,12 @@ def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
     """Theory route: one ray per nonempty connected lower set of the side's order.
 
     Each ray is re-tested for membership on the lower side of the side's
-    metric, formed once.  Its generator has fill +inf and lists its
+    metric, kept on the model.  Its generator has fill +inf and lists its
     carrier, a lower set, so the projection reaches only the carrier's
     columns, each listing a down-set inside it: the test costs the
     order's pairs within the carrier.
     """
-    d = side_metric(metric_from_plm(m), side)
-    _, order, _ = _side_cone(m, side)
+    _, order, d, _ = _side_cone(m, side)
     rays = [
         ray_from_lower_set(m, members, side) for members in enumerate_connected_lower_sets(order)
     ]
@@ -237,32 +232,31 @@ def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
 # the oracle: double description, independent of any order theory
 
 
-def oracle_rays(
-    constraints: Sequence[Constraint], n: int, cap: int = ORACLE_CAP
-) -> list[TropVector]:
-    """Extremal rays of {z >= 0 : z_i >= p z_j for each constraint}.
+def oracle_rays(constraints: Sequence[Constraint], n: int) -> list[TropVector]:
+    """Extremal rays of {z >= 0 : z_i >= exp(-e) z_j for each row (i, j, e)}.
 
     Double description (Motzkin et al. 1953; Fukuda & Prodon 1996).  The
     orthant's n unit rays generate {z >= 0}; the rows den*z_i - num*z_j >= 0
-    (p = num/den) are then added one at a time, each step taking the
-    pending row with the fewest positive-negative ray pairs.  Every ray is
-    an integer vector divided by its gcd and carries a bitmask of the
-    facets z_i >= 0 and rows it makes tight.  A row keeps the rays on its
-    nonnegative side and replaces the negative ones by the points where it
-    cuts the edges between a positive and a negative ray.  Two rays span
-    an edge exactly when no third ray is tight on every constraint the two
-    share (they must share at least n-2, which is checked first).  Nothing
-    here knows about orders, so this is an independent second route.
+    (exp(-e) = num/den, the entry's mirror) are then added one at a time,
+    each step taking the pending row with the fewest positive-negative ray
+    pairs.  Every ray is an integer vector divided by its gcd and carries
+    a bitmask of the facets z_i >= 0 and rows it makes tight.  A row keeps
+    the rays on its nonnegative side and replaces the negative ones by the
+    points where it cuts the edges between a positive and a negative ray.
+    Two rays span an edge exactly when no third ray is tight on every
+    constraint the two share (they must share at least n-2, which is
+    checked first).  Nothing here knows about orders, so this is an
+    independent second route.
 
-    In and out, the work stays in integers.  Each row's p (a `Fraction`,
-    an `int` or a string that `Fraction` reads) is read once as its
-    reduced pair.  Among equally cheap rows the largest p goes first,
-    ordered by the exact integer key num * (L // den), L the lcm of the
-    row denominators.  Each ray held at the end is a nonnegative
-    primitive integer vector, and `_canonical_rays` turns them into the
-    canonical rays (largest coordinate 1): deduplicated as those vectors
-    and sorted by their multiplicative coordinates through an exact
-    integer key, with no `Fraction` built.
+    In and out, the work stays in integers.  Each row is read once as its
+    entry's reduced pair, p = num/den, which must be finite and positive.
+    Among equally cheap rows the largest p goes first, ordered by the
+    exact integer key num * (L // den), L the lcm of the row denominators.
+    Each ray held at the end is a nonnegative primitive integer vector,
+    and `_canonical_rays` turns them into the canonical rays (largest
+    coordinate 1): deduplicated as those vectors and sorted by their
+    multiplicative coordinates through an exact integer key, with no
+    `Fraction` built.
 
     The edge test reads `_holders`, each constraint's tight rays as one
     bitmask, built once per step.  Scanning the held rays once per pair
@@ -270,16 +264,15 @@ def oracle_rays(
     thousands of rays: on 25 cones with 6,043 rays in all (n 6-20), it
     took 29 s where `_holders` takes 3.4 s (2-core x86-64, Python 3.11).
 
-    `ResourceCapExceeded` is raised when more than `cap` rays would be
-    held between two steps; that bounds memory and the pairs-times-rays
-    work of a step.
+    `ResourceCapExceeded` is raised when more than `ORACLE_CAP` rays
+    would be held between two steps; that bounds memory and the
+    pairs-times-rays work of a step.
     """
+    cap = ORACLE_CAP
     rows: list[tuple[int, int, int, int]] = []
-    for i, j, p in constraints:
-        if type(p) is not Fraction:
-            p = Fraction(p)
-        num, den = p.numerator, p.denominator
-        if num <= 0:
+    for i, j, e in constraints:
+        num, den = e.num, e.den
+        if not (num and den):  # +inf is (0, 1), -inf (1, 0)
             raise ValueError("constraint coefficients must be positive")
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError("constraint index out of range")
@@ -428,8 +421,8 @@ def ray_saturation_edges(r: Ray, m: Plm) -> dict[int, int]:
     Returns each carrier text's out-neighbour bitmask, which is checked to
     be its strict up-set in the side's order, cut to the carrier.
     """
-    _, order, constraints = _side_cone(m, r.side)
-    out, _ = tight_graph(r.generator, constraints, m.n)
+    _, order, _, constraints = _side_cone(m, r.side)
+    out, _ = tight_graph(r.generator, constraints)
     edges = {i: out[i] for i in sorted(r.carrier)}
     expected = {i: sum(1 << j for j in r.carrier if j != i and order.leq(i, j)) for i in edges}
     verify(edges == expected)
@@ -446,7 +439,7 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
         raise ValueError("model has no empty text")
     if r.side is not Side.LOWER:
         raise ValueError("text combinations are defined for lower rays")
-    d = metric_from_plm(m)
+    d = _side_cone(m, Side.LOWER)[2]
     maximal = sorted(
         i for i in r.carrier if not any(j != i and m.order.leq(i, j) for j in r.carrier)
     )

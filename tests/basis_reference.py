@@ -8,6 +8,10 @@ number of subsets grows as C(rows, n-1), so it is only used for n <= 5.
 
 `saturated_rank` is the rank of the rows that a cone point z (a
 `TropVector` with no -inf coordinate, not all +inf) makes tight, by `Fraction` Gaussian elimination.
+
+Both take rows (i, j, e) and read each entry e through its `Fraction`
+mirror `e.mult`, not through the integer pairs that `oracle_rays` and
+`certify_ray` read.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ def basis_rays(constraints, n: int) -> list[TropVector]:
         row = [0] * n
         row[i] = 1
         rows.append(tuple(row))
-    cons = [(i, j, Fraction(p)) for i, j, p in constraints]
+    cons = [(i, j, e.mult) for i, j, e in constraints]
     for i, j, p in cons:
         if p <= 0:
             raise ValueError("constraint coefficients must be positive")
@@ -93,11 +97,12 @@ def saturated_rank(z, constraints, n: int) -> int:
             row = [Fraction(0)] * n
             row[i] = Fraction(1)
             rows.append(row)
-    for i, j, p in constraints:
-        if z[i] == Fraction(p) * z[j]:
+    for i, j, e in constraints:
+        p = e.mult
+        if z[i] == p * z[j]:
             row = [Fraction(0)] * n
             row[i] += 1
-            row[j] -= Fraction(p)
+            row[j] -= p
             rows.append(row)
     ech: list[tuple[int, list[Fraction]]] = []
     for r in rows:

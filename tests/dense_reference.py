@@ -24,7 +24,7 @@ each component's largest index and tests it on every pair.
 None for -inf), with the scalar operations `frac_tmin`, `frac_tmax`,
 `frac_tmul`, `frac_tmax_mul` and `frac_neg` on it; the integer pairs of
 `ExtReal` are tested against it.  `certify_ray_reference` tests each
-constraint on the exact `Fraction` coordinates `z.mults()`, and
+constraint's `Fraction` mirror on the exact coordinates `z.mults()`, and
 `cross_check_reference` compares two ray lists as sorted lists of them.
 `funk_q` is the Funk distance restated on multiplicative coordinates, and
 `close_log` a float tolerance test for log readings.
@@ -49,7 +49,10 @@ is `max_closure` joining each down-set of the candidates from scratch.
 `potential_reference` is the potential walk in `Fraction` arithmetic, as
 `model.potential` walked it before it took integer pairs, and
 `metric_rows_reference` fills a dense n x n grid from the model's
-probabilities through `ExtReal.from_prob`.  `validate_reference` is
+probabilities through `ExtReal.from_prob`, and `cone_rows_reference`
+lists the cone rows straight from the model's strict pairs, as the rays
+layer built them before it read the side metric's entries.
+`validate_reference` is
 `validate_plm` as a sorted scan of the listed pairs with an `order.leq`
 test each, a set of the comparable ones and the list of strict pairs, and
 `potential_reference` for the last axiom.  `read_rational_reference` is
@@ -341,8 +344,8 @@ def certify_ray_reference(z: TropVector, constraints, n: int) -> int:
     support = sum(1 << k for k in z.support)
     zm = z.mults()
     adj = [0] * n
-    for i, j, p in constraints:
-        if zm[i] == p * zm[j]:
+    for i, j, e in constraints:
+        if zm[i] == e.mult * zm[j]:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return n - len(components_of(adj, support))
@@ -576,3 +579,9 @@ def metric_rows_reference(m) -> tuple[tuple[ExtReal, ...], ...]:
     for (i, j), p in m.pr.items():
         rows[i][j] = ExtReal.from_prob(p)
     return tuple(map(tuple, rows))
+
+
+def cone_rows_reference(m, side=Side.LOWER) -> list[tuple[int, int, ExtReal]]:
+    """(i, j, Pr(a_j|a_i)) over the order's strict pairs; swapped and sorted upper."""
+    rows = [(i, j, ExtReal(m.pr[i, j])) for i, j in m.order.strict_pairs()]
+    return rows if side is Side.LOWER else sorted((j, i, e) for i, j, e in rows)

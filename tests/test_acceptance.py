@@ -30,7 +30,6 @@ from plmpoly import (
     metric_cone_constraints,
     metric_from_plm,
     oracle_rays,
-    plm_cone_constraints,
     project,
     random_extended_vector,
     random_member,
@@ -81,9 +80,10 @@ def test_criterion_1_example_rays(ex1):
         and full_upper.generator.mults() == (F(2, 3), F(1), F(1, 3))  # (2,3,1) scaled
         and full_upper.principal_of is None
     )
+    d = metric_from_plm(ex1)
     ok_oracle = cross_check_rays(
-        lower, oracle_rays(plm_cone_constraints(ex1, Side.LOWER), 3)
-    ) and cross_check_rays(upper, oracle_rays(plm_cone_constraints(ex1, Side.UPPER), 3))
+        lower, oracle_rays(metric_cone_constraints(d, Side.LOWER), 3)
+    ) and cross_check_rays(upper, oracle_rays(metric_cone_constraints(d, Side.UPPER), 3))
     elapsed = time.perf_counter() - t0
     report(
         1,
@@ -107,7 +107,7 @@ def test_criterion_2_oracle_equivalence(model_pool):
         )
         for side in sides:
             rays = enumerate_rays(m, side)
-            qs = oracle_rays(plm_cone_constraints(m, side), m.n)
+            qs = oracle_rays(metric_cone_constraints(metric_from_plm(m), side), m.n)
             if not cross_check_rays(rays, qs):
                 ok = False
             checked += 1

@@ -121,6 +121,19 @@ RAYS_PINS = {
     ("forest-3-12", "upper", "--oracle"): "79604e1e98b91776b4b80d35b23c96e171c9e5727d4b2a5c530fa826fcd6469e",
 }
 
+# sha256 of `rays` standard output on the oracle-only routes: a metric file,
+# and a text model truncated by --big-m
+ORACLE_ROUTE_PINS = {
+    ("uniform_metric_third.json", "lower", "exact"): "c7ec47a6f1061c1cefd2faab4f69f9d7efd7886ec53f98ae64840cd4071e948e",
+    ("uniform_metric_third.json", "lower", "--float"): "5c696935327d63e54773474825f200637bd2a5a178cbc6487edc502914c0209a",
+    ("uniform_metric_third.json", "upper", "exact"): "2554abad770c50d8cf03e851d28fa667c231a3ded4bdce2bb8dbdf37f3d3579f",
+    ("uniform_metric_third.json", "upper", "--float"): "1609869acffbd0ed8b66832c28bbe2bb5a99088bc9dc370950f570936cfe0b15",
+    ("worked_example.json --big-m 10", "lower", "exact"): "1b4ad7e783a9df610e71ddfcb5a713df4eafd3742fb9d00c7837f02c767f1afb",
+    ("worked_example.json --big-m 10", "lower", "--float"): "79b8b1c670329acd2ac49add3d03ea01f966dee1939e814be98929d8fca1b4c3",
+    ("worked_example.json --big-m 10", "upper", "exact"): "7fda60b0b49c7ea159e86d06f046658a3fa5c439d6fff3daf22f2373099544b2",
+    ("worked_example.json --big-m 10", "upper", "--float"): "be7a4991d78cd108ce367fc947c0dc8120b8706e30c383ce21ee2b12a5a6dad1",
+}
+
 
 class TestCheck:
     def test_valid_model(self, capsys, ex1_file):
@@ -287,7 +300,7 @@ class TestRays:
         assert err == "verification failed: a certified ray is not a member\n"
 
     def test_failed_certificate_exits_2(self, capsys, ex1_file, monkeypatch):
-        monkeypatch.setattr(rays, "certify_ray", lambda z, cons, n: 0)
+        monkeypatch.setattr(rays, "certify_ray", lambda z, cons: 0)
         code, out, err = run(capsys, "rays", ex1_file)
         assert code == 2 and out == ""
         assert err == "verification failed: certificate rank 0 != 2\n"
@@ -361,6 +374,15 @@ class TestRays:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == RAYS_PINS[model, side, mode]
+
+    @pytest.mark.parametrize("source, side, mode", list(ORACLE_ROUTE_PINS))
+    def test_oracle_route_bytes_are_pinned(self, capsys, source, side, mode):
+        name, *extra = source.split()
+        argv = ["rays", str(ROOT / "data" / name), *extra, "--side", side]
+        code, out, _ = run(capsys, *argv, *([] if mode == "exact" else [mode]))
+        assert code == 0 and json.loads(out)["method"] == "oracle"
+        digest = ORACLE_ROUTE_PINS[source, side, mode]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDual:

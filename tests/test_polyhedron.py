@@ -232,14 +232,14 @@ class TestSaturation:
     def test_frozen_graph(self, ex1):
         d = metric_from_plm(ex1)
         x = TropVector.from_probs([F(1, 2), F(1, 3), 1])
-        out, into = tight_graph(x, metric_cone_constraints(d), d.n)
+        out, into = tight_graph(x, metric_cone_constraints(d))
         assert out == [0b100, 0b100, 0]
         assert into == [0, 0, 0b011]
 
     def test_isolated_off_support(self, ex1):
         d = metric_from_plm(ex1)
         x = TropVector([ExtReal.from_prob(1), POS_INF, POS_INF])
-        out, into = tight_graph(x, metric_cone_constraints(d), d.n)
+        out, into = tight_graph(x, metric_cone_constraints(d))
         assert out[0] == into[0] == 0
         # off the support, z_1 = 0 = (1/3) z_2 is tight as well
         assert out == [0, 0b100, 0]
@@ -271,7 +271,7 @@ def test_tight_graph_matches_saturation_reference(seed, kind, side):
         x = random_member(rng, d, side)
         xs += [x, _perturbed(rng, x)]
     for x in xs:
-        out, into = tight_graph(x, cons, d.n)
+        out, into = tight_graph(x, cons)
         support = x.support
         mask = sum(1 << i for i in support)
         assert all(out[i] & ~mask == 0 for i in support)

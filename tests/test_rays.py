@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
+    NEG_INF,
+    POS_INF,
+    ZERO,
     ExtReal,
     PartialOrder,
     Plm,
@@ -18,12 +21,13 @@ from plmpoly import (
     cross_check_rays,
     enumerate_connected_lower_sets,
     enumerate_rays,
+    ingest_corpus,
     metric_cone_constraints,
     metric_from_plm,
     oracle_rays,
-    plm_cone_constraints,
     potential,
     random_forest_plm,
+    random_layered_plm,
     random_plm,
     ray_as_text_combination,
     ray_from_lower_set,
@@ -31,12 +35,14 @@ from plmpoly import (
     truncate_big_m,
 )
 from plmpoly import cli
+import plmpoly.rays as rays_module
 from plmpoly.model import DirectedMetric
 from plmpoly.rays import _canonical_rays
 from basis_reference import MAX_N, basis_rays, saturated_rank
 from dense_reference import (
     canonical_rays_reference,
     certify_ray_reference,
+    cone_rows_reference,
     cross_check_reference,
     generator_reference,
     lower_sets_reference,
@@ -122,11 +128,11 @@ class TestExampleRays:
     def test_oracle_agrees(self, ex1):
         for side in (Side.LOWER, Side.UPPER):
             rays = enumerate_rays(ex1, side)
-            qs = oracle_rays(plm_cone_constraints(ex1, side), 3)
+            qs = oracle_rays(cone_rows_reference(ex1, side), 3)
             assert cross_check_rays(rays, qs)
 
     def test_side_objects_are_built_once(self, monkeypatch):
-        # the upper side's order once per model, its metric once per enumeration
+        # the upper side's order and metric once per model
         built = Counter()
         for cls, name in ((PartialOrder, "opposite"), (DirectedMetric, "transpose")):
             real = getattr(cls, name)
@@ -137,7 +143,7 @@ class TestExampleRays:
         assert len(enumerate_rays(m, Side.UPPER)) > 1
         assert built == {"opposite": 1, "transpose": 1}
         enumerate_rays(m, Side.UPPER)
-        assert built == {"opposite": 1, "transpose": 2}
+        assert built == {"opposite": 1, "transpose": 1}
 
     def test_full_model_counts(self, ex1_full):
         # diamond-with-bottom: 5 connected downward-closed sets either way up
@@ -176,23 +182,27 @@ class TestRayFromLowerSet:
 
 
 class TestOracle:
-    def test_dimension_cap(self):
-        with pytest.raises(ResourceCapExceeded):
-            oracle_rays([], 13, cap=12)
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(rays_module, "ORACLE_CAP", 12)
+        with pytest.raises(ResourceCapExceeded, match="13 unit rays exceed the oracle cap 12"):
+            oracle_rays([], 13)
 
-    def test_cap_counts_rays_not_dimension(self):
+    def test_cap_counts_rays_not_dimension(self, monkeypatch):
         assert len(oracle_rays([], 13)) == 13
         # all distances equal: 2^n - 2 rays, refused by a cap below that
         cons = metric_cone_constraints(make_d2(F(1, 2), n=6), Side.LOWER)
         assert len(oracle_rays(cons, 6)) == 62
-        with pytest.raises(ResourceCapExceeded):
-            oracle_rays(cons, 6, cap=40)
+        monkeypatch.setattr(rays_module, "ORACLE_CAP", 40)
+        with pytest.raises(ResourceCapExceeded, match=r"more than 40 rays after \d+ of 30"):
+            oracle_rays(cons, 6)
 
     def test_bad_constraints(self):
-        with pytest.raises(ValueError):
-            oracle_rays([(0, 1, F(-1))], 2)
-        with pytest.raises(ValueError):
-            oracle_rays([(0, 5, F(1, 2))], 2)
+        # an infinite entry is no row: +inf is the pair (0, 1), -inf (1, 0)
+        for e in (POS_INF, NEG_INF):
+            with pytest.raises(ValueError, match="coefficients must be positive"):
+                oracle_rays([(0, 1, e)], 2)
+        with pytest.raises(ValueError, match="index out of range"):
+            oracle_rays([(0, 5, ExtReal(F(1, 2)))], 2)
 
     def test_free_cone(self):
         qs = oracle_rays([], 3)
@@ -203,11 +213,11 @@ class TestOracle:
         ]
 
     def test_certify(self, ex1):
-        cons = plm_cone_constraints(ex1, Side.LOWER)
+        cons = cone_rows_reference(ex1, Side.LOWER)
         for q in oracle_rays(cons, 3):
-            assert certify_ray(q, cons, 3) == 2
+            assert certify_ray(q, cons) == 2
         # an interior point saturates nothing beyond its own positivity
-        assert certify_ray(TropVector.from_probs([1, 1, 1]), cons, 3) == 0
+        assert certify_ray(TropVector.from_probs([1, 1, 1]), cons) == 0
 
     def test_random_equivalence(self):
         rng = seeded(21)
@@ -215,8 +225,36 @@ class TestOracle:
             m = random_plm(rng, n=rng.randint(3, 6))
             side = Side.LOWER if rng.random() < 0.5 else Side.UPPER
             rays = enumerate_rays(m, side)
-            qs = oracle_rays(plm_cone_constraints(m, side), m.n)
+            qs = oracle_rays(cone_rows_reference(m, side), m.n)
             assert cross_check_rays(rays, qs)
+
+
+class TestConeRows:
+    """The side metric's entries are the cone rows that the model's probabilities give."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+        st.sampled_from(["plm", "forest", "layered", "corpus"]),
+        st.sampled_from(list(Side)),
+    )
+    def test_metric_rows_are_the_model_rows(self, seed, n, kind, side):
+        rng = random.Random(seed)
+        if kind == "corpus":
+            tokens = [rng.choice("abc") for _ in range(rng.randint(3, 4 * n))]
+            m = ingest_corpus(
+                tokens,
+                order_mode=rng.choice(["one-sided", "two-sided"]),
+                max_len=rng.randint(1, 3),
+                include_empty=rng.random() < 0.5,
+            )
+        else:
+            draws = {"plm": random_plm, "forest": random_forest_plm, "layered": random_layered_plm}
+            m = draws[kind](rng, n)
+        rows = metric_cone_constraints(metric_from_plm(m), side)
+        assert rows == cone_rows_reference(m, side)
+        assert all(type(e) is ExtReal and e.is_finite for _, _, e in rows)
 
 
 @st.composite
@@ -224,10 +262,10 @@ def constraint_systems(draw, max_n=MAX_N):
     """Random systems with i == j rows, mutual p = 1 pairs and duplicates."""
     n = draw(st.integers(1, max_n))
     index = st.integers(0, n - 1)
-    prob = st.builds(F, st.integers(1, 9), st.integers(1, 9))
+    prob = st.builds(F, st.integers(1, 9), st.integers(1, 9)).map(ExtReal)
     cons = draw(st.lists(st.tuples(index, index, prob), max_size=8))
     for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
-        cons += [(i, j, F(1)), (j, i, F(1))]
+        cons += [(i, j, ZERO), (j, i, ZERO)]
     if cons:
         cons += draw(st.lists(st.sampled_from(cons), max_size=2))
     return draw(st.permutations(cons)), n
@@ -249,24 +287,17 @@ class TestOracleAgainstBasisReference:
     )
     def test_model_cones(self, seed, n, draw_model, side):
         m = draw_model(random.Random(seed), n)
-        cons = plm_cone_constraints(m, side)
+        cons = cone_rows_reference(m, side)
         assert oracle_rays(cons, n) == basis_rays(cons, n)
 
 
-def spelled(cons):
-    """The rows with p as a `Fraction`, a string, or an `int` where it is whole."""
-    forms = [lambda p: p, str, lambda p: int(p) if p.denominator == 1 else str(p)]
-    return [(i, j, forms[k % 3](p)) for k, (i, j, p) in enumerate(cons)]
-
-
-def assert_oracle_output(qs, cons, n):
-    """Distinct canonical vectors in `mults` order, whatever the spelling of p."""
+def assert_oracle_output(qs):
+    """Distinct canonical vectors in `mults` order."""
     assert len(set(qs)) == len(qs)
     for q in qs:
         assert q.canonical() == q
         assert_form(q, q.coords)
     assert [q.mults() for q in qs] == sorted(q.mults() for q in qs)
-    assert oracle_rays(spelled(cons), n) == qs
 
 
 @st.composite
@@ -298,14 +329,13 @@ class TestOracleOutput:
     )
     def test_model_cones(self, seed, n, draw_model, side):
         m = draw_model(random.Random(seed), n)
-        cons = plm_cone_constraints(m, side)
-        assert_oracle_output(oracle_rays(cons, n), cons, n)
+        assert_oracle_output(oracle_rays(cone_rows_reference(m, side), n))
 
     @settings(deadline=None)
     @given(constraint_systems(max_n=9))
     def test_random_systems(self, system):
         cons, n = system
-        assert_oracle_output(oracle_rays(cons, n), cons, n)
+        assert_oracle_output(oracle_rays(cons, n))
 
 
 @st.composite
@@ -327,9 +357,9 @@ def tight_systems(draw):
         lambda ij: zm[ij[0]] / zm[ij[1]] if zm[ij[0]] and zm[ij[1]] else F(1)
     )
     prob = st.one_of(ratio, ratio, st.builds(F, st.integers(1, 9), st.integers(1, 9)))
-    cons = draw(st.lists(st.tuples(index, index, prob), max_size=12))
+    cons = draw(st.lists(st.tuples(index, index, prob.map(ExtReal)), max_size=12))
     for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
-        cons += [(i, j, F(1)), (j, i, F(1))]
+        cons += [(i, j, ZERO), (j, i, ZERO)]
     if cons:
         cons += draw(st.lists(st.sampled_from(cons), max_size=2))
     return z, draw(st.permutations(cons)), n
@@ -340,7 +370,7 @@ class TestCertifyAgainstRankReference:
     @given(tight_systems())
     def test_random_systems(self, system):
         z, cons, n = system
-        assert certify_ray(z, cons, n) == saturated_rank(z, cons, n)
+        assert certify_ray(z, cons) == saturated_rank(z, cons, n)
 
     @settings(deadline=None)
     @given(
@@ -351,13 +381,13 @@ class TestCertifyAgainstRankReference:
     )
     def test_model_cones(self, seed, n, draw_model, side):
         m = draw_model(random.Random(seed), n)
-        cons = plm_cone_constraints(m, side)
+        cons = cone_rows_reference(m, side)
         qs = oracle_rays(cons, n)
         for q in qs:
-            assert certify_ray(q, cons, n) == saturated_rank(q, cons, n) == n - 1
+            assert certify_ray(q, cons) == saturated_rank(q, cons, n) == n - 1
         for a, b in zip(qs, qs[1:]):
             mid = TropVector.from_probs([x + y for x, y in zip(a.mults(), b.mults())])
-            rank = certify_ray(mid, cons, n)
+            rank = certify_ray(mid, cons)
             assert rank == saturated_rank(mid, cons, n) < n - 1
 
 
@@ -374,21 +404,16 @@ class TestCertifyAgainstFractionReference:
     )
     def test_rays_and_perturbed(self, seed, n, draw_model, side, data):
         m = draw_model(random.Random(seed), n)
-        systems = [
-            plm_cone_constraints(m, side),
-            metric_cone_constraints(metric_from_plm(m), side),
-        ]
+        cons = metric_cone_constraints(metric_from_plm(m), side)
         for r in enumerate_rays(m, side):
             z = r.generator
-            for cons in systems:
-                assert certify_ray(z, cons, n) == certify_ray_reference(z, cons, n) == n - 1
+            assert certify_ray(z, cons) == certify_ray_reference(z, cons, n) == n - 1
             zm = list(z.mults())
             k = data.draw(st.integers(0, n - 1))
             zm[k] = data.draw(st.sampled_from([F(0), 2 * zm[k], zm[k] / 3, F(1), F(5, 7)]))
             if any(zm):
                 bent = TropVector.from_probs(zm)
-                for cons in systems:
-                    assert certify_ray(bent, cons, n) == certify_ray_reference(bent, cons, n)
+                assert certify_ray(bent, cons) == certify_ray_reference(bent, cons, n)
 
 
 class TestCrossCheckAgainstFractionReference:
@@ -405,7 +430,7 @@ class TestCrossCheckAgainstFractionReference:
     def test_rays_and_edits(self, seed, n, draw_model, side, data):
         m = draw_model(random.Random(seed), n)
         rays = enumerate_rays(m, side)
-        qs = oracle_rays(plm_cone_constraints(m, side), n)
+        qs = oracle_rays(cone_rows_reference(m, side), n)
         k = data.draw(st.integers(0, len(qs) - 1))
         lam = ExtReal.from_prob(F(data.draw(st.integers(1, 9)), 7))
         zm = list(qs[k].mults())
@@ -461,10 +486,10 @@ class TestDiagonalScaling:
 
     def test_rescaled_constraints_trivial(self, ex1):
         w = potential(ex1, 0b111)
-        for i, j, p in plm_cone_constraints(ex1, Side.LOWER):
-            # substituting z_i = ztilde_i / w_i turns z_i >= p z_j into
-            # ztilde_i >= ztilde_j exactly when w_j == p w_i
-            assert w[j] == p * w[i]
+        for i, j, e in metric_cone_constraints(metric_from_plm(ex1), Side.LOWER):
+            # substituting z_i = ztilde_i / w_i turns z_i >= p z_j (p = e.mult)
+            # into ztilde_i >= ztilde_j exactly when w_j == p w_i
+            assert w[j] == e.mult * w[i]
 
 
 class TestD2:

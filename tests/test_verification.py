@@ -58,7 +58,7 @@ def test_failing_check_raises_under_optimize():
         "import plmpoly.rays as rays\n"
         "from plmpoly import Plm, VerificationError\n"
         "m = Plm([('a',), ('a', 'b')], 'one-sided', {(0, 1): 1})\n"
-        "rays.certify_ray = lambda z, cons, n: 0\n"
+        "rays.certify_ray = lambda z, cons: 0\n"
         "try:\n"
         "    rays.ray_from_lower_set(m, [0])\n"
         "except VerificationError as exc:\n"
