@@ -38,6 +38,7 @@ from .polyhedron import (
     membership,
     metric_cone_constraints,
     normalize_to_simplex,
+    side_metric,
     simplex_scale,
     violation,
     yoneda,
@@ -149,21 +150,21 @@ def cmd_rays(args) -> int:
         d = _metric_of(kind, obj)
         if args.big_m is not None:
             d = truncate_big_m(d, args.big_m)
-        rows = metric_cone_constraints(d, side)
+        dm = side_metric(d, side)
         found = (
             (
                 q,
                 next((k for k in range(d.n) if q.proportional(generator(d, k, side))), None),
-                certify_ray(q, rows),
+                certify_ray(q, dm),
             )
-            for q in oracle_rays(rows, d.n)
+            for q in oracle_rays(metric_cone_constraints(dm), d.n)
         )
         method = "oracle"
     else:
         rays = enumerate_rays(obj, side)
         method = "lower-sets"
         if args.oracle:
-            qs = oracle_rays(_side_cone(obj, side)[3], obj.n)
+            qs = oracle_rays(metric_cone_constraints(_side_cone(obj, side)[2]), obj.n)
             if not cross_check_rays(rays, qs):
                 mismatch = _ray_differences(rays, qs, labels, as_float)
             method = "lower-sets+oracle"
@@ -350,6 +351,21 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _nearest_vertex(q: TropVector, vertices: list[TropVector]) -> tuple[float, bool]:
+    """The drift from q to the nearest of `vertices`, and whether q is one of them.
+
+    q is looked up exactly first, so an equal vertex is found even when
+    another one's floats coincide with q's; its drift is 0.  Otherwise the
+    drift is the least max-norm distance between the float coordinates
+    (inf when there is no vertex).
+    """
+    if q in vertices:
+        return 0.0, True
+    qf = [float(c) for c in q.mults()]
+    dists = (max(abs(x - float(c)) for x, c in zip(qf, p.mults())) for p in vertices)
+    return min(dists, default=math.inf), False
+
+
 def cmd_crosssection(args) -> int:
     kind, obj, labels = load_model_file(args.model)
     d = _metric_of(kind, obj)
@@ -374,15 +390,9 @@ def cmd_crosssection(args) -> int:
             f"{len(b)} at M={files.float_string(10 * args.big_m)}"
         )
         for idx, q in enumerate(a):
-            qf = [float(c) for c in q.mults()]
-            best, best_dist = None, math.inf
-            for p in b:
-                dist = max(abs(x - float(c)) for x, c in zip(qf, p.mults()))
-                if dist < best_dist:
-                    best, best_dist = p, dist
-            exact = best == q
+            drift, exact = _nearest_vertex(q, b)
             drift_lines.append(
-                f"  vertex {idx}: drift {files.float_string(best_dist)}"
+                f"  vertex {idx}: drift {files.float_string(drift)}"
                 + (" (interior: exact match)" if exact else "")
             )
     report, table = "\n".join(drift_lines) + "\n", files.csv_text(header, rows)

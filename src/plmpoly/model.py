@@ -196,8 +196,8 @@ class Plm:
 
     A Plm is not changed once built: `validate_plm` keeps the potential
     it walks in `_potential`, each weight as its reduced pair (num, den),
-    and the ray generators keep their per-side values, order, metric and
-    cone rows in `_side_cones`, so none is built twice for one model.
+    and the ray generators keep their per-side values, order and metric
+    in `_side_cones`, so none is built twice for one model.
     """
 
     def __init__(

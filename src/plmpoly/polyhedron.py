@@ -2,8 +2,9 @@
 
 The lower-side polyhedron is the set of vectors x (not all +inf) with
 x_i <= d_ij + x_j for all i,j; equivalently the fixed points, and also the
-image, of the (min,+) projector x -> d x; `membership` tests it as that
-fixed point.  The upper side is the same thing for the transposed metric.
+image, of the (min,+) projector x -> d x.  `membership` tests the
+inequalities themselves, reading only the metric's entries that can
+fail.  The upper side is the same thing for the transposed metric.
 Multiplicative-domain points z = exp(-x) form the corresponding cone; a
 `TropVector` with no -inf coordinate, not all +inf, is such a point, read
 exactly by its `mults`.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import DirectedMetric, reach
 from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _rescaled, neg, tmul, verify
@@ -71,17 +72,41 @@ def normalize_to_simplex(z: TropVector) -> TropVector:
 
 
 def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> bool:
-    """Exact test of all defining inequalities x_i <= d_ij + x_j, as d x == x.
+    """Exact test of all defining inequalities x_i <= d_ij + x_j of the side's metric.
 
-    The zero diagonal makes the term j = i of (d x)_i = min_j tmul(d_ij, x_j)
-    equal x_i, so (d x)_i <= x_i, with equality exactly when x_i <= d_ij + x_j
-    for every j.  Both use ``tmul``, so this holds at -inf and +inf too.
+    An entry that the metric leaves out, d_ij = +inf, gives x_i <= +inf
+    and holds, and so does the diagonal, x_i <= x_i.  So only listed
+    entries can fail.  With fill +inf, an inequality whose x_j is
+    unlisted reads x_i <= +inf and holds, so only the columns j that x
+    lists are read; each entry (i, d_ij) there has a right side that is
+    finite or -inf, and an unlisted x_i = +inf fails it.  Each is one
+    cross-multiplied integer comparison of mirrors: with x_k =
+    num_k/den_k (+inf is 0/1, -inf 1/0) and d_ij's mirror a/b, it reads
+    num_i * b * den_j >= a * num_j * den_i, infinities included, as
+    (min,+) adds logs by multiplying mirrors and +inf then absorbs.
+
+    The walk stops at the first failure.  It costs the entries of the
+    side metric's columns at x's listed indices, for a cone point the
+    columns at its support; no vector and no `Fraction` is built.  The
+    all-(+inf) vector is no member.  A vector with fill -inf goes to
+    `violation` on the side's metric.
     """
     if len(x) != d.n:
         raise ValueError("dimension mismatch")
-    if x.fill is POS_INF and not x.entries:
+    m = side_metric(d, side)
+    if x.fill is not POS_INF:
+        return violation(x, m) is None
+    if not x.entries:
         return False
-    return project(x, d, side) == x
+    get = dict(x.entries).get
+    cols = m.mat.col_entries
+    for j, xj in x.entries:
+        jn, jd = xj.num, xj.den
+        for i, a in cols[j]:
+            xi = get(i, POS_INF)
+            if xi.num * a.den * jd < a.num * jn * xi.den:
+                return False
+    return True
 
 
 def violation(x: TropVector, d: DirectedMetric) -> tuple[int, int] | None:
@@ -163,32 +188,40 @@ def metric_cone_constraints(d: DirectedMetric, side: Side = Side.LOWER) -> list[
     ]
 
 
-def tight_graph(z: TropVector, constraints: Sequence[Constraint]) -> tuple[list[int], list[int]]:
-    """Out- and in-neighbour bitmasks of the rows x_i <= e + x_j that z makes tight.
+def tight_graph(z: TropVector, d: DirectedMetric) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks of z's tight inequalities on its support.
 
-    For the rows of `metric_cone_constraints` this is the graph of tight
-    inequalities x_i = d_ij + x_j of z read as a log-domain point.  The
-    test is exact: with z_k = num_k/den_k (+inf is 0/1, -inf 1/0) and
-    the entry's mirror exp(-e) = a/b, z_i = (a/b) z_j is num_i den_j b ==
-    a num_j den_i.  A row from the support to a +inf coordinate is never
-    tight, so the out-edges of the support stay on it.  A row reads its
-    two coordinates from z's entries.  When both ends are unlisted, both
-    hold the fill, (0, 1) or (1, 0), and the test reads 0 == 0: tight.
-    When one end is unlisted, one side of the test is 0 and the other is
-    not, as the listed end differs from the fill: not tight.
+    d is the side metric.  An edge i -> j is an off-diagonal entry d_ij
+    that d lists, with i and j in the support of z (the coordinates that
+    are not +inf) and x_i = d_ij + x_j for z read as a log-domain point.
+    The test is exact: with z_k = num_k/den_k (-inf is 1/0) and the
+    entry's mirror exp(-d_ij) = a/b, z_i = (a/b) z_j is num_i den_j b ==
+    a num_j den_i.  Only the columns at the support are read, each
+    entry's row looked up in z: the cost is those columns' entries.  The
+    bitmasks of the indices off the support are 0.
+
+    Walking every listed entry instead gives the same edges inside the
+    support: a row between the support and a +inf coordinate is never
+    tight, as one side of the test is 0 and the other is not, so the
+    only tight rows that this walk leaves out join two +inf
+    coordinates.  Every caller reads the graph inside the support.
     """
     get = dict(z.entries).get
+    fill = z.fill
+    # with fill +inf the support is the listed entries; with fill -inf, it
+    # is every index but the listed +inf ones
+    support = z.entries if fill is POS_INF else [(j, get(j, fill)) for j in z.support]
+    cols = d.mat.col_entries
     out = [0] * z.n
     into = [0] * z.n
-    for i, j, e in constraints:
-        zi, zj = get(i), get(j)
-        if zi is None or zj is None:
-            if zi is not zj:
-                continue
-        elif zi.num * zj.den * e.den != e.num * zj.num * zi.den:
-            continue
-        out[i] |= 1 << j
-        into[j] |= 1 << i
+    for j, zj in support:
+        jn, jd = zj.num, zj.den
+        for i, a in cols[j]:
+            zi = get(i, fill)
+            # a +inf z_i, (0, 1), fails the test, since z_j is not +inf
+            if i != j and zi.num * a.den * jd == a.num * jn * zi.den:
+                out[i] |= 1 << j
+                into[j] |= 1 << i
     return out, into
 
 
@@ -213,7 +246,7 @@ def terminal_decompose(
     """
     if not membership(x, d, side):
         raise ValueError("vector is not in the polyhedron")
-    out, into = tight_graph(x, metric_cone_constraints(d, side))
+    out, into = tight_graph(x, side_metric(d, side))
     support = sum(1 << i for i in x.support)
     terms = []
     for i in x.support:

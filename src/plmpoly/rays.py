@@ -22,15 +22,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .model import DirectedMetric, PartialOrder, Plm, bits, components_of, metric_from_plm, reach
-from .polyhedron import (
-    Constraint,
-    Side,
-    membership,
-    metric_cone_constraints,
-    residuate,
-    side_metric,
-    tight_graph,
-)
+from .polyhedron import Constraint, Side, membership, residuate, side_metric, tight_graph
 from .tropical import POS_INF, ExtReal, TropVector, _make, _pair, _rescaled, neg, verify
 
 
@@ -111,49 +103,58 @@ class Ray:
     certificate_rank: int
 
 
-def certify_ray(z: TropVector, constraints: Sequence[Constraint]) -> int:
-    """Rank of the rows of {z_k >= 0} and the constraints that z makes tight.
+def certify_ray(z: TropVector, d: DirectedMetric) -> int:
+    """Rank of the rows of {z_k >= 0} and the side metric's cone rows that z makes tight.
 
-    The rank is n-1 exactly when z spans an extremal ray, and it is
-    n minus the number of components of the `tight_graph` of z, made
-    undirected and induced on the support of z:
+    Each off-diagonal entry d_ij of the side metric d is the row
+    z_i >= p z_j, p = exp(-d_ij) > 0.  The rank is n-1 exactly when z
+    spans an extremal ray, and it is n minus the number of components of
+    the `tight_graph` of z, made undirected and induced on the support of z:
 
     * each zero coordinate k gives the unit row e_k;
-    * a tight row z_i = p z_j (p = exp(-e) > 0) with one zero end has
-      both ends zero, so its row e_i - p e_j lies in the span of the unit rows;
+    * a tight row z_i = p z_j with one zero end has both ends zero, so
+      its row e_i - p e_j lies in the span of the unit rows, and the
+      graph, which reads only the support, leaves it out;
     * on a component C the remaining rows form a weighted incidence matrix
       of a connected graph; v_i = p v_j on every edge fixes v on C from one
       coordinate, so its kernel on C is spanned by z|C and its rank is
-      |C| - 1 (a row with i == j is then the zero row).
+      |C| - 1.
 
     The unit rows and the blocks of the components act on disjoint
     coordinates, so the ranks add up to (n - |supp z|) + sum (|C| - 1).
+    It costs what `tight_graph` costs: the entries of the side metric's
+    columns at the support, for a ray the pairs inside its carrier.
+
+    z is a cone point: no coordinate is -inf (an infinite multiplicative
+    coordinate), so by the one-form rule its fill is +inf and its support
+    is the listed indices, `z.mask`.  A vector with fill -inf, which
+    holds a -inf coordinate, is refused.
     """
-    out, into = tight_graph(z, constraints)
-    support = sum(1 << k for k in z.support)
-    return z.n - len(components_of([a | b for a, b in zip(out, into)], support))
+    if z.fill is not POS_INF:
+        raise ValueError("not a cone point: a coordinate is -inf")
+    out, into = tight_graph(z, d)
+    return z.n - len(components_of([a | b for a, b in zip(out, into)], z.mask))
 
 
-def _side_cone(
-    m: Plm, side: Side
-) -> tuple[list[ExtReal], PartialOrder, DirectedMetric, list[Constraint]]:
-    """The side's generator values, order, metric and cone rows, kept on the model.
+def _side_cone(m: Plm, side: Side) -> tuple[list[ExtReal], PartialOrder, DirectedMetric]:
+    """The side's generator values, order and metric, kept on the model.
 
     `metric_from_plm` validates the model, which keeps its potential w on
     it; the value of text i is 1/w_i on the lower side and w_i on the
     upper side.  The upper side's order and metric are the opposite order
-    and the transposed metric, each built once here, and the rows are the
-    side metric's off-diagonal entries.
+    and the transposed metric, each built once here.  The metric is built
+    once per model: the second side transposes the first side's.
     """
     cone = m._side_cones.get(side)
     if cone is None:
-        d = side_metric(metric_from_plm(m), side)
-        w = m._potential  # w_i = a/b as its reduced pair (a, b); 1/w_i swaps it
         lower = side is Side.LOWER
+        other = m._side_cones.get(Side.UPPER if lower else Side.LOWER)
+        d = other[2].transpose() if other else side_metric(metric_from_plm(m), side)
+        w = m._potential  # w_i = a/b as its reduced pair (a, b); 1/w_i swaps it
         pairs = (w[i] for i in range(m.n))
         values = [_pair(b, a) if lower else _pair(a, b) for a, b in pairs]
         order = m.order if lower else m.order.opposite()
-        cone = m._side_cones[side] = (values, order, d, metric_cone_constraints(d))
+        cone = m._side_cones[side] = (values, order, d)
     return cone
 
 
@@ -172,7 +173,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     dividing by the largest value is `canonical()` without its checks:
     `_rescaled` by a finite positive factor keeps that form.
     """
-    values, order, _, constraints = _side_cone(m, side)
+    values, order, d = _side_cone(m, side)
     mem = tuple(sorted(set(members)))
     if not mem:
         raise ValueError("carrier must be nonempty")
@@ -196,7 +197,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     restricted = _make(m.n, POS_INF, tuple((i, values[i]) for i in mem), mask)
     gen = _rescaled(restricted, top.den, top.num)
 
-    rank = certify_ray(gen, constraints)
+    rank = certify_ray(gen, d)
     expected = m.n - 1
     verify(rank == expected, f"certificate rank {rank} != {expected}")
 
@@ -213,13 +214,14 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
 def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
     """Theory route: one ray per nonempty connected lower set of the side's order.
 
-    Each ray is re-tested for membership on the lower side of the side's
-    metric, kept on the model.  Its generator has fill +inf and lists its
-    carrier, a lower set, so the projection reaches only the carrier's
-    columns, each listing a down-set inside it: the test costs the
-    order's pairs within the carrier.
+    Each ray is certified by `certify_ray` and re-tested for membership
+    on the lower side of the side's metric, kept on the model.  Its
+    generator has fill +inf and lists its carrier, a lower set, so both
+    read only the side metric's columns at the carrier, each listing a
+    down-set inside it: each ray costs the order's pairs within its
+    carrier, twice.
     """
-    _, order, d, _ = _side_cone(m, side)
+    _, order, d = _side_cone(m, side)
     rays = [
         ray_from_lower_set(m, members, side) for members in enumerate_connected_lower_sets(order)
     ]
@@ -421,8 +423,8 @@ def ray_saturation_edges(r: Ray, m: Plm) -> dict[int, int]:
     Returns each carrier text's out-neighbour bitmask, which is checked to
     be its strict up-set in the side's order, cut to the carrier.
     """
-    _, order, _, constraints = _side_cone(m, r.side)
-    out, _ = tight_graph(r.generator, constraints)
+    _, order, d = _side_cone(m, r.side)
+    out, _ = tight_graph(r.generator, d)
     edges = {i: out[i] for i in sorted(r.carrier)}
     expected = {i: sum(1 << j for j in r.carrier if j != i and order.leq(i, j)) for i in edges}
     verify(edges == expected)

@@ -10,6 +10,8 @@ by hand, with no (min,+) product.  `residuate_reference` forms every term
 x_i - D_is, in the (max,+) convention, and every term of the span.
 `saturation_edges_reference` looks up
 d_ij densely for every support pair and keeps those with x_i = d_ij + x_j;
+`tight_graph_reference` is `tight_graph` before it read only the columns
+at the support: one integer-pair test per constraint row, on every row;
 `sink_texts_reference` closes such an edge set transitively and keeps
 the least text of each class that reaches only texts reaching it back.
 `closure_reference` closes a family under pointwise min and max in
@@ -349,6 +351,29 @@ def certify_ray_reference(z: TropVector, constraints, n: int) -> int:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return n - len(components_of(adj, support))
+
+
+def tight_graph_reference(z: TropVector, constraints) -> tuple[list[int], list[int]]:
+    """Out- and in-neighbour bitmasks of every row (i, j, e) that z makes tight.
+
+    With z_k = num_k/den_k (+inf is 0/1, -inf 1/0) and exp(-e) = a/b, the
+    row is tight when num_i den_j b == a num_j den_i.  A row reads its two
+    coordinates from z's entries: when both ends are unlisted, both hold
+    the fill and the row is tight; when one end is unlisted, it is not.
+    """
+    get = dict(z.entries).get
+    out = [0] * z.n
+    into = [0] * z.n
+    for i, j, e in constraints:
+        zi, zj = get(i), get(j)
+        if zi is None or zj is None:
+            if zi is not zj:
+                continue
+        elif zi.num * zj.den * e.den != e.num * zj.num * zi.den:
+            continue
+        out[i] |= 1 << j
+        into[j] |= 1 << i
+    return out, into
 
 
 def saturation_edges_reference(

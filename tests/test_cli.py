@@ -690,6 +690,19 @@ class TestCrosssection:
         assert rows[0] == ["side", "bigM", "vertex", "r", "c", "r c"]
         assert len(rows) == 1 + 6 * 4  # two sides x two M values x 6 vertices
 
+    def test_exact_match_beats_a_float_tie(self):
+        # p and q differ only beyond double precision, and p comes first
+        tiny = F(1, 10**30)
+        q = TropVector.from_probs([F(1, 2), F(1, 2)])
+        p = TropVector.from_probs([F(1, 2) + tiny, F(1, 2) - tiny])
+        assert p != q and [float(c) for c in p.mults()] == [float(c) for c in q.mults()]
+        assert cli._nearest_vertex(q, [p, q]) == (0.0, True)
+        assert cli._nearest_vertex(q, [p]) == (0.0, False)
+        r = TropVector.from_probs([F(1, 4), F(3, 4)])
+        assert cli._nearest_vertex(q, [r, p]) == (0.0, False)
+        assert cli._nearest_vertex(q, [r]) == (0.25, False)
+        assert cli._nearest_vertex(q, []) == (math.inf, False)
+
     def test_beyond_twelve_texts(self, capsys, tmp_path):
         # all distances zero: every cone is the single ray (1, ..., 1)
         path = write_metric(tmp_path, [["1"] * 13 for _ in range(13)])

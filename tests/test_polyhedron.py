@@ -24,6 +24,7 @@ from plmpoly import (
     random_weight,
     residuate,
     retraction_from_subset,
+    side_metric,
     terminal_decompose,
     tight_graph,
     vector_from_strings,
@@ -36,6 +37,7 @@ from dense_reference import (
     residuate_reference,
     saturation_edges_reference,
     sink_texts_reference,
+    tight_graph_reference,
 )
 
 
@@ -127,14 +129,45 @@ def _perturbed(rng, x: TropVector) -> TropVector:
     return TropVector(coords)
 
 
-@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.sampled_from(list(Side)))
-def test_membership_matches_reference(seed, kind, side):
+def _near_member(rng, d, side, data) -> TropVector:
+    """A member, sunk to -inf below some columns, with up to three coordinates moved.
+
+    Setting x_i = -inf for every i that a column j of the side metric
+    lists keeps a member one (d_ik + d_kj >= d_ij, so such a set is closed
+    under "lists a path into it"), so both fills come with members.  Each
+    move sets a coordinate to +inf, -inf or 0, or halves or doubles it.
+    """
+    cols = side_metric(d, side).mat.col_entries
+    x = random_member(rng, d, side)
+    coords = list(x.coords)
+    for j in data.draw(st.sets(st.integers(0, d.n - 1), max_size=d.n)):
+        for i, _ in cols[j]:
+            coords[i] = NEG_INF
+    moves = st.tuples(st.integers(0, d.n - 1), st.sampled_from(["+inf", "-inf", "0", "/2", "*2"]))
+    for k, move in data.draw(st.lists(moves, max_size=3)):
+        c = coords[k]
+        if move in ("+inf", "-inf", "0"):
+            coords[k] = {"+inf": POS_INF, "-inf": NEG_INF, "0": ExtReal(1)}[move]
+        elif c.is_finite:
+            coords[k] = ExtReal(c.mult * (F(1, 2) if move == "/2" else 2))
+    return TropVector(coords)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(METRIC_KINDS + ("corpus",)),
+    st.sampled_from(list(Side)),
+    st.data(),
+)
+def test_membership_matches_reference(seed, kind, side, data):
+    """Members, perturbed members and near members on both fills, with +inf and -inf."""
     rng = seeded(seed)
     d = random_metric(rng, kind)
     xs = [TropVector([POS_INF] * d.n), random_extended_vector(rng, d.n)]
     for _ in range(3):
         x = random_member(rng, d, side)
-        xs += [x, _perturbed(rng, x)]
+        xs += [x, _perturbed(rng, x), _near_member(rng, d, side, data)]
     for x in xs:
         assert membership(x, d, side) == membership_reference(x, d, side)
 
@@ -232,17 +265,18 @@ class TestSaturation:
     def test_frozen_graph(self, ex1):
         d = metric_from_plm(ex1)
         x = TropVector.from_probs([F(1, 2), F(1, 3), 1])
-        out, into = tight_graph(x, metric_cone_constraints(d))
+        out, into = tight_graph(x, d)
         assert out == [0b100, 0b100, 0]
         assert into == [0, 0, 0b011]
 
     def test_isolated_off_support(self, ex1):
         d = metric_from_plm(ex1)
         x = TropVector([ExtReal.from_prob(1), POS_INF, POS_INF])
-        out, into = tight_graph(x, metric_cone_constraints(d))
-        assert out[0] == into[0] == 0
-        # off the support, z_1 = 0 = (1/3) z_2 is tight as well
-        assert out == [0, 0b100, 0]
+        out, into = tight_graph(x, d)
+        assert out == into == [0, 0, 0]
+        # off the support, z_1 = 0 = (1/3) z_2 is tight as well, but only
+        # the walk over every row lists it, and no caller reads it
+        assert tight_graph_reference(x, metric_cone_constraints(d))[0] == [0, 0b100, 0]
 
     def test_terminal_decompose(self, ex1):
         d = metric_from_plm(ex1)
@@ -261,19 +295,31 @@ class TestSaturation:
             assert td.terminals
 
 
-@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.sampled_from(list(Side)))
-def test_tight_graph_matches_saturation_reference(seed, kind, side):
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(METRIC_KINDS + ("corpus",)),
+    st.sampled_from(list(Side)),
+    st.data(),
+)
+def test_tight_graph_matches_saturation_reference(seed, kind, side, data):
     rng = seeded(seed)
     d = random_metric(rng, kind)
-    cons = metric_cone_constraints(d, side)
+    dm = side_metric(d, side)
+    cons = metric_cone_constraints(dm)
     xs = [random_extended_vector(rng, d.n)]
     for _ in range(3):
         x = random_member(rng, d, side)
-        xs += [x, _perturbed(rng, x)]
+        xs += [x, _perturbed(rng, x), _near_member(rng, d, side, data)]
     for x in xs:
-        out, into = tight_graph(x, cons)
+        out, into = tight_graph(x, dm)
         support = x.support
         mask = sum(1 << i for i in support)
+        # inside the support, the edges of the walk over every row
+        ref_out, ref_into = tight_graph_reference(x, cons)
+        assert [out[i] for i in support] == [ref_out[i] for i in support]
+        assert [into[i] for i in support] == [ref_into[i] for i in support]
+        assert not any(out[i] | into[i] for i in range(d.n) if not mask >> i & 1)
         assert all(out[i] & ~mask == 0 for i in support)
         edges = {(i, j) for i in support for j in support if out[i] >> j & 1}
         assert edges == {(i, j) for i in support for j in support if into[j] >> i & 1}

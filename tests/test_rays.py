@@ -15,6 +15,7 @@ from plmpoly import (
     Plm,
     ResourceCapExceeded,
     Side,
+    TropMatrix,
     TropVector,
     ValidationFailed,
     certify_ray,
@@ -32,6 +33,7 @@ from plmpoly import (
     ray_as_text_combination,
     ray_from_lower_set,
     ray_saturation_edges,
+    side_metric,
     truncate_big_m,
 )
 from plmpoly import cli
@@ -213,11 +215,14 @@ class TestOracle:
         ]
 
     def test_certify(self, ex1):
-        cons = cone_rows_reference(ex1, Side.LOWER)
-        for q in oracle_rays(cons, 3):
-            assert certify_ray(q, cons) == 2
+        d = metric_from_plm(ex1)
+        for q in oracle_rays(cone_rows_reference(ex1, Side.LOWER), 3):
+            assert certify_ray(q, d) == 2
         # an interior point saturates nothing beyond its own positivity
-        assert certify_ray(TropVector.from_probs([1, 1, 1]), cons) == 0
+        assert certify_ray(TropVector.from_probs([1, 1, 1]), d) == 0
+        # a -inf coordinate is an infinite multiplicative one: no cone point
+        with pytest.raises(ValueError, match="not a cone point"):
+            certify_ray(TropVector.from_entries(3, NEG_INF, [(0, ExtReal(F(0)))]), d)
 
     def test_random_equivalence(self):
         rng = seeded(21)
@@ -255,6 +260,30 @@ class TestConeRows:
         rows = metric_cone_constraints(metric_from_plm(m), side)
         assert rows == cone_rows_reference(m, side)
         assert all(type(e) is ExtReal and e.is_finite for _, _, e in rows)
+
+
+class TestSideCone:
+    """Both sides' metrics come from one `metric_from_plm` call per model."""
+
+    @pytest.mark.parametrize("first", list(Side))
+    def test_one_metric_build_for_both_sides(self, monkeypatch, first):
+        built = []
+
+        def counting(m):
+            built.append(m)
+            return metric_from_plm(m)
+
+        monkeypatch.setattr(rays_module, "metric_from_plm", counting)
+        for seed in range(20):
+            m = random_plm(seeded(seed), n=random.Random(seed).randint(1, 7))
+            built.clear()
+            sides = [first, Side.UPPER if first is Side.LOWER else Side.LOWER]
+            for side in sides:
+                enumerate_rays(m, side)
+            assert built == [m]
+            for side in sides:
+                kept = rays_module._side_cone(m, side)[2]
+                assert kept == side_metric(metric_from_plm(m), side)
 
 
 @st.composite
@@ -340,10 +369,13 @@ class TestOracleOutput:
 
 @st.composite
 def tight_systems(draw):
-    """z >= 0 with zeros and ties, and rows that z often makes tight.
+    """z >= 0 with zeros and ties, and a side metric whose rows z often makes tight.
 
-    Most p are ratios of z's own coordinates; the rest are random.  Rows
-    with i == j, duplicate rows and mutual p = 1 pairs are drawn too.
+    The metric is any matrix with a zero diagonal and no -inf entry,
+    listed through `TropMatrix.from_entries` and taken without the
+    triangle test.  Each off-diagonal entry d_ij is drawn as the ratio
+    z_i / z_j, which makes its row tight, as the ratio of another pair,
+    or at random; mutual p = 1 pairs are drawn too.
     """
     n = draw(st.integers(1, 7))
     values = st.sampled_from([0, 0, 1, 1, 2, 3, F(1, 2)])
@@ -352,25 +384,44 @@ def tight_systems(draw):
         coords[draw(st.integers(0, n - 1))] = 1
     z = TropVector.from_probs(coords)
     zm = z.mults()
+
+    def ratio(i, j):
+        return zm[i] / zm[j] if zm[i] and zm[j] else F(1)
+
     index = st.integers(0, n - 1)
-    ratio = st.tuples(index, index).map(
-        lambda ij: zm[ij[0]] / zm[ij[1]] if zm[ij[0]] and zm[ij[1]] else F(1)
-    )
-    prob = st.one_of(ratio, ratio, st.builds(F, st.integers(1, 9), st.integers(1, 9)))
-    cons = draw(st.lists(st.tuples(index, index, prob.map(ExtReal)), max_size=12))
-    for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
-        cons += [(i, j, ZERO), (j, i, ZERO)]
-    if cons:
-        cons += draw(st.lists(st.sampled_from(cons), max_size=2))
-    return z, draw(st.permutations(cons)), n
+    pair = st.tuples(index, index).filter(lambda ij: ij[0] != ij[1])
+    probs = {}
+    for i, j in draw(st.lists(pair, max_size=12)):
+        kind = draw(st.sampled_from(["tight", "tight", "other", "random"]))
+        if kind == "tight":
+            probs[i, j] = ratio(i, j)
+        elif kind == "other":
+            probs[i, j] = ratio(*draw(st.tuples(index, index)))
+        else:
+            probs[i, j] = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    for i, j in draw(st.lists(pair, max_size=2)):
+        probs[i, j] = probs[j, i] = F(1)
+    rows = [[(i, ZERO)] for i in range(n)]
+    for (i, j), p in sorted(probs.items()):
+        rows[i].append((j, ExtReal(p)))
+    mat = TropMatrix.from_entries(n, [sorted(row, key=lambda e: e[0]) for row in rows])
+    return z, DirectedMetric(mat, require_projector=False), n
+
+
+def bent_vectors(data, z: TropVector) -> list[TropVector]:
+    """z with one coordinate set to 0, scaled or redrawn; none if that leaves only zeros."""
+    zm = list(z.mults())
+    k = data.draw(st.integers(0, len(zm) - 1))
+    zm[k] = data.draw(st.sampled_from([F(0), 2 * zm[k], zm[k] / 3, F(1), F(5, 7)]))
+    return [TropVector.from_probs(zm)] if any(zm) else []
 
 
 class TestCertifyAgainstRankReference:
     @settings(deadline=None)
     @given(tight_systems())
     def test_random_systems(self, system):
-        z, cons, n = system
-        assert certify_ray(z, cons) == saturated_rank(z, cons, n)
+        z, d, n = system
+        assert certify_ray(z, d) == saturated_rank(z, metric_cone_constraints(d), n)
 
     @settings(deadline=None)
     @given(
@@ -378,16 +429,25 @@ class TestCertifyAgainstRankReference:
         st.integers(1, 8),
         st.sampled_from([random_plm, random_forest_plm]),
         st.sampled_from(list(Side)),
+        st.data(),
     )
-    def test_model_cones(self, seed, n, draw_model, side):
+    def test_model_cones(self, seed, n, draw_model, side, data):
+        """Rays, midpoints of neighbouring rays and bent rays, against both references."""
         m = draw_model(random.Random(seed), n)
+        d = side_metric(metric_from_plm(m), side)
         cons = cone_rows_reference(m, side)
         qs = oracle_rays(cons, n)
         for q in qs:
-            assert certify_ray(q, cons) == saturated_rank(q, cons, n) == n - 1
+            assert certify_ray(q, d) == certify_ray_reference(q, cons, n) == n - 1
+            assert saturated_rank(q, cons, n) == n - 1
+            for bent in bent_vectors(data, q):
+                rank = certify_ray(bent, d)
+                assert rank == certify_ray_reference(bent, cons, n)
+                assert rank == saturated_rank(bent, cons, n)
         for a, b in zip(qs, qs[1:]):
             mid = TropVector.from_probs([x + y for x, y in zip(a.mults(), b.mults())])
-            rank = certify_ray(mid, cons)
+            rank = certify_ray(mid, d)
+            assert rank == certify_ray_reference(mid, cons, n)
             assert rank == saturated_rank(mid, cons, n) < n - 1
 
 
@@ -404,16 +464,13 @@ class TestCertifyAgainstFractionReference:
     )
     def test_rays_and_perturbed(self, seed, n, draw_model, side, data):
         m = draw_model(random.Random(seed), n)
-        cons = metric_cone_constraints(metric_from_plm(m), side)
+        d = side_metric(metric_from_plm(m), side)
+        cons = metric_cone_constraints(d)
         for r in enumerate_rays(m, side):
             z = r.generator
-            assert certify_ray(z, cons) == certify_ray_reference(z, cons, n) == n - 1
-            zm = list(z.mults())
-            k = data.draw(st.integers(0, n - 1))
-            zm[k] = data.draw(st.sampled_from([F(0), 2 * zm[k], zm[k] / 3, F(1), F(5, 7)]))
-            if any(zm):
-                bent = TropVector.from_probs(zm)
-                assert certify_ray(bent, cons) == certify_ray_reference(bent, cons, n)
+            assert certify_ray(z, d) == certify_ray_reference(z, cons, n) == n - 1
+            for bent in bent_vectors(data, z):
+                assert certify_ray(bent, d) == certify_ray_reference(bent, cons, n)
 
 
 class TestCrossCheckAgainstFractionReference:

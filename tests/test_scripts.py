@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from plmpoly import Side, enumerate_rays
+import plmpoly.rays as rays_module
 
 ROOT = Path(__file__).resolve().parents[1]
 FIGURE_FILES = {
@@ -103,6 +105,34 @@ def test_oracle_sweep_matches(tmp_path):
         header, *rows = list(csv.reader(fh))
     assert header[-1] == "match"
     assert len(rows) == 10 and all(row[-1] == "yes" for row in rows)
+
+
+def test_oracle_sweep_records_capped_runs(monkeypatch, capsys, tmp_path):
+    path = ROOT / "scripts" / "oracle_sweep.py"
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "oracle_sweep", sweep)  # its dataclass looks itself up
+    spec.loader.exec_module(sweep)
+    cfg = sweep.SweepConfig(models=6, seed=3, n_min=5, n_max=7)
+    full, full_ok = sweep.run_sweep(cfg)
+    assert full_ok and all(row[-1] == "yes" for row in full)
+    # a cap below some of these cones' ray counts stops their oracle runs
+    monkeypatch.setattr(rays_module, "ORACLE_CAP", 12)
+    rows, all_ok = sweep.run_sweep(cfg)
+    assert all_ok and len(rows) == len(full) == 12
+    capped = [row for row in rows if row[-1] == "cap"]
+    assert 0 < len(capped) < len(rows)
+    for row, ref in zip(rows, full):
+        assert row[:5] == ref[:5]  # the enumeration ran and counted its rays
+        assert row[-1] in ("cap", "yes") and (row[6] == "") == (row[-1] == "cap")
+    out = tmp_path / "sweep.csv"
+    argv = ["--models", "6", "--seed", "3", "--n-min", "5", "--n-max", "7", "--out", str(out)]
+    assert sweep.main(argv) == 3  # the CLI's exit code for a resource cap
+    assert f"12 enumerations: all compared match ({len(capped)} stopped at a resource cap)" in (
+        capsys.readouterr().out
+    )
+    with out.open(newline="") as fh:
+        assert sum(row[-1] == "cap" for row in csv.reader(fh)) == len(capped)
 
 
 def test_scale_table_rows(tmp_path):
