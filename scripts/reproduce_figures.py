@@ -87,9 +87,9 @@ def emit_rays(cfg: FigureConfig, m: Plm) -> None:
     header = ["side", "vertex", "carrier", "principalOf", "certificateRank"] + labels
     rows, simplex_rows = [], []
     for side in (Side.LOWER, Side.UPPER):
-        rays = sorted(enumerate_rays(m, side), key=lambda r: sorted(r.carrier))
+        rays = sorted(enumerate_rays(m, side), key=lambda r: r.carrier)
         for idx, r in enumerate(rays):
-            carrier = "|".join(labels[i] for i in sorted(r.carrier))
+            carrier = "|".join(labels[i] for i in r.carrier)
             meta = [
                 side.value,
                 str(idx),

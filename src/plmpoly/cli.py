@@ -144,7 +144,7 @@ def cmd_rays(args) -> int:
     side = Side(args.side)
     as_float = args.float
     mismatch = None
-    # each route yields (generator, principal text or None, certificate rank)
+    # each route yields (generator, carrier, principal text or None, certificate rank)
     if kind == "metric" or args.big_m is not None:
         # a general metric has no subtext order: oracle route only
         d = _metric_of(kind, obj)
@@ -154,6 +154,7 @@ def cmd_rays(args) -> int:
         found = (
             (
                 q,
+                q.support,
                 next((k for k in range(d.n) if q.proportional(generator(d, k, side))), None),
                 certify_ray(q, dm),
             )
@@ -168,17 +169,17 @@ def cmd_rays(args) -> int:
             if not cross_check_rays(rays, qs):
                 mismatch = _ray_differences(rays, qs, labels, as_float)
             method = "lower-sets+oracle"
-        rays = sorted(rays, key=lambda r: tuple(sorted(r.carrier)))
-        found = ((r.generator, r.principal_of, r.certificate_rank) for r in rays)
+        rays = sorted(rays, key=lambda r: r.carrier)
+        found = ((r.generator, r.carrier, r.principal_of, r.certificate_rank) for r in rays)
 
     entries = []
-    for z, principal, rank in found:
+    for z, carrier, principal, rank in found:
         gen, vertex = _ray_out(z, as_float)
         entries.append(
             {
                 "generator": gen,
                 "vertex": vertex,
-                "carrier": [labels[i] for i in z.support],
+                "carrier": [labels[i] for i in carrier],
                 "principal": None if principal is None else labels[principal],
                 "certificateRank": rank,
             }

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .model import DirectedMetric, PartialOrder, Plm, bits, components_of, metric_from_plm, reach
 from .polyhedron import Constraint, Side, membership, residuate, side_metric, tight_graph
-from .tropical import POS_INF, ExtReal, TropVector, _make, _pair, _rescaled, neg, verify
+from .tropical import POS_INF, ExtReal, TropVector, _make, _pair, _rescaled_entries, neg, verify
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -97,7 +97,7 @@ class Ray:
     """One extremal ray: exact generator plus its combinatorial certificate."""
 
     generator: TropVector  # canonical: largest multiplicative coordinate is 1
-    carrier: frozenset[int]
+    carrier: tuple[int, ...]  # ascending members, the generator's support
     side: Side
     principal_of: int | None
     certificate_rank: int
@@ -171,7 +171,12 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     The values are finite and positive, so their restriction to the
     carrier, fill +inf with the carrier listed, is in its one form, and
     dividing by the largest value is `canonical()` without its checks:
-    `_rescaled` by a finite positive factor keeps that form.
+    each quotient of two finite positive mirrors is finite and positive,
+    so the listed indices stay the carrier and the fill rule still gives
+    +inf (it holds n - |carrier| >= 0 coordinates, at least as many as
+    -inf, and wins a tie).  So each value is divided and reduced by
+    `_rescaled_entries` in one pass and the generator is made once.  The
+    carrier stays the ascending member tuple, the generator's support.
     """
     values, order, d = _side_cone(m, side)
     mem = tuple(sorted(set(members)))
@@ -194,8 +199,8 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     if not order.connected(mask):
         raise ValueError("carrier is not connected")
 
-    restricted = _make(m.n, POS_INF, tuple((i, values[i]) for i in mem), mask)
-    gen = _rescaled(restricted, top.den, top.num)
+    entries = _rescaled_entries([(i, values[i]) for i in mem], top.den, top.num)
+    gen = _make(m.n, POS_INF, entries, mask)
 
     rank = certify_ray(gen, d)
     expected = m.n - 1
@@ -204,7 +209,7 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     principal = next((k for k in mem if down[k] == mask), None)
     return Ray(
         generator=gen,
-        carrier=frozenset(mem),
+        carrier=mem,
         side=side,
         principal_of=principal,
         certificate_rank=rank,
@@ -425,7 +430,7 @@ def ray_saturation_edges(r: Ray, m: Plm) -> dict[int, int]:
     """
     _, order, d = _side_cone(m, r.side)
     out, _ = tight_graph(r.generator, d)
-    edges = {i: out[i] for i in sorted(r.carrier)}
+    edges = {i: out[i] for i in r.carrier}
     expected = {i: sum(1 << j for j in r.carrier if j != i and order.leq(i, j)) for i in edges}
     verify(edges == expected)
     return edges
@@ -442,9 +447,7 @@ def ray_as_text_combination(r: Ray, m: Plm) -> list[tuple[int, ExtReal]]:
     if r.side is not Side.LOWER:
         raise ValueError("text combinations are defined for lower rays")
     d = _side_cone(m, Side.LOWER)[2]
-    maximal = sorted(
-        i for i in r.carrier if not any(j != i and m.order.leq(i, j) for j in r.carrier)
-    )
+    maximal = [i for i in r.carrier if not any(j != i and m.order.leq(i, j) for j in r.carrier)]
     a0 = m.texts.index(())
     out = [(b, neg(d[a0, b])) for b in maximal]
     lams, span = residuate(r.generator, d, maximal)

@@ -504,12 +504,17 @@ def _rescaled(v: TropVector, a: int, b: int) -> TropVector:
     `scaled` by the finite value -log(a/b), without a `tmul` per entry
     or `_form` over the result.
     """
+    return _make(v.n, POS_INF, _rescaled_entries(v.entries, a, b), v.mask)
+
+
+def _rescaled_entries(entries: Iterable[tuple[int, ExtReal]], a: int, b: int) -> tuple:
+    """Each (i, c) with the finite mirror c.num/c.den times a/b (a, b > 0), reduced."""
     out = []
-    for i, c in v.entries:
+    for i, c in entries:
         num, den = c.num * a, c.den * b
         g = math.gcd(num, den)
         out.append((i, _pair(num // g, den // g)))
-    return _make(v.n, POS_INF, tuple(out), v.mask)
+    return tuple(out)
 
 
 def _aligned(x: TropVector, y: TropVector):

@@ -38,6 +38,8 @@ vectors with its target distance.
 not, and keeps the connected ones; `generator_reference` walks a fresh
 potential on each carrier, as the ray generators did before they read the
 model's one potential, and scales it by `canonical_reference`.
+`two_pass_generator_reference` is `ray_from_lower_set`'s generator as it
+was built before its one pass: the restricted vector, then `_rescaled`.
 `canonical_reference` and `simplex_reference` rescale a cone point
 through the general `TropVector.scaled` (a `tmul` per entry, then the fill
 rule), the first by the negated smallest coordinate, the second by the
@@ -81,12 +83,15 @@ from plmpoly import (
 from plmpoly.files import MAX_DIGITS
 from plmpoly.model import ValidationReport, bits, components_of, validate_plm
 from plmpoly.extension import BoltzmannResult
+from plmpoly.rays import _side_cone
 from plmpoly.tropical import (
     NEG_INF,
     POS_INF,
     ZERO,
     ExtReal,
     TropVector,
+    _make,
+    _rescaled,
     neg,
     tmax,
     tmax_mul,
@@ -491,6 +496,16 @@ def generator_reference(m, members, side=Side.LOWER) -> TropVector:
     for i in members:
         coords[i] = ExtReal(1 / w[i] if side is Side.LOWER else w[i])
     return canonical_reference(TropVector(coords))
+
+
+def two_pass_generator_reference(m, members, side=Side.LOWER) -> TropVector:
+    """The generator as `ray_from_lower_set` built it before its one pass: the
+    carrier's values as a vector, then that vector divided by the largest value."""
+    values = _side_cone(m, side)[0]
+    mem = sorted(set(members))
+    top = max((values[i] for i in mem), key=lambda v: v.mult)
+    restricted = _make(m.n, POS_INF, tuple((i, values[i]) for i in mem), sum(1 << i for i in mem))
+    return _rescaled(restricted, top.den, top.num)
 
 
 def canonical_reference(z: TropVector) -> TropVector:

@@ -73,8 +73,8 @@ def test_criterion_1_example_rays(ex1):
         (2,),
         (0, 1, 2),
     }
-    full_lower = next(r for r in lower if r.carrier == {0, 1, 2})
-    full_upper = next(r for r in upper if r.carrier == {0, 1, 2})
+    full_lower = next(r for r in lower if r.carrier == (0, 1, 2))
+    full_upper = next(r for r in upper if r.carrier == (0, 1, 2))
     ok_gens = (
         full_lower.generator.mults() == (F(1, 2), F(1, 3), F(1))
         and full_upper.generator.mults() == (F(2, 3), F(1), F(1, 3))  # (2,3,1) scaled

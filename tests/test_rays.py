@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -50,6 +51,7 @@ from dense_reference import (
     lower_sets_reference,
     saturation_edges_reference,
     simplex_reference,
+    two_pass_generator_reference,
 )
 from conftest import assert_form, make_d2, seeded
 
@@ -103,7 +105,7 @@ class TestExampleRays:
     def test_lower_frozen(self, ex1):
         rays = enumerate_rays(ex1, Side.LOWER)
         got = {
-            tuple(sorted(r.carrier)): (r.generator.mults(), r.principal_of)
+            r.carrier: (r.generator.mults(), r.principal_of)
             for r in rays
         }
         assert got == {
@@ -116,7 +118,7 @@ class TestExampleRays:
     def test_upper_frozen(self, ex1):
         rays = enumerate_rays(ex1, Side.UPPER)
         got = {
-            tuple(sorted(r.carrier)): (r.generator.mults(), r.principal_of)
+            r.carrier: (r.generator.mults(), r.principal_of)
             for r in rays
         }
         # the full-carrier upper ray (2,3,1) is extremal but not principal
@@ -154,13 +156,20 @@ class TestExampleRays:
 
 
 class TestRayFromLowerSet:
-    def test_rejects_bad_carriers(self, ex1):
-        with pytest.raises(ValueError, match="downward closed"):
-            ray_from_lower_set(ex1, [2])
-        with pytest.raises(ValueError, match="connected"):
-            ray_from_lower_set(ex1, [0, 1])
-        with pytest.raises(ValueError, match="nonempty"):
-            ray_from_lower_set(ex1, [])
+    def test_rejects_bad_carriers(self):
+        # a <= ab, and c apart: on each side `below` lacks an element under
+        # it, and `apart` is downward closed but falls in two pieces
+        m = Plm([("a",), ("a", "b"), ("c",)], "two-sided", {(0, 1): F(1, 2)})
+        for side, below, apart in ((Side.LOWER, [1], [0, 2]), (Side.UPPER, [0], [1, 2])):
+            for members, message in (
+                ([], "carrier must be nonempty"),
+                ([0, 3], "index 3 out of range"),
+                ([-1, 0], "index -1 out of range"),
+                (below, "carrier is not downward closed on this side"),
+                (apart, "carrier is not connected"),
+            ):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    ray_from_lower_set(m, members, side)
 
     @pytest.mark.parametrize("side", list(Side))
     def test_crown_has_no_potential(self, crown, side):
@@ -171,6 +180,13 @@ class TestRayFromLowerSet:
         # model, so this carrier is refused as well
         with pytest.raises(ValueError, match="path-dependent"):
             ray_from_lower_set(crown, [0, 1, 2], side)
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_member_forms_give_one_ray(self, ex1_full, side):
+        for members in enumerate_connected_lower_sets(_side_order(ex1_full, side)):
+            r = ray_from_lower_set(ex1_full, members, side)
+            for given in (members[::-1], members + members, set(members), iter(members)):
+                assert ray_from_lower_set(ex1_full, given, side) == r
 
     def test_principal_down_sets(self, ex1):
         r = ray_from_lower_set(ex1, [0, 1, 2])
@@ -526,7 +542,7 @@ class TestGeneratorsAgainstCarrierPotential:
         rays = enumerate_rays(m, side)
         assert rays
         for r in rays:
-            ref = generator_reference(m, sorted(r.carrier), side)
+            ref = generator_reference(m, r.carrier, side)
             assert r.generator == ref
             assert_form(r.generator, ref.coords)
             for as_float in (False, True):
@@ -534,6 +550,34 @@ class TestGeneratorsAgainstCarrierPotential:
                     cli._mult_out(ref, as_float),
                     cli._mult_out(simplex_reference(ref), as_float),
                 )
+
+
+class TestOnePassGenerator:
+    """`ray_from_lower_set` forms each generator in one pass; the restricted
+    vector and its `_rescaled` copy, the route it replaced, give the same form."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+    )
+    def test_against_two_pass_route(self, seed, n, draw_model, side):
+        m = draw_model(random.Random(seed), n)
+        lower_sets = enumerate_connected_lower_sets(_side_order(m, side))
+        for members, r in zip(lower_sets, enumerate_rays(m, side), strict=True):
+            ref = two_pass_generator_reference(m, members, side)
+            assert r.generator.entries == ref.entries
+            assert r.generator.mask == ref.mask and r.generator.fill is ref.fill is POS_INF
+            assert_form(r.generator, ref.coords)
+            # the carrier is the ascending member tuple, the generator's support
+            assert type(r.carrier) is tuple and r.carrier == tuple(sorted(members))
+            assert r.carrier == r.generator.support
+
+
+def _side_order(m, side):
+    return m.order if side is Side.LOWER else m.order.opposite()
 
 
 class TestDiagonalScaling:
@@ -619,7 +663,7 @@ class TestStructure:
     def test_saturation_edges_cover_carrier(self, ex1):
         for r in enumerate_rays(ex1, Side.LOWER):
             edges = ray_saturation_edges(r, ex1)
-            assert set(edges) == r.carrier
+            assert tuple(edges) == r.carrier
 
     @settings(deadline=None)
     @given(
