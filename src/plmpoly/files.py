@@ -139,41 +139,66 @@ def _json_pieces(o, out: list[str], nl: str) -> None:
     """Append the pieces of `json.dumps(o, indent=2, sort_keys=True)` to out.
 
     nl is a newline and the indentation of the line o starts on.  A list
-    of scalars is one piece; a dict is written in sorted key order.  A
-    value other than str, int, float, bool, None, list, tuple or dict, and
-    a key that is not a str, raise TypeError.
+    of scalars is one piece; a dict is written in sorted key order, its
+    str, int and None values and its lists of strings each in one piece
+    with their key.  A value other than str, int, float, bool, None,
+    list, tuple or dict, and a key that is not a str, raise TypeError.
     """
-    if isinstance(o, str):
+    t = type(o)
+    if t is str:
         out.append(_json_str(o))
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
             return
         inner = nl + "  "
+        items = inner + "  "
         sep = "{" + inner
         for k in sorted(o):
-            out.append(sep + _json_str(k) + ": ")
-            _json_pieces(o[k], out, inner)
+            v = o[k]
+            head = sep + _json_str(k) + ": "
             sep = "," + inner
+            t = type(v)
+            if t is str:
+                out.append(head + _json_str(v))
+            elif t is int:
+                out.append(head + int.__repr__(v))
+            elif v is None:
+                out.append(head + "null")
+            elif t is list and v and type(v[0]) is str:
+                try:
+                    text = "[" + items + ("," + items).join(map(_json_str, v)) + inner + "]"
+                except TypeError:  # a later item is not a string
+                    out.append(head)
+                    _json_pieces(v, out, inner)
+                else:
+                    out.append(head + text)
+            else:
+                out.append(head)
+                _json_pieces(v, out, inner)
         out.append(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
             return
         inner = nl + "  "
-        try:  # the common case, a list of strings, in one C-level join
-            body = ("," + inner).join(map(_json_str, o))
-        except TypeError:
-            if any(isinstance(v, (dict, list, tuple)) for v in o):
-                sep = "[" + inner
-                for v in o:
-                    out.append(sep)
-                    _json_pieces(v, out, inner)
-                    sep = "," + inner
-                out.append(nl + "]")
+        first = type(o[0])
+        if first is not dict and first is not list:
+            try:  # the common case, a list of strings, in one C-level join
+                body = ("," + inner).join(map(_json_str, o))
+            except TypeError:
+                body = None
+                if not any(isinstance(v, (dict, list, tuple)) for v in o):
+                    body = ("," + inner).join(map(_json_scalar, o))
+            if body is not None:
+                out.append("[" + inner + body + nl + "]")
                 return
-            body = ("," + inner).join(map(_json_scalar, o))
-        out.append("[" + inner + body + nl + "]")
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _json_pieces(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
     else:
         out.append(_json_scalar(o))
 

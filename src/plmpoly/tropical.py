@@ -368,20 +368,25 @@ class TropVector:
 
     def min_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        pairs = [(i, tmin(a, b)) for i, a, b in _aligned(self, other)]
-        return _vector(self.n, tmin(self.fill, other.fill), pairs)
+        return _vector(self.n, tmin(self.fill, other.fill), _merged(tmin, self, other))
 
     def max_with(self, other: "TropVector") -> "TropVector":
         _check_len(self, other)
-        pairs = [(i, tmax(a, b)) for i, a, b in _aligned(self, other)]
-        return _vector(self.n, tmax(self.fill, other.fill), pairs)
+        return _vector(self.n, tmax(self.fill, other.fill), _merged(tmax, self, other))
 
     def leq(self, other: "TropVector") -> bool:
         """Whether self <= other in every coordinate."""
         _check_len(self, other)
         if (self.mask | other.mask) != (1 << self.n) - 1 and not self.fill <= other.fill:
             return False  # some index that neither lists compares the fills
-        return all(a <= b for _, a, b in _aligned(self, other))
+        extra, mine = other.mask & ~self.mask, self.fill
+        if extra and not all(mine <= b for j, b in other.entries if extra >> j & 1):
+            return False  # an index that only other lists compares self's fill
+        get, fill = dict(other.entries).get, other.fill
+        for i, a in self.entries:
+            if not a <= get(i, fill):
+                return False
+        return True
 
     def scaled(self, lam: ExtReal) -> "TropVector":
         """lam + self coordinatewise, (min,+) convention."""
@@ -517,26 +522,21 @@ def _rescaled_entries(entries: Iterable[tuple[int, ExtReal]], a: int, b: int) ->
     return tuple(out)
 
 
-def _aligned(x: TropVector, y: TropVector):
-    """(i, x_i, y_i) for each index that x or y lists, ascending."""
-    a, b = x.entries, y.entries
-    p = q = 0
-    while p < len(a) and q < len(b):
-        (i, u), (j, v) = a[p], b[q]
-        if i == j:
-            yield i, u, v
-            p += 1
-            q += 1
-        elif i < j:
-            yield i, u, y.fill
-            p += 1
-        else:
-            yield j, x.fill, v
-            q += 1
-    for i, u in a[p:]:
-        yield i, u, y.fill
-    for j, v in b[q:]:
-        yield j, x.fill, v
+def _merged(op, x: TropVector, y: TropVector) -> list[tuple[int, ExtReal]]:
+    """(i, op(x_i, y_i)) for each index that x or y lists, ascending.
+
+    y's entries are read through one dict, which each of x's entries
+    empties of its index; what is left are the indices only y lists, where
+    x holds its fill.  Either fill, +inf or -inf, takes the same path.
+    """
+    rest = dict(y.entries)
+    pop, fill = rest.pop, y.fill
+    out = [(i, op(a, pop(i, fill))) for i, a in x.entries]
+    if rest:
+        fill = x.fill
+        out += [(j, op(fill, b)) for j, b in rest.items()]
+        out.sort(key=_index0)
+    return out
 
 
 def _check_len(x: TropVector, y: TropVector) -> None:

@@ -1,5 +1,5 @@
 """Slow exact references for the products, `membership`, `residuate`,
-`max_closure`, `validate_plm`, `boltzmann`, the ray generators,
+`max_closure`, `isbell_member`, `validate_plm`, `boltzmann`, the ray generators,
 `canonical`, `normalize_to_simplex`, `cross_check_rays` and `tight_graph`.
 
 `dense_apply_min`, `dense_apply_max` and `dense_compose_min` take dense
@@ -48,7 +48,12 @@ is `oracle_rays`' output step before it stayed in integers: each
 primitive integer vector through `TropVector.from_probs` and `canonical`,
 a set of the vectors, sorted by their `Fraction` `mults()`.
 `join_per_down_set_reference`
-is `max_closure` joining each down-set of the candidates from scratch.
+is `max_closure` joining each down-set of the candidates from scratch,
+and `closure_candidates_reference` forms each candidate y(i, t) with its
+own meet over every s with s_i >= t, one `reduce` per threshold.
+`isbell_member_reference` is the fixed-point test as the composition
+L(R(x)) == x, through `map_l` and `map_r` and so two `apply_max` products
+on negated vectors.
 
 `potential_reference` is the potential walk in `Fraction` arithmetic, as
 `model.potential` walked it before it took integer pairs, and
@@ -77,6 +82,8 @@ from plmpoly import (
     Side,
     ValidationFailed,
     enumerate_connected_lower_sets,
+    map_l,
+    map_r,
     potential,
     side_metric,
 )
@@ -536,11 +543,7 @@ def join_per_down_set_reference(vectors, d, cap: int = 10000) -> list:
     if not inputs:
         raise ValueError("empty input family")
     family = list(inputs)
-    cands: dict = {}
-    for i in range(d.n):
-        for t in {s[i] for s in family}:
-            cands[reduce(TropVector.min_with, [s for s in family if s[i] >= t])] = None
-    elems = list(cands)
+    elems = closure_candidates_reference(family, d.n)
     ups = [sum(1 << b for b, z in enumerate(elems) if y.leq(z)) for y in elems]
     limit = max(cap, len(family)) + (not reduce(TropVector.max_with, family).support)
     try:
@@ -549,6 +552,22 @@ def join_per_down_set_reference(vectors, d, cap: int = 10000) -> list:
         raise ResourceCapExceeded(f"closure exceeded {cap} vectors") from None
     joins = (reduce(TropVector.max_with, [elems[k] for k in ks]) for ks in down_sets)
     return [x for x in joins if x.support]
+
+
+def closure_candidates_reference(family, n: int) -> list:
+    """The distinct y(i, t) = meet of {s : s_i >= t}, t a value s_i, one meet per threshold."""
+    cands: dict = {}
+    for i in range(n):
+        for t in {s[i] for s in family}:
+            cands[reduce(TropVector.min_with, [s for s in family if s[i] >= t])] = None
+    return list(cands)
+
+
+def isbell_member_reference(d, x) -> bool:
+    """The fixed-point test x == L(R(x)) as the composition of the two maps."""
+    if len(x) != d.n:
+        raise ValueError("dimension mismatch")
+    return map_l(d, map_r(d, x)) == x
 
 
 def potential_reference(m, mask: int) -> dict[int, Fraction]:

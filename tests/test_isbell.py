@@ -25,9 +25,13 @@ from plmpoly import (
     violation,
     yoneda,
 )
+from plmpoly.isbell import closure_candidates
+from plmpoly.tropical import NEG_INF, POS_INF
 from conftest import METRIC_KINDS, make_d2, random_metric, seeded
 from dense_reference import (
+    closure_candidates_reference,
     closure_reference,
+    isbell_member_reference,
     join_per_down_set_reference,
     membership_reference,
 )
@@ -62,6 +66,111 @@ def test_generators_are_isbell_fixed(ex1):
         assert isbell_member(d, yoneda(d, k).scaled(ExtReal.from_prob(F(1, 2))))
     with pytest.raises(ValueError):
         isbell_member(d, TropVector.from_probs([1, 1]))
+
+
+def _finite(rng):
+    return ExtReal.from_prob(F(rng.randint(1, 12), rng.randint(1, 12)))
+
+
+def _with_infinities(rng, n, first, other):
+    """first at index 0, other at one more index, finite elsewhere: first is the fill."""
+    coords = [_finite(rng) for _ in range(n)]
+    coords[0] = first
+    coords[rng.randint(1, n - 1)] = other
+    return TropVector(coords)
+
+
+VECTOR_FORMS = (
+    "yoneda",
+    "closure",
+    "member",
+    "hull",
+    "moved hull",
+    "hull less one",
+    "extended",
+    "fill -inf",
+    "listed -inf",
+    "listed +inf",
+    "all listed",
+    "all +inf",
+    "all -inf",
+)
+
+
+def isbell_draw(rng, d, form, data):
+    """A vector of the named form for the metric d."""
+    n = d.n
+    if form == "yoneda":
+        return yoneda(d, rng.randrange(n)).scaled(_finite(rng))
+    if form == "closure":  # of at most four columns, at most 15 vectors
+        picked = rng.sample(range(n), min(n, 4))
+        return data.draw(st.sampled_from(max_closure([yoneda(d, k) for k in picked], d)))
+    if form == "member":
+        return random_member(rng, d)
+    if form in ("hull", "moved hull", "hull less one"):
+        x = map_l(d, map_r(d, random_extended_vector(rng, n)))  # a fixed vector
+        coords = list(x.coords)
+        if form == "moved hull":  # one coordinate moved to any value
+            coords[rng.randrange(n)] = rng.choice([POS_INF, NEG_INF, _finite(rng)])
+        elif form == "hull less one" and x.support:  # one support coordinate moved to +inf
+            coords[rng.choice(x.support)] = POS_INF
+        return TropVector(coords)
+    if form == "extended":
+        return random_extended_vector(rng, n)
+    if form == "fill -inf":
+        k = rng.randint(1, n)  # more -inf than +inf coordinates
+        pos = rng.randint(0, min(k - 1, n - k))
+        coords = [NEG_INF] * k + [POS_INF] * pos + [_finite(rng) for _ in range(n - k - pos)]
+        rng.shuffle(coords)
+        return TropVector(coords)
+    if form == "listed -inf" and n > 1:
+        return _with_infinities(rng, n, POS_INF, NEG_INF)
+    if form == "listed +inf" and n > 1:
+        return _with_infinities(rng, n, NEG_INF, POS_INF)
+    if form == "all +inf":
+        return TropVector([POS_INF] * n)
+    if form == "all -inf":
+        return TropVector([NEG_INF] * n)
+    return TropVector(_finite(rng) for _ in range(n))  # all listed
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(METRIC_KINDS + ("corpus",)),
+    st.sampled_from(VECTOR_FORMS),
+    st.data(),
+)
+def test_isbell_member_matches_the_composition(seed, kind, form, data):
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    x = isbell_draw(rng, d, form, data)
+    if form == "fill -inf" or form == "listed +inf" and d.n > 1:
+        assert x.fill is NEG_INF and (form == "fill -inf" or POS_INF in dict(x.entries).values())
+    if form == "listed -inf" and d.n > 1:
+        assert x.fill is POS_INF and NEG_INF in dict(x.entries).values()
+    assert isbell_member(d, x) == isbell_member_reference(d, x)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        isbell_member(d, TropVector(list(x.coords) + [POS_INF]))
+
+
+def test_isbell_member_on_each_form(ex1):
+    """The worked example's fixed and non-fixed vectors, one of each form."""
+    d = metric_from_plm(ex1)
+    half = ExtReal.from_prob(F(1, 2))
+    one = ExtReal.from_prob(1)
+    cases = [
+        ([POS_INF] * 3, True),
+        ([NEG_INF] * 3, True),
+        ([NEG_INF, NEG_INF, one], False),  # fill -inf, one listed entry
+        ([one, NEG_INF, POS_INF], False),  # fill -inf, listed +inf
+        ([POS_INF, POS_INF, NEG_INF], False),  # fill +inf, listed -inf
+        ([half, half, half], False),  # all listed
+    ]
+    cases += [(yoneda(d, k).coords, True) for k in range(3)]
+    for coords, fixed in cases:
+        x = TropVector(coords)
+        assert isbell_member(d, x) == isbell_member_reference(d, x) == fixed, coords
 
 
 def test_closure_frozen(ex1):
@@ -181,6 +290,30 @@ def test_closure_vectors_are_joins_of_meets_above_them(seed, family, n, data):
     for x in closure_reference(gens, d):
         meets = [reduce(TropVector.min_with, [s for s in gens if s[i] >= x[i]]) for i in range(n)]
         assert reduce(TropVector.max_with, meets) == x
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([random_plm, random_forest_plm]),
+    st.integers(1, 6),
+    st.data(),
+)
+def test_running_meet_candidates_match_the_threshold_meets(seed, family, n, data):
+    """The running meets give the candidates that one meet per threshold gives."""
+    rng = seeded(seed)
+    d = metric_from_plm(family(rng, n))
+    picked = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    gens = [yoneda(d, k).scaled(ExtReal.from_prob(F(rng.randint(1, 4), 4))) for k in picked]
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)))):
+        gens.append(a.min_with(b))
+        gens.append(a.max_with(b))
+    # any vectors, -inf and +inf coordinates and fills included
+    gens += [random_extended_vector(rng, n) for _ in range(data.draw(st.integers(0, 3)))]
+    gens = list(dict.fromkeys(data.draw(st.permutations(gens))))
+    got = closure_candidates(gens, n)
+    assert len(got) == len(set(got))
+    assert set(got) == set(closure_candidates_reference(gens, n))
 
 
 @given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS), st.data())

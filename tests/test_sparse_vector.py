@@ -97,6 +97,36 @@ def test_from_entries_refuses_bad_lists():
             TropVector.from_entries(n, fill, entries)
 
 
+@st.composite
+def with_fill(draw, n, fill):
+    """A vector whose form has the given fill: it holds fill at index 0, and
+    the other infinity at most as often."""
+    other = NEG_INF if fill is POS_INF else POS_INF
+    coords = draw(st.lists(st.one_of(st.sampled_from([POS_INF, NEG_INF]), finite), min_size=n, max_size=n))
+    coords[0] = fill
+    while coords.count(other) > coords.count(fill):
+        coords[coords.index(other)] = fill
+    return TropVector(coords)
+
+
+FILL_PAIRS = [(a, b) for a in (POS_INF, NEG_INF) for b in (POS_INF, NEG_INF)]
+
+
+@pytest.mark.parametrize("fills", FILL_PAIRS, ids=lambda f: "".join("+-"[f[k] is NEG_INF] for k in (0, 1)))
+@given(data=st.data())
+def test_meet_join_and_order_match_dense_on_each_fill_pair(fills, data):
+    """min_with, max_with and leq, on both fills of both sides, -inf fills included."""
+    n = data.draw(st.integers(1, 9))
+    x, y = (data.draw(with_fill(n, f)) for f in fills)
+    assert (x.fill, y.fill) == fills
+    xs, ys = x.coords, y.coords
+    assert_form(x.min_with(y), map(tmin, xs, ys))
+    assert_form(x.max_with(y), map(tmax, xs, ys))
+    assert x.leq(y) == all(a <= b for a, b in zip(xs, ys))
+    assert y.leq(x) == all(b <= a for a, b in zip(xs, ys))
+    assert x.leq(x) and x.min_with(y).leq(y) and y.leq(x.max_with(y))
+
+
 @given(pairs, finite, st.sampled_from([POS_INF, NEG_INF, None]))
 def test_operations_match_dense(xy, lam, infinite):
     x, y = xy
