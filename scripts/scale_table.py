@@ -2,7 +2,8 @@
 """Wall time and output digest of each corpus command at growing corpus size.
 
 For each token count, draws a Zipf stream over 200 words (weight 1/r,
-seed 1), then runs `ingest --max-len 2`, `check`, `dual`,
+seed 1), then runs `ingest --max-len 2` (`--max-len 3` for the trigram
+stream), `check`, `dual`,
 `retract --max-len 1` and `retract --max-len 1 --temperature 0.1`
 in-process through `plmpoly.cli.main`.  One line per command gives the
 text count n, the wall time and the sha256 of the command's output file,
@@ -15,6 +16,10 @@ so two versions of the package can be compared byte for byte:
 2.5 GB, so leave it out there:
 
     PYTHONPATH=src python3 scripts/scale_table.py --tokens 30000 --commands check retract smooth
+
+`--max-len` sets the longest text `ingest` keeps (2 by default):
+
+    PYTHONPATH=src python3 scripts/scale_table.py --tokens 3000 --max-len 3 --commands check
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def timed(argv: list[str], out: Path) -> tuple[float, str]:
 
 
 def scale_rows(
-    tokens: int, workdir: Path, commands: tuple[str, ...] = tuple(COMMANDS)
+    tokens: int, workdir: Path, commands: tuple[str, ...] = tuple(COMMANDS), max_len: int = 2
 ) -> Iterator[tuple[int, int, str, float, str]]:
     """(tokens, n, command, seconds, sha256), yielded as each command finishes.
 
@@ -71,7 +76,7 @@ def scale_rows(
     corpus = workdir / f"corpus{tokens}.txt"
     corpus.write_text(" ".join(zipf_tokens(tokens)) + "\n", encoding="utf-8")
     model = workdir / f"model{tokens}.json"
-    seconds, digest = timed(["ingest", str(corpus), "--max-len", "2"], model)
+    seconds, digest = timed(["ingest", str(corpus), "--max-len", str(max_len)], model)
     n = load_model_file(str(model))[1].n
     yield tokens, n, "ingest", seconds, digest
     for name, argv in COMMANDS.items():
@@ -88,11 +93,14 @@ def main(argv=None) -> int:
         "--commands", nargs="+", choices=list(COMMANDS), default=list(COMMANDS),
         help="commands to run after ingest (default: all four)",
     )
+    ap.add_argument(
+        "--max-len", type=int, default=2, help="longest text ingest keeps (default: 2)"
+    )
     args = ap.parse_args(argv)
     print(f"{'tokens':>6}  {'n':>5}  {'command':<7}  {'seconds':>8}  sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for tokens in args.tokens:
-            for row in scale_rows(tokens, Path(tmp), tuple(args.commands)):
+            for row in scale_rows(tokens, Path(tmp), tuple(args.commands), args.max_len):
                 print("{:>6}  {:>5}  {:<7}  {:>8.2f}  {}".format(*row), flush=True)
     return 0
 

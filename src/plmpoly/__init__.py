@@ -54,6 +54,7 @@ from .polyhedron import (
     tight_graph,
     violation,
     yoneda,
+    yoneda_isometric,
 )
 from .rays import (
     Ray,

@@ -33,7 +33,6 @@ from .model import (
 )
 from .polyhedron import (
     Side,
-    co_yoneda,
     generator,
     membership,
     metric_cone_constraints,
@@ -42,6 +41,7 @@ from .polyhedron import (
     simplex_scale,
     violation,
     yoneda,
+    yoneda_isometric,
 )
 from .rays import (
     ResourceCapExceeded,
@@ -122,12 +122,9 @@ def cmd_check(args) -> int:
             a, b, c = labels[i], labels[j], labels[k]
             detail = f"d[{a},{c}] > d[{a},{b}] + d[{b},{c}]"
         rows.append(("projector", not detail, detail))
-        # term by term, map_r(d, y_i)_j = funk(y_i, y_j), map_l(d, c_j)_i = funk(c_j, c_i)
-        for name, fails in (
-            ("yoneda-isometry", lambda i: map_r(d, yoneda(d, i)) != co_yoneda(d, i)),
-            ("co-yoneda-isometry", lambda j: map_l(d, co_yoneda(d, j)) != yoneda(d, j)),
-        ):
-            bad = next((k for k in range(d.n) if fails(k)), None)
+        # map_r(d, yoneda(d, k)) == co_yoneda(d, k) on the lower side, its map_l twin upper
+        for name, side in (("yoneda-isometry", Side.LOWER), ("co-yoneda-isometry", Side.UPPER)):
+            bad = next((k for k in range(d.n) if not yoneda_isometric(d, k, side)), None)
             detail = "" if bad is None else f"first failure at {labels[bad]}"
             rows.append((name, bad is None, detail))
     width = max(len(name) for name, _, _ in rows)

@@ -44,22 +44,31 @@ class DualityReport:
 def dual_decompose(d: DirectedMetric, k: int) -> DualityReport:
     """Exactly verify both decompositions attached to generator k.
 
-    Column identity: d[:,k] equals the (min,+) span of the columns d[:,j]
-    with coefficients d[j,k].  Negated identity: -d[:,k] equals the span of
-    the *rows* d[j,:] with the negated coefficients -d[j,k]; in it the term
-    j = i supplies the -inf coordinates wherever d[i,k] = +inf.
+    Column identity: y = d[:,k] equals the (min,+) span of the columns
+    d[:,j] with coefficients d[j,k], the product d y.  Negated identity:
+    -y equals the span of the *rows* d[j,:] with the negated coefficients
+    -d[j,k], the product d^t (-y), which is B(y); in it the term j = i
+    supplies the -inf coordinates wherever d[i,k] = +inf.
 
-    The column has fill +inf and lists the down-set of k; its negation has
-    fill -inf and lists the same indices, so both products cost the
-    entries of the rows of that down-set.
+    Neither product is built.  By `membership`'s docstring, a vector x
+    not all +inf is a fixed point of a side's projector exactly when it
+    is a member of that side: with the zero diagonal, (D x)_i is at most
+    D_ii + x_i = x_i, and equals it exactly when row i's inequalities
+    hold.  y lists k itself, at 0, so neither y nor -y is all +inf.  So
+    d y == y is ``membership(y, d, LOWER)``, and d^t (-y) == -y, the upper
+    projector fixing -y, is ``membership(-y, d, UPPER)``.  Both products
+    equal the vectors they are compared with once the identities hold, so
+    the report holds y and -y.
+
+    y has fill +inf and lists the down-set of k, and -y has fill -inf and
+    lists the same indices: the first test reads the columns of d at the
+    down-set, the second the rows of d^t there, which are the same
+    columns.  Each stops at its first failing inequality.
     """
     if not 0 <= k < d.n:
         raise IndexError(f"index {k} out of range")
     col = d.mat.column(k)
-    primal = d.mat.apply_min(col)
-    verify(primal == col, f"column identity fails at index {k}")
-
-    negated = map_b(d, col)
-    expected = col.negated()
-    verify(negated == expected, f"negated identity fails at index {k}")
-    return DualityReport(index=k, yoneda=primal, negated=negated)
+    verify(membership(col, d, Side.LOWER), f"column identity fails at index {k}")
+    negated = col.negated()
+    verify(membership(negated, d, Side.UPPER), f"negated identity fails at index {k}")
+    return DualityReport(index=k, yoneda=col, negated=negated)

@@ -7,10 +7,12 @@ the lower polyhedron in general.  The polyhedron itself is closed under
 pointwise min and max, making it the lattice completion of that span.
 
 `map_l` and `map_r` build the maps' vectors through `apply_max`, for the
-hull `isbell --vector` prints and for the isometry rows of `check`.
-`isbell_member` decides x == L(R(x)) without them, in integer pairs read
-off the metric's rows at x's support, and `max_closure` lists the lattice
-closure from its join-irreducibles, each built as a running meet.
+hull `isbell --vector` prints.  The isometry rows of `check`, R of a
+column against its row and L of a row against its column, are decided
+without them by `polyhedron.yoneda_isometric`.  `isbell_member` decides
+x == L(R(x)) without them too, in integer pairs read off the metric's
+rows at x's support, and `max_closure` lists the lattice closure from
+its join-irreducibles, each built as a running meet.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ The lower-side polyhedron is the set of vectors x (not all +inf) with
 x_i <= d_ij + x_j for all i,j; equivalently the fixed points, and also the
 image, of the (min,+) projector x -> d x.  `membership` tests the
 inequalities themselves, reading only the metric's entries that can
-fail.  The upper side is the same thing for the transposed metric.
+fail, and `yoneda_isometric` decides the isometry of one text's Yoneda
+row from the triangles through that text.  The upper side is the same
+thing for the transposed metric.
 Multiplicative-domain points z = exp(-x) form the corresponding cone; a
 `TropVector` with no -inf coordinate, not all +inf, is such a point, read
 exactly by its `mults`.
@@ -13,12 +15,23 @@ exactly by its `mults`.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
 from .model import DirectedMetric, reach
-from .tropical import NEG_INF, POS_INF, ExtReal, TropVector, _rescaled, neg, tmul, verify
+from .tropical import (
+    NEG_INF,
+    POS_INF,
+    ExtReal,
+    TropVector,
+    _index0,
+    _rescaled,
+    neg,
+    tmul,
+    verify,
+)
 
 
 class Side(enum.Enum):
@@ -85,21 +98,45 @@ def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> boo
     num_i * b * den_j >= a * num_j * den_i, infinities included, as
     (min,+) adds logs by multiplying mirrors and +inf then absorbs.
 
+    With fill -inf the rows at x's listed indices are read instead.  An
+    unlisted x_i = -inf satisfies every inequality.  A listed x_i is not
+    -inf, and an entry d_ij of its row whose x_j is unlisted gives the
+    right side d_ij + (-inf) = -inf, as the metric has no -inf entry:
+    x_i fails it, which the row's mask shows against x's mask.  Every
+    other entry of the row has x_j listed, and is one such comparison.
+
     The walk stops at the first failure.  It costs the entries of the
     side metric's columns at x's listed indices, for a cone point the
-    columns at its support; no vector and no `Fraction` is built.  The
-    all-(+inf) vector is no member.  A vector with fill -inf goes to
-    `violation` on the side's metric.
+    columns at its support, or with fill -inf the entries of its rows
+    there; no vector and no `Fraction` is built.  The all-(+inf) vector
+    is no member; a fill of -inf is held by some coordinate, so no such
+    vector is all +inf.
+
+    Every member is a fixed point of the side's projector x -> D x, and
+    every other vector that is not all +inf is not, fill -inf included:
+    with D's zero diagonal, (D x)_i = min_j D_ij + x_j (``tmul``) is at
+    most D_ii + x_i = x_i, and it equals x_i exactly when every term is
+    at least x_i, which are the inequalities of row i.  So for x not all
+    +inf, ``membership(x, d, side)`` is ``project(x, d, side) == x``.
     """
     if len(x) != d.n:
         raise ValueError("dimension mismatch")
-    m = side_metric(d, side)
+    m = side_metric(d, side).mat
+    get = dict(x.entries).get
     if x.fill is not POS_INF:
-        return violation(x, m) is None
+        rows, row_masks, mask = m.row_entries, m.row_masks, x.mask
+        for i, xi in x.entries:
+            if row_masks[i] & ~mask:
+                return False  # row i lists a j with x_j = -inf
+            inn, ind = xi.num, xi.den
+            for j, a in rows[i]:
+                xj = get(j)
+                if inn * a.den * xj.den < a.num * xj.num * ind:
+                    return False
+        return True
     if not x.entries:
         return False
-    get = dict(x.entries).get
-    cols = m.mat.col_entries
+    cols = m.col_entries
     for j, xj in x.entries:
         jn, jd = xj.num, xj.den
         for i, a in cols[j]:
@@ -149,6 +186,57 @@ def co_yoneda(d: DirectedMetric, k: int) -> TropVector:
 
 def generator(d: DirectedMetric, k: int, side: Side = Side.LOWER) -> TropVector:
     return yoneda(d, k) if side is Side.LOWER else co_yoneda(d, k)
+
+
+def yoneda_isometric(d: DirectedMetric, m: int, side: Side = Side.LOWER) -> bool:
+    """Whether text m's Yoneda row is isometric: R(D[:,m]) == D[m,:] for the side's metric D.
+
+    R(x)_j = max_k (D_kj - x_k) is `isbell.map_r` on D, whose upper twin
+    `isbell.map_l` on d is R on d's transpose: ``map_r(D, yoneda(D, m)) ==
+    co_yoneda(D, m)`` is the lower side, and ``map_l(d, co_yoneda(d, m))
+    == yoneda(d, m)`` the upper.  Term by term R(D[:,m])_j is the Funk
+    distance from D[:,m] to D[:,j], so the row holds for every m exactly
+    when the triangle inequality does (Lawvere 1973).
+
+    With x = D[:,m], a term with x_k = +inf is -inf, which (max,+)
+    absorbs, so only the k that column m lists count, and each has
+    D_km finite, as D has no -inf entry.  Their terms D_kj - D_km are +inf
+    where row k leaves j out, finite elsewhere.  D's zero diagonal lists
+    k = m, whose term is D_mj - 0 = D_mj, so no j can fall below D_mj:
+
+    * a j that row m leaves out has R_j = +inf = D_mj, by the term k = m;
+    * a j that row m lists has D_mj finite, so R_j = D_mj exactly when
+      (a) each k that column m lists has a row mask holding row m's, and
+      (b) D_kj <= D_km + D_mj for each such k other than m.
+
+    (a) is one mask test per k.  Then each D_kj is listed in row k, and
+    is found by bisection in its sorted list, resumed where the last j
+    was found, as row m's j ascend.  (b) is then one cross-multiplied
+    integer comparison of mirrors: with p/q for D_km, r/s for D_mj and
+    c/e for D_kj, it reads c * q * s >= p * r * e.  The walk stops at the
+    first failure.  It builds no vector and no dict of row k, since at
+    corpus scale a word's row lists every text above it: the cost is one
+    bisection in row k per k that column m lists and j that row m lists.
+    """
+    if not 0 <= m < d.n:
+        raise IndexError(f"index {m} out of range")
+    mat = side_metric(d, side).mat
+    rows, row_masks = mat.row_entries, mat.row_masks
+    line, need = rows[m], row_masks[m]
+    for k, a in mat.col_entries[m]:
+        if k == m:
+            continue
+        if need & ~row_masks[k]:
+            return False  # row k misses a j that row m lists: R_j = +inf
+        row = rows[k]
+        an, ad = a.num, a.den
+        at = 0
+        for j, b in line:
+            at = bisect_left(row, j, at, key=_index0)
+            c = row[at][1]
+            if c.num * ad * b.den < an * b.num * c.den:
+                return False
+    return True
 
 
 def residuate(

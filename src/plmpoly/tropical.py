@@ -34,8 +34,8 @@ down-set, lists that down-set; its negation, -inf there, has fill -inf and
 lists the same indices; negation swaps the fill.
 
 ``_min_plus`` is the one (min,+) kernel.  ``TropMatrix.apply_min`` runs it
-on a vector with fill +inf, and projection, spans, retractions,
-extensions and the duality identities go through ``apply_min``;
+on a vector with fill +inf, and projection, spans, retractions and
+extensions go through ``apply_min``;
 ``TropMatrix.compose_min`` runs it on each listed column of
 its right factor and lists the product's entries directly.
 ``TropMatrix.apply_max`` is the one (max,+) product, behind the Isbell

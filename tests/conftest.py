@@ -115,6 +115,21 @@ def random_metric(rng: random.Random, kind: str) -> DirectedMetric:
     return kleene_closure(TropMatrix([[entry(i, j) for j in range(n)] for i in range(n)]))
 
 
+def perturbed_metric(rng: random.Random, d: DirectedMetric) -> DirectedMetric:
+    """d with one or two off-diagonal entries redrawn, +inf among the choices.
+
+    The result keeps the zero diagonal and has no -inf entry, but most
+    such metrics break the triangle inequality, so it is built with
+    ``require_projector=False``, as `check` reads a general metric file.
+    """
+    rows = [list(row) for row in d.mat.rows]
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.randrange(d.n), rng.randrange(d.n)
+        if i != j:
+            rows[i][j] = ExtReal(rng.choice([0, F(1, 8), F(1, 3), F(1, 2), 1, 2]))
+    return DirectedMetric(TropMatrix(rows), require_projector=False)
+
+
 def fill_rule(coords):
     """The fill the docstring's rule picks for a dense tuple."""
     pos = sum(c is POS_INF for c in coords)

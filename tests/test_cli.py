@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
+    Side,
     metric_from_dict,
     metric_from_plm,
     model_to_dict,
@@ -29,7 +30,7 @@ from plmpoly import (
 from plmpoly import cli, duality, files, isbell, rays
 from plmpoly.cli import main
 from plmpoly.files import read_rational
-from plmpoly.tropical import POS_INF, ExtReal, TropMatrix, TropVector
+from plmpoly.tropical import POS_INF, TropVector
 from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
 from dense_reference import (
     dense_compose_min,
@@ -396,16 +397,23 @@ class TestDual:
         assert by_text["r c"]["negated"] == ["2", "3", "1"]
         assert by_text["r"]["negated"] == ["1", "-inf", "-inf"]
 
+    @staticmethod
+    def _fail_on(monkeypatch, side):
+        """`dual` decides each identity by one membership: plant a "no" on one side."""
+        member = duality.membership
+        monkeypatch.setattr(
+            duality, "membership", lambda x, d, s: s is not side and member(x, d, s)
+        )
+
     def test_failed_identity_names_the_index(self, capsys, ex1_file, monkeypatch):
-        monkeypatch.setattr(duality, "map_b", lambda d, x: x)
+        self._fail_on(monkeypatch, Side.UPPER)
         code, out, err = run(capsys, "dual", ex1_file)
         assert code == 2 and out == ""
         assert err == "verification failed: negated identity fails at index 0\n"
 
     def test_failed_column_identity_names_the_index(self, capsys, ex1_file, monkeypatch):
-        # every product off by log 2: the column identity is checked first
-        half = ExtReal.from_prob(F(1, 2))
-        monkeypatch.setattr(TropMatrix, "apply_min", lambda m, x: x.scaled(half))
+        # the column identity is checked first
+        self._fail_on(monkeypatch, Side.LOWER)
         code, out, err = run(capsys, "dual", ex1_file)
         assert code == 2 and out == ""
         assert err == "verification failed: column identity fails at index 0\n"

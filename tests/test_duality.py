@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
     ExtReal,
@@ -27,7 +27,7 @@ from plmpoly import (
     vector_to_strings,
     yoneda,
 )
-from conftest import METRIC_KINDS, random_metric, seeded
+from conftest import METRIC_KINDS, perturbed_metric, random_metric, seeded
 from dense_reference import dense_apply_max, dense_apply_min
 
 
@@ -116,6 +116,20 @@ def test_dual_decompose_random():
         d = metric_from_plm(m)
         for k in range(d.n):
             dual_decompose(d, k)  # internal exact asserts
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS + ("corpus",)), st.booleans())
+def test_dual_identities_are_memberships(seed, kind, perturb):
+    """Each product identity `dual` states is the membership it decides, failures included."""
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    if perturb:
+        d = perturbed_metric(rng, d)
+    for k in range(d.n):
+        y = yoneda(d, k)
+        assert membership(y, d, Side.LOWER) == (d.mat.apply_min(y) == y)
+        assert membership(y.negated(), d, Side.UPPER) == (map_b(d, y) == y.negated())
 
 
 def test_negation_pairs_off_order_coordinates(ex1):

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plmpoly import (
+    DirectedMetric,
     ExtReal,
     NEG_INF,
     POS_INF,
     Side,
+    TropMatrix,
     TropVector,
     co_yoneda,
     funk,
     generator,
+    map_l,
+    map_r,
     membership,
     metric_cone_constraints,
     metric_from_plm,
@@ -30,8 +34,9 @@ from plmpoly import (
     vector_from_strings,
     vector_to_strings,
     yoneda,
+    yoneda_isometric,
 )
-from conftest import METRIC_KINDS, random_metric, seeded
+from conftest import METRIC_KINDS, perturbed_metric, random_metric, seeded
 from dense_reference import (
     membership_reference,
     residuate_reference,
@@ -211,6 +216,42 @@ class TestIsometry:
                 for j in range(d.n):
                     assert funk(yoneda(d, i), yoneda(d, j)) == d[i, j]
                     assert funk(co_yoneda(d, j), co_yoneda(d, i)) == d[i, j]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 10**6), st.sampled_from(METRIC_KINDS + ("corpus",)), st.booleans())
+def test_yoneda_isometric_matches_the_products(seed, kind, perturb):
+    """The walk decides each row as the (max,+) products do, triangle failures included."""
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    if perturb:
+        d = perturbed_metric(rng, d)
+    for m in range(d.n):
+        lower = map_r(d, yoneda(d, m)) == co_yoneda(d, m)
+        upper = map_l(d, co_yoneda(d, m)) == yoneda(d, m)
+        assert yoneda_isometric(d, m, Side.LOWER) == lower
+        assert yoneda_isometric(d, m, Side.UPPER) == upper
+
+
+@pytest.mark.parametrize(
+    "far, lower, upper",
+    [
+        # d(0, 2) = +inf: row 0 misses the text 2 that row 1 lists, and
+        # column 2 misses the text 0 that column 1 lists (condition (a))
+        (0, [True, False, True], [True, False, True]),
+        # d(0, 2) = log 8 > d(0, 1) + d(1, 2) = log 4 (condition (b))
+        (F(1, 8), [True, False, True], [True, False, True]),
+        # d(0, 2) = log 4: the triangle holds
+        (F(1, 4), [True] * 3, [True] * 3),
+    ],
+)
+def test_yoneda_isometric_names_the_broken_rows(far, lower, upper):
+    probs = [[1, F(1, 2), far], [0, 1, F(1, 2)], [0, 0, 1]]
+    d = DirectedMetric(TropMatrix.from_probs(probs), require_projector=False)
+    assert [yoneda_isometric(d, m) for m in range(3)] == lower
+    assert [yoneda_isometric(d, m, Side.UPPER) for m in range(3)] == upper
+    with pytest.raises(IndexError):
+        yoneda_isometric(d, 3)
 
 
 class TestDecompositions:

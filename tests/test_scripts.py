@@ -178,6 +178,27 @@ def test_scale_table_pins_the_300_token_outputs(tmp_path):
     assert {row[2]: row[4] for row in rows} == SCALE_300
 
 
+# `scale_table.py --tokens 300 --max-len 3` (n = 637), the trigram stream:
+# the model, its `check` and its duality pairs, byte for byte
+TRIGRAM_300 = {
+    "ingest": "28d56c9254381fdb5b63e47acd3542514431c7be6a3ba4c94a0a82061b18f0fb",
+    "check": "eb8697a65da1cfc6808f6c4259ed0e67c39f09e2b41243e8bcc6a3f2ebfb0ee2",
+    "dual": "1275c6bb49e61d5d1457509a920309003c3464efc14959ba473189f3539aa7e0",
+}
+
+
+def test_scale_table_pins_the_300_token_trigram_outputs(tmp_path):
+    done = run_script(
+        "scale_table.py", "--tokens", "300", "--max-len", "3", "--commands", "check", "dual",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert [row[2] for row in rows] == list(TRIGRAM_300)
+    assert {(row[0], row[1]) for row in rows} == {("300", "637")}
+    assert {row[2]: row[4] for row in rows} == TRIGRAM_300
+
+
 def test_scale_table_runs_the_chosen_commands(tmp_path):
     full = run_script("scale_table.py", "--tokens", "40", cwd=tmp_path)
     chosen = run_script(
