@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .files import read_json, read_rational
 from .tropical import (
@@ -138,9 +138,6 @@ class PartialOrder:
 
     def leq(self, i: int, j: int) -> bool:
         return bool((self._up[i] >> j) & 1)
-
-    def down_mask(self, i: int) -> int:
-        return self._down[i]
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in bits(self._up[i] & ~(1 << i))]
@@ -407,18 +404,9 @@ class DirectedMetric:
     __slots__ = ("mat",)
 
     def __init__(self, mat: TropMatrix, require_projector: bool = True):
-        for i, entries in enumerate(mat.row_entries):
-            diagonal, neg_inf_at = POS_INF, None
-            for j, e in entries:
-                if j == i:
-                    diagonal = e
-                elif e is NEG_INF and neg_inf_at is None:
-                    neg_inf_at = j
-            if diagonal != ZERO:
-                raise ValueError(f"diagonal entry {i} is not 0")
-            if neg_inf_at is not None:
-                raise ValueError(f"-inf entry at ({i},{neg_inf_at})")
-        if require_projector and not check_projector(mat):
+        if not require_projector:
+            _refuse_non_metric(mat)
+        elif not check_projector(mat):
             raise ValueError("triangle inequality fails: d o d != d")
         object.__setattr__(self, "mat", mat)
 
@@ -453,9 +441,87 @@ class DirectedMetric:
         return min(mults, default=None)
 
 
+def _refuse_non_metric(mat: TropMatrix) -> None:
+    """Raise `ValueError` at the first row with a diagonal entry not 0 or a -inf entry."""
+    for i, entries in enumerate(mat.row_entries):
+        diagonal, neg_inf_at = POS_INF, None
+        for j, e in entries:
+            if j == i:
+                diagonal = e
+            elif e is NEG_INF and neg_inf_at is None:
+                neg_inf_at = j
+        if diagonal != ZERO:
+            raise ValueError(f"diagonal entry {i} is not 0")
+        if neg_inf_at is not None:
+            raise ValueError(f"-inf entry at ({i},{neg_inf_at})")
+
+
+def _failures(
+    mat: TropMatrix, fill: ExtReal, entries: Sequence[tuple[int, ExtReal]]
+) -> Iterator[tuple[int, int]]:
+    """Each (i, j) with x_i > d_ij + x_j, for d = mat and x given by its fill and entries.
+
+    The one walk of the inequalities: `polyhedron.membership` asks it
+    for a first failure, `polyhedron.violation` for the least one in
+    row-major order, and `check_projector` for one in any column of d.
+    d has no -inf entry.  An entry it leaves out, d_ij = +inf, gives
+    x_i <= +inf and holds, and so does the diagonal, x_i <= 0 + x_i.
+
+    With fill +inf, an inequality whose x_j is unlisted reads x_i <= +inf
+    and holds, so only d's columns j at x's listed indices are read; each
+    entry (i, d_ij) there has a right side that is finite or -inf, and an
+    unlisted x_i = +inf fails it.  Each is one cross-multiplied integer
+    comparison of mirrors: with x_k = num_k/den_k (+inf is 0/1, -inf
+    1/0) and d_ij's mirror a/b, it reads num_i * b * den_j >= a * num_j *
+    den_i, infinities included, as (min,+) adds logs by multiplying
+    mirrors and +inf then absorbs.
+
+    With fill -inf, d's rows i at x's listed indices are read instead.
+    An unlisted x_i = -inf satisfies every inequality.  A listed x_i is
+    not -inf, and an entry d_ij of its row whose x_j is unlisted gives
+    the right side d_ij + (-inf) = -inf: x_i fails it at once.  Every
+    other entry of the row has x_j listed, and is one such comparison.
+
+    Each pair is yielded as it is found, so a caller that stops at the
+    first reads no further; no vector and no `Fraction` is built.
+    """
+    get = dict(entries).get
+    if fill is POS_INF:
+        cols = mat.col_entries
+        for j, xj in entries:
+            jn, jd = xj.num, xj.den
+            for i, a in cols[j]:
+                xi = get(i, POS_INF)
+                if xi.num * a.den * jd < a.num * jn * xi.den:
+                    yield i, j
+    else:
+        rows = mat.row_entries
+        for i, xi in entries:
+            inn, ind = xi.num, xi.den
+            for j, a in rows[i]:
+                xj = get(j)
+                if xj is None or inn * a.den * xj.den < a.num * xj.num * ind:
+                    yield i, j
+
+
 def check_projector(mat: TropMatrix) -> bool:
-    """Exact idempotency of the (min,+) square: mat o mat == mat."""
-    return mat.compose_min(mat) == mat
+    """Exact idempotency of the (min,+) square, mat o mat == mat, with no product built.
+
+    mat must have a zero diagonal and no -inf entry, as a metric does;
+    any other matrix is refused with `ValueError`.  Then (mat o mat)_ik =
+    min_j mat_ij + mat_jk has the term j = i, mat_ii + mat_ik = mat_ik,
+    so it is at most mat_ik, and equal to it exactly when every term is
+    at least mat_ik: mat_ik <= mat_ij + mat_jk for every j.  Those are
+    the inequalities x_i <= mat_ij + x_j of the polyhedron, for x the
+    column mat[:,k].  So mat o mat == mat exactly when no column of mat
+    fails one, which the walk of `_failures` decides column by column,
+    each a vector with fill +inf, as no entry is -inf.
+
+    The zero diagonal is needed: the 1x1 matrix [a] with a > 0 has the
+    square [2a] != [a], yet its column meets x_0 <= a + x_0.
+    """
+    _refuse_non_metric(mat)
+    return all(next(_failures(mat, POS_INF, col), None) is None for col in mat.col_entries)
 
 
 def metric_from_plm(m: Plm) -> DirectedMetric:

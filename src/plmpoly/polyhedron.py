@@ -2,11 +2,14 @@
 
 The lower-side polyhedron is the set of vectors x (not all +inf) with
 x_i <= d_ij + x_j for all i,j; equivalently the fixed points, and also the
-image, of the (min,+) projector x -> d x.  `membership` tests the
-inequalities themselves, reading only the metric's entries that can
-fail, and `yoneda_isometric` decides the isometry of one text's Yoneda
-row from the triangles through that text.  The upper side is the same
-thing for the transposed metric.
+image, of the (min,+) projector x -> d x.  No product decides either
+fact: `membership`, its witness `violation` and `model.check_projector`
+(d o d == d, which holds exactly when every column of d is a member)
+read one walk of the inequalities themselves, `model._failures`, which
+reads only the metric's entries that can fail.  `yoneda_isometric`
+decides the isometry of one text's Yoneda row from the triangles
+through that text.  The upper side is the same thing for the
+transposed metric.
 Multiplicative-domain points z = exp(-x) form the corresponding cone; a
 `TropVector` with no -inf coordinate, not all +inf, is such a point, read
 exactly by its `mults`.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .model import DirectedMetric, reach
+from .model import DirectedMetric, _failures, reach
 from .tropical import (
     NEG_INF,
     POS_INF,
@@ -29,7 +32,6 @@ from .tropical import (
     _index0,
     _rescaled,
     neg,
-    tmul,
     verify,
 )
 
@@ -87,30 +89,13 @@ def normalize_to_simplex(z: TropVector) -> TropVector:
 def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> bool:
     """Exact test of all defining inequalities x_i <= d_ij + x_j of the side's metric.
 
-    An entry that the metric leaves out, d_ij = +inf, gives x_i <= +inf
-    and holds, and so does the diagonal, x_i <= x_i.  So only listed
-    entries can fail.  With fill +inf, an inequality whose x_j is
-    unlisted reads x_i <= +inf and holds, so only the columns j that x
-    lists are read; each entry (i, d_ij) there has a right side that is
-    finite or -inf, and an unlisted x_i = +inf fails it.  Each is one
-    cross-multiplied integer comparison of mirrors: with x_k =
-    num_k/den_k (+inf is 0/1, -inf 1/0) and d_ij's mirror a/b, it reads
-    num_i * b * den_j >= a * num_j * den_i, infinities included, as
-    (min,+) adds logs by multiplying mirrors and +inf then absorbs.
-
-    With fill -inf the rows at x's listed indices are read instead.  An
-    unlisted x_i = -inf satisfies every inequality.  A listed x_i is not
-    -inf, and an entry d_ij of its row whose x_j is unlisted gives the
-    right side d_ij + (-inf) = -inf, as the metric has no -inf entry:
-    x_i fails it, which the row's mask shows against x's mask.  Every
-    other entry of the row has x_j listed, and is one such comparison.
-
-    The walk stops at the first failure.  It costs the entries of the
-    side metric's columns at x's listed indices, for a cone point the
-    columns at its support, or with fill -inf the entries of its rows
-    there; no vector and no `Fraction` is built.  The all-(+inf) vector
-    is no member; a fill of -inf is held by some coordinate, so no such
-    vector is all +inf.
+    The test is `model._failures`, the one walk of these inequalities,
+    stopped at its first failing pair.  It costs the entries of the side
+    metric's columns at x's listed indices, for a cone point the columns
+    at its support, or with fill -inf the entries of its rows there; no
+    vector and no `Fraction` is built.  The all-(+inf) vector is no
+    member; a fill of -inf is held by some coordinate, so no such vector
+    is all +inf.
 
     Every member is a fixed point of the side's projector x -> D x, and
     every other vector that is not all +inf is not, fill -inf included:
@@ -121,48 +106,22 @@ def membership(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> boo
     """
     if len(x) != d.n:
         raise ValueError("dimension mismatch")
-    m = side_metric(d, side).mat
-    get = dict(x.entries).get
-    if x.fill is not POS_INF:
-        rows, row_masks, mask = m.row_entries, m.row_masks, x.mask
-        for i, xi in x.entries:
-            if row_masks[i] & ~mask:
-                return False  # row i lists a j with x_j = -inf
-            inn, ind = xi.num, xi.den
-            for j, a in rows[i]:
-                xj = get(j)
-                if inn * a.den * xj.den < a.num * xj.num * ind:
-                    return False
-        return True
-    if not x.entries:
+    if x.fill is POS_INF and not x.entries:
         return False
-    cols = m.col_entries
-    for j, xj in x.entries:
-        jn, jd = xj.num, xj.den
-        for i, a in cols[j]:
-            xi = get(i, POS_INF)
-            if xi.num * a.den * jd < a.num * jn * xi.den:
-                return False
-    return True
+    return next(_failures(side_metric(d, side).mat, x.fill, x.entries), None) is None
 
 
 def violation(x: TropVector, d: DirectedMetric) -> tuple[int, int] | None:
     """The first (i, j) in row-major order with x_i > d_ij + x_j, or None.
 
     The witness to a "no" from `membership` on the lower side: x is a member
-    exactly when it is not all +inf and this is None.  A term with d_ij =
-    +inf is +inf under ``tmul`` and bounds nothing, and j = i gives x_i
-    itself, so only the other listed entries of row i are tested.
+    exactly when it is not all +inf and this is None.  It is the least
+    pair that `model._failures` yields, so it costs the walk of d's
+    columns at x's listed indices (rows, with fill -inf), not every entry.
     """
     if len(x) != d.n:
         raise ValueError("dimension mismatch")
-    listed, fill = dict(x.entries), x.fill
-    for i, entries in enumerate(d.mat.row_entries):
-        xi = listed.get(i, fill)
-        for j, a in entries:
-            if j != i and tmul(a, listed.get(j, fill)) < xi:
-                return i, j
-    return None
+    return min(_failures(d.mat, x.fill, x.entries), default=None)
 
 
 def project(x: TropVector, d: DirectedMetric, side: Side = Side.LOWER) -> TropVector:

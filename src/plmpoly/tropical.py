@@ -37,7 +37,11 @@ lists the same indices; negation swaps the fill.
 on a vector with fill +inf, and projection, spans, retractions and
 extensions go through ``apply_min``;
 ``TropMatrix.compose_min`` runs it on each listed column of
-its right factor and lists the product's entries directly.
+its right factor and lists the product's entries directly; it serves
+only where the product is the output (retractions, their filtration
+and ``model.kleene_closure``).  A yes-or-no identity builds no product:
+``model.check_projector`` decides d o d == d by walking the triangle
+inequalities column by column.
 ``TropMatrix.apply_max`` is the one (max,+) product, behind the Isbell
 maps.  Each product proves its output fill in its docstring:
 

@@ -6,8 +6,10 @@
 rows and form every term, +inf ones included, with no index to skip by.
 
 `membership_reference` scans every defining inequality x_i <= d_ij + x_j
-by hand, with no (min,+) product.  `residuate_reference` forms every term
-x_i - D_is, in the (max,+) convention, and every term of the span.
+by hand, with no (min,+) product, and `violation_reference` every listed
+entry of d in row-major order, whatever x lists.  `residuate_reference`
+forms every term x_i - D_is, in the (max,+) convention, and every term
+of the span.
 `saturation_edges_reference` looks up
 d_ij densely for every support pair and keeps those with x_i = d_ij + x_j;
 `tight_graph_reference` is `tight_graph` before it read only the columns
@@ -160,6 +162,19 @@ def membership_reference(x, d, side=Side.LOWER) -> bool:
         for j in range(d.n)
         if i != j
     )
+
+
+def violation_reference(x, d) -> tuple[int, int] | None:
+    """`violation` as it scanned every listed entry of d in row-major order."""
+    if len(x) != d.n:
+        raise ValueError("dimension mismatch")
+    listed, fill = dict(x.entries), x.fill
+    for i, entries in enumerate(d.mat.row_entries):
+        xi = listed.get(i, fill)
+        for j, a in entries:
+            if j != i and tmul(a, listed.get(j, fill)) < xi:
+                return i, j
+    return None
 
 
 def closure_reference(vectors, d, cap: int = 10000) -> list:
@@ -476,7 +491,7 @@ def close_log(a: float, b: float, tol: float = 1e-9) -> bool:
 def lower_sets_reference(order) -> list[tuple[int, ...]]:
     """Nonempty connected lower sets, sorted by bitmask, from all lower sets."""
     n = order.n
-    topo = sorted(range(n), key=lambda i: bin(order.down_mask(i)).count("1"))
+    topo = sorted(range(n), key=lambda i: bin(order._down[i]).count("1"))
     masks: list[int] = []
 
     def rec(pos: int, mask: int) -> None:
@@ -486,7 +501,7 @@ def lower_sets_reference(order) -> list[tuple[int, ...]]:
             return
         e = topo[pos]
         rec(pos + 1, mask)
-        need = order.down_mask(e) & ~(1 << e)
+        need = order._down[e] & ~(1 << e)
         if need & ~mask == 0:
             rec(pos + 1, mask | (1 << e))
 

@@ -38,9 +38,10 @@ from plmpoly import (
 )
 from plmpoly.files import MAX_DIGITS, read_rational
 from plmpoly.model import ValidationReport, bits, components_of
-from conftest import METRIC_KINDS, metric_to_dict, random_metric, seeded
+from conftest import METRIC_KINDS, metric_to_dict, perturbed_metric, random_metric, seeded
 from dense_reference import (
     chain_scan,
+    dense_compose_min,
     metric_rows_reference,
     potential_reference,
     read_rational_reference,
@@ -411,6 +412,47 @@ class TestMetric:
             [["1", "1/2", "1/16"], ["0", "1", "1/2"], ["0", "0", "1"]]
         )
         assert not check_projector(bad)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(METRIC_KINDS),
+    st.booleans(),
+    st.sampled_from([0.3, 1.0, 5.0]),
+)
+def test_check_projector_matches_the_dense_square(seed, kind, perturb, big_m):
+    """The column walk decides d o d == d as the dense square does.
+
+    On metrics, on copies with redrawn entries, and on their big-M
+    truncations: at small M a truncation's square can fail, and a redrawn
+    entry can lie above probability 1.  A copy with no such entry is not
+    truncated, as truncating it at a large M verifies an idempotency that
+    the redrawn triangle need not have.
+    """
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    if perturb:
+        d = perturbed_metric(rng, d)
+    mats = [d.mat]
+    if not perturb or any(e < ZERO for row in d.mat.row_entries for _, e in row):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mats.append(truncate_big_m(d, big_m).mat)
+    for mat in mats:
+        rows = mat.rows
+        assert check_projector(mat) == (dense_compose_min(rows, rows) == rows)
+
+
+def test_check_projector_refuses_what_is_not_a_metric():
+    # [1/2] squares to [1/4], yet its one column meets x_0 <= -log(1/2) + x_0
+    with pytest.raises(ValueError, match=r"^diagonal entry 0 is not 0$"):
+        check_projector(TropMatrix.from_probs([["1/2"]]))
+    with pytest.raises(ValueError, match=r"^diagonal entry 1 is not 0$"):
+        check_projector(TropMatrix.from_probs([["1", "1/2"], ["0", "2"]]))
+    z, ninf = ZERO, ExtReal(None)
+    with pytest.raises(ValueError, match=r"^-inf entry at \(0,1\)$"):
+        check_projector(TropMatrix([[z, ninf], [z, z]]))
 
 
 def test_kleene_closure():

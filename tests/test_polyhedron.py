@@ -33,6 +33,7 @@ from plmpoly import (
     tight_graph,
     vector_from_strings,
     vector_to_strings,
+    violation,
     yoneda,
     yoneda_isometric,
 )
@@ -43,6 +44,7 @@ from dense_reference import (
     saturation_edges_reference,
     sink_texts_reference,
     tight_graph_reference,
+    violation_reference,
 )
 
 
@@ -175,6 +177,28 @@ def test_membership_matches_reference(seed, kind, side, data):
         xs += [x, _perturbed(rng, x), _near_member(rng, d, side, data)]
     for x in xs:
         assert membership(x, d, side) == membership_reference(x, d, side)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(METRIC_KINDS + ("corpus",)),
+    st.booleans(),
+    st.data(),
+)
+def test_violation_matches_the_row_major_scan(seed, kind, perturb, data):
+    """The walk's least failing pair is the row-major scan's first, on both fills."""
+    rng = seeded(seed)
+    d = random_metric(rng, kind)
+    if perturb:
+        d = perturbed_metric(rng, d)
+    xs = [TropVector([POS_INF] * d.n), random_extended_vector(rng, d.n)]
+    xs += [yoneda(d, k) for k in range(d.n)]
+    for _ in range(3):
+        x = random_member(rng, d)
+        xs += [x, _perturbed(rng, x), _near_member(rng, d, Side.LOWER, data)]
+    for x in xs + [x.negated() for x in xs]:
+        assert violation(x, d) == violation_reference(x, d)
 
 
 def test_projection_random_idempotent():
