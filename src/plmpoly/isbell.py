@@ -146,9 +146,14 @@ def max_closure(
     finite distributive L one-to-one onto the down-sets of its
     join-irreducibles, the empty one to ^S: joining each down-set lists L
     once, and no duplicate is formed.  ^S is a candidate, y(i, min of the
-    s_i), and the least one, so the nonempty connected lower sets of the
-    candidates are ^S with each down-set, which
-    `enumerate_connected_lower_sets` lists.
+    s_i), and it lies below every candidate: each candidate y(i, t) is the
+    meet of a nonempty subfamily of S, and a meet over fewer members is
+    no smaller than the meet over all of them.  So ^S is the least
+    candidate, every nonempty lower set of the candidates holds it, and
+    these sets are exactly ^S with each down-set.  Each of them is
+    connected, as ^S is comparable to all its members, so
+    `enumerate_connected_lower_sets` lists them with `connected` off,
+    with no `reach` per search node.
 
     The candidates of coordinate i are built as running meets.  Group S by
     the value s_i and walk the distinct values t in descending order,
@@ -158,11 +163,12 @@ def max_closure(
     y(i, t).  So each coordinate costs one `min_with` per input, not one
     meet over {s : s_i >= t} for each of its values t.
 
-    Numbered by a linear extension (fewest candidates below first), the
-    highest index k of a down-set D is maximal in it, so D minus k is a
-    down-set again, nonempty (holding ^S, index 0) unless D = {^S}, and
-    listed before D, whose mask it precedes.  Each join is then that
-    parent's join with the one candidate k: one `max_with` per vector.
+    Numbered by a linear extension (fewest candidates below first), ^S is
+    index 0 and the highest index k of a down-set D is maximal in it, so D
+    minus k is a down-set again, nonempty (holding ^S) unless D = {^S},
+    and listed before D, whose mask it precedes.  Each join is then that
+    parent's join, keyed by its mask, D's mask minus its highest bit, with
+    the one candidate k: one `max_with` per vector, and no member tuple.
 
     The all-(+inf) top, outside the polyhedron by definition, may be such a
     join and is skipped.  Every vector that is not an input is re-verified
@@ -186,14 +192,15 @@ def max_closure(
     ups = [sum(1 << at[b] for b in bits(ups[a])) for a in rank]
     # the top, when it is in L, is one more down-set, listed and then dropped
     limit = max(cap, len(family)) + (not reduce(TropVector.max_with, family).support)
+    order = PartialOrder(len(elems), ups)
     try:
-        down_sets = enumerate_connected_lower_sets(PartialOrder(len(elems), ups), limit)
+        down_sets = enumerate_connected_lower_sets(order, limit, connected=False)
     except ResourceCapExceeded:
         raise ResourceCapExceeded(f"closure exceeded {cap} vectors") from None
-    joins: dict[tuple[int, ...], TropVector] = {}
-    for ks in down_sets:
-        top = elems[ks[-1]]
-        joins[ks] = joins[ks[:-1]].max_with(top) if len(ks) > 1 else top
+    joins: dict[int, TropVector] = {}
+    for mask in down_sets:
+        k = mask.bit_length() - 1  # 0 only for {^S}, mask 1
+        joins[mask] = joins[mask ^ (1 << k)].max_with(elems[k]) if k else elems[0]
     closure = [x for x in joins.values() if x.support]  # the all-(+inf) top has none
     for x in closure:
         verify(x in inputs or membership(x, d, Side.LOWER), "a closure vector is not a member")

@@ -35,32 +35,40 @@ ORACLE_CAP = 2000  # rays held between two double-description steps
 
 
 def enumerate_connected_lower_sets(
-    order: PartialOrder, cap: int = LOWER_SET_CAP
-) -> list[tuple[int, ...]]:
-    """All nonempty downward-closed subsets whose comparability graph connects.
+    order: PartialOrder, cap: int = LOWER_SET_CAP, *, connected: bool
+) -> list[int]:
+    """All nonempty downward-closed subsets, as bitmasks; with `connected`,
+    only those whose comparability graph connects.
 
     A flashlight search over pairs (low, ban): `low` is the down-closure of
     the elements taken, `ban` the up-closure of those refused, and the
-    sets still possible are the connected lower sets L with
-    low <= L <= ~ban.  When `low` is nonempty there is one exactly when
-    `low` lies in a single component C of the comparability graph on ~ban,
-    and then C is such an L: ~ban is a lower set, so is each of its
-    components, and any L holding `low` lies in C.  So one `reach` either
-    prunes the node or bans ~ban minus C.  A node with `low` empty needs
-    only a nonempty ~ban.  The search branches on the lowest undecided x,
-    by taking it (adding its down-set to `low`) or refusing it (adding its
-    up-set to `ban`).  Both are always allowed: ~ban is a lower set that
-    holds x, so nothing below x is banned, and `low` is a lower set
-    without x, so nothing above x is taken.  A node with nothing
-    undecided is a set to emit.  Taking x keeps C as a witness, so every
-    node that passes its test has an output below it; with depth at most
-    n, the delay between two outputs is polynomial, the bound that
-    reverse search (Avis & Fukuda 1996) gives.
+    sets still possible are the lower sets L with low <= L <= ~ban.
+    Without `connected` each node has one, ~ban itself, so only a node
+    with ~ban empty is pruned.  With it, when `low` is nonempty there is
+    one exactly when `low` lies in a single component C of the
+    comparability graph on ~ban, and then C is such an L: ~ban is a lower
+    set, so is each of its components, and any connected L holding `low`
+    lies in C.  So one `reach` either prunes the node or bans ~ban minus
+    C.  A node with `low` empty needs only a nonempty ~ban.  The search
+    branches on the lowest undecided x, by taking it (adding its down-set
+    to `low`) or refusing it (adding its up-set to `ban`).  Both are
+    always allowed: ~ban is a lower set that holds x, so nothing below x
+    is banned, and `low` is a lower set without x, so nothing above x is
+    taken.  A node with nothing undecided is a set to emit.  Taking x
+    keeps C (or ~ban) as a witness, so every node that passes its test
+    has an output below it; with depth at most n, the delay between two
+    outputs is polynomial, the bound that reverse search (Avis & Fukuda
+    1996) gives.
+
+    It has two callers.  `enumerate_rays` passes `connected` on: its
+    carriers are the connected lower sets, each built into its ray
+    straight from the mask.  `isbell.max_closure` passes it off: its
+    order has a least element, below every other, so every nonempty
+    lower set holds it and is connected, and the `reach` per node would
+    prune nothing.
 
     `ResourceCapExceeded` is raised as soon as one more set would go past
-    `cap`.  The result is sorted by bitmask.  Besides `enumerate_rays`,
-    `isbell.max_closure` calls it, to list the down-sets of a lattice's
-    join-irreducibles.
+    `cap`.  The result is the list of the sets' bitmasks, ascending.
     """
     adj, up, down = order._adj, order._up, order._down
     full = (1 << order.n) - 1
@@ -69,7 +77,7 @@ def enumerate_connected_lower_sets(
     while stack:
         low, ban = stack.pop()
         free = full & ~ban
-        if low:
+        if connected and low:
             comp = reach(adj, low & -low, free)
             if low & ~comp:
                 continue
@@ -89,18 +97,43 @@ def enumerate_connected_lower_sets(
         stack.append((low, ban | up[x]))
         stack.append((low | down[x], ban))
     masks.sort()
-    return [bits(m) for m in masks]
+    return masks
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Ray:
-    """One extremal ray: exact generator plus its combinatorial certificate."""
+    """One extremal ray: exact generator plus its combinatorial certificate.
+
+    The dataclass gives `==`, `hash` and `repr` over the five fields;
+    the hash is safe, as every assignment and deletion is refused.
+    `__init__` sets each field once through its slot's own setter, as
+    `TropVector` does.  A frozen dataclass would go through
+    `object.__setattr__` per field: 1.10 us a build against 0.67 us here
+    (`timeit`, x86-64, Python 3.11).
+    """
 
     generator: TropVector  # canonical: largest multiplicative coordinate is 1
     carrier: tuple[int, ...]  # ascending members, the generator's support
     side: Side
     principal_of: int | None
     certificate_rank: int
+
+    def __init__(self, generator, carrier, side, principal_of, certificate_rank):
+        _SET_GENERATOR(self, generator)
+        _SET_CARRIER(self, carrier)
+        _SET_SIDE(self, side)
+        _SET_PRINCIPAL(self, principal_of)
+        _SET_RANK(self, certificate_rank)
+
+    def __setattr__(self, *a):  # immutable, as is deleting a field
+        raise AttributeError("Ray is immutable")
+
+    __delattr__ = __setattr__
+
+
+_SET_GENERATOR, _SET_CARRIER, _SET_SIDE, _SET_PRINCIPAL, _SET_RANK = (
+    Ray.__dict__[name].__set__ for name in Ray.__slots__
+)
 
 
 def certify_ray(z: TropVector, d: DirectedMetric) -> int:
@@ -158,8 +191,24 @@ def _side_cone(m: Plm, side: Side) -> tuple[list[ExtReal], PartialOrder, Directe
     return cone
 
 
-def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) -> Ray:
+def ray_from_lower_set(m: Plm, members: Iterable[int] | int, side: Side = Side.LOWER) -> Ray:
     """Characteristic vector of the carrier, diagonally rescaled, with certificate.
+
+    The one ray builder, and the checked entry point for a carrier from
+    outside the search.  `members` lists the carrier's indices, in any
+    order and with repeats, or is its bitmask, the form
+    `enumerate_connected_lower_sets` emits and `enumerate_rays` passes.
+    An empty carrier, an index out of range and a carrier that is not
+    downward closed on the side are refused before anything is built;
+    for a bitmask the range test is one shift, and the down-closure test
+    shares the one loop over the members that finds the largest value
+    and the principal text.  A carrier that is not connected is refused
+    once its certificate is in: the rank is n minus the components of
+    the carrier's tight graph (`certify_ray`), and every comparable pair
+    inside a carrier is tight, so a carrier in c pieces has rank n - c,
+    short of n - 1 exactly when c > 1.  So `order.connected`, one more
+    `reach`, runs only when the rank is short: an emitted carrier,
+    connected by construction, pays for no second graph search.
 
     With the model's potential w, z_i = 1/w_i on the lower side and
     z_i = w_i on the upper side turns every cone constraint inside the
@@ -176,59 +225,67 @@ def ray_from_lower_set(m: Plm, members: Iterable[int], side: Side = Side.LOWER) 
     +inf (it holds n - |carrier| >= 0 coordinates, at least as many as
     -inf, and wins a tie).  So each value is divided and reduced by
     `_rescaled_entries` in one pass and the generator is made once.  The
-    carrier stays the ascending member tuple, the generator's support.
+    carrier is the ascending member tuple, the generator's support.
     """
     values, order, d = _side_cone(m, side)
-    mem = tuple(sorted(set(members)))
-    if not mem:
+    if isinstance(members, int):
+        mask = members
+    else:
+        listed = sorted(set(members))
+        if listed and listed[0] < 0:
+            raise ValueError(f"index {listed[0]} out of range")
+        mask = sum(1 << i for i in listed)
+    if not mask:
         raise ValueError("carrier must be nonempty")
-    if mem[0] < 0 or mem[-1] >= m.n:
-        bad = next(i for i in mem if not 0 <= i < m.n)
-        raise ValueError(f"index {bad} out of range")
+    if high := mask >> m.n:  # bits past n, as a negative mask has too
+        raise ValueError(f"index {m.n + (high & -high).bit_length() - 1} out of range")
+    mem = bits(mask)
     down = order._down
-    mask = below = 0
+    below = 0
     top = values[mem[0]]
+    principal = None
     for i in mem:
-        mask |= 1 << i
         below |= down[i]
+        if down[i] == mask:
+            principal = i
         v = values[i]
         if v.num * top.den > top.num * v.den:
             top = v
     if below & ~mask:
         raise ValueError("carrier is not downward closed on this side")
-    if not order.connected(mask):
-        raise ValueError("carrier is not connected")
 
     entries = _rescaled_entries([(i, values[i]) for i in mem], top.den, top.num)
     gen = _make(m.n, POS_INF, entries, mask)
 
     rank = certify_ray(gen, d)
-    expected = m.n - 1
-    verify(rank == expected, f"certificate rank {rank} != {expected}")
-
-    principal = next((k for k in mem if down[k] == mask), None)
-    return Ray(
-        generator=gen,
-        carrier=mem,
-        side=side,
-        principal_of=principal,
-        certificate_rank=rank,
-    )
+    if rank != m.n - 1 and not order.connected(mask):
+        raise ValueError("carrier is not connected")
+    verify(rank == m.n - 1, f"certificate rank {rank} != {m.n - 1}")
+    return Ray(gen, mem, side, principal, rank)
 
 
 def enumerate_rays(m: Plm, side: Side = Side.LOWER) -> list[Ray]:
     """Theory route: one ray per nonempty connected lower set of the side's order.
 
-    Each ray is certified by `certify_ray` and re-tested for membership
-    on the lower side of the side's metric, kept on the model.  Its
-    generator has fill +inf and lists its carrier, a lower set, so both
-    read only the side metric's columns at the carrier, each listing a
-    down-set inside it: each ray costs the order's pairs within its
-    carrier, twice.
+    The search passes `connected` on, and each ray is built by
+    `ray_from_lower_set` straight from the bitmask it emits, in the
+    search's order: the members are read off the mask once, with no
+    sort and no second graph search.  A carrier the search got wrong
+    still cannot come out as a ray.  A disconnected one leaves the
+    certificate's rank, n minus the tight components of the carrier,
+    short of n - 1, which the builder refuses.  One that is not downward
+    closed fails the builder's down-closure test, and would fail the
+    membership `verify` below as well: it holds some j with an i <= j
+    outside it, and z_i = 0 below z_j > 0 breaks the cone row
+    z_i >= p z_j.  The certificate and the membership test run on every
+    ray.  Both read only the side metric's columns at the carrier, each
+    listing a down-set inside it: each ray costs the order's pairs
+    within its carrier, twice.
     """
     _, order, d = _side_cone(m, side)
     rays = [
-        ray_from_lower_set(m, members, side) for members in enumerate_connected_lower_sets(order)
+        ray_from_lower_set(m, mask, side)
+        for mask in enumerate_connected_lower_sets(order, connected=True)
     ]
     for r in rays:
         verify(membership(r.generator, d, Side.LOWER), "a certified ray is not a member")

@@ -37,7 +37,8 @@ and `first_non_isometric_reference` compares `funk_q` on every pair of
 vectors with its target distance.
 
 `lower_sets_reference` walks every lower set of the order, connected or
-not, and keeps the connected ones; `generator_reference` walks a fresh
+not, and keeps the nonempty ones, with `connected` only those whose
+comparability graph connects; `generator_reference` walks a fresh
 potential on each carrier, as the ray generators did before they read the
 model's one potential, and scales it by `canonical_reference`.
 `two_pass_generator_reference` is `ray_from_lower_set`'s generator as it
@@ -51,6 +52,8 @@ primitive integer vector through `TropVector.from_probs` and `canonical`,
 a set of the vectors, sorted by their `Fraction` `mults()`.
 `join_per_down_set_reference`
 is `max_closure` joining each down-set of the candidates from scratch,
+listed by the search with connectivity on, where `max_closure` turns it
+off,
 and `closure_candidates_reference` forms each candidate y(i, t) with its
 own meet over every s with s_i >= t, one `reduce` per threshold.
 `isbell_member_reference` is the fixed-point test as the composition
@@ -488,15 +491,16 @@ def close_log(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def lower_sets_reference(order) -> list[tuple[int, ...]]:
-    """Nonempty connected lower sets, sorted by bitmask, from all lower sets."""
+def lower_sets_reference(order, connected: bool) -> list[tuple[int, ...]]:
+    """Nonempty lower sets, connected ones only with `connected`, sorted by
+    bitmask, from all lower sets."""
     n = order.n
     topo = sorted(range(n), key=lambda i: bin(order._down[i]).count("1"))
     masks: list[int] = []
 
     def rec(pos: int, mask: int) -> None:
         if pos == n:
-            if mask and order.connected(mask):
+            if mask and (order.connected(mask) or not connected):
                 masks.append(mask)
             return
         e = topo[pos]
@@ -562,10 +566,12 @@ def join_per_down_set_reference(vectors, d, cap: int = 10000) -> list:
     ups = [sum(1 << b for b, z in enumerate(elems) if y.leq(z)) for y in elems]
     limit = max(cap, len(family)) + (not reduce(TropVector.max_with, family).support)
     try:
-        down_sets = enumerate_connected_lower_sets(PartialOrder(len(elems), ups), limit)
+        down_sets = enumerate_connected_lower_sets(
+            PartialOrder(len(elems), ups), limit, connected=True
+        )
     except ResourceCapExceeded:
         raise ResourceCapExceeded(f"closure exceeded {cap} vectors") from None
-    joins = (reduce(TropVector.max_with, [elems[k] for k in ks]) for ks in down_sets)
+    joins = (reduce(TropVector.max_with, [elems[k] for k in bits(ks)]) for ks in down_sets)
     return [x for x in joins if x.support]
 
 

@@ -39,7 +39,7 @@ from plmpoly import (
 )
 from plmpoly import cli
 import plmpoly.rays as rays_module
-from plmpoly.model import DirectedMetric
+from plmpoly.model import DirectedMetric, bits
 from plmpoly.rays import _canonical_rays
 from basis_reference import MAX_N, basis_rays, saturated_rank
 from dense_reference import (
@@ -56,30 +56,45 @@ from dense_reference import (
 from conftest import assert_form, make_d2, seeded
 
 
+def _lower_sets(order, connected=True, **kw):
+    """The search's output as ascending member tuples."""
+    return [bits(m) for m in enumerate_connected_lower_sets(order, connected=connected, **kw)]
+
+
 class TestLowerSets:
     def test_chain(self):
         o = PartialOrder.from_pairs(3, [(0, 1), (1, 2)])
-        ls = enumerate_connected_lower_sets(o)
-        assert ls == [(0,), (0, 1), (0, 1, 2)]
+        for connected in (True, False):
+            assert _lower_sets(o, connected) == [(0,), (0, 1), (0, 1, 2)]
 
     def test_antichain(self):
         o = PartialOrder.from_pairs(3, [])
-        ls = enumerate_connected_lower_sets(o)
-        assert ls == [(0,), (1,), (2,)]
+        assert _lower_sets(o) == [(0,), (1,), (2,)]
+        # off, every nonempty subset is a lower set
+        assert enumerate_connected_lower_sets(o, connected=False) == list(range(1, 8))
 
     def test_vee(self, ex1):
         # r, c incomparable below rc: lower sets {r},{c},{r,c,rc}
-        ls = enumerate_connected_lower_sets(ex1.order)
-        assert ls == [(0,), (1,), (0, 1, 2)]
-        # {r, c} is downward closed but disconnected, hence absent
+        assert _lower_sets(ex1.order) == [(0,), (1,), (0, 1, 2)]
+        # {r, c} is downward closed but disconnected, hence absent unless off
+        assert _lower_sets(ex1.order, False) == [(0,), (1,), (0, 1), (0, 1, 2)]
+
+    def test_masks_out(self, ex1):
+        # a list of ascending bitmasks, as perfbench's hook takes its len
+        got = enumerate_connected_lower_sets(ex1.order, connected=True)
+        assert type(got) is list and got == [0b001, 0b010, 0b111]
 
     def test_cap(self):
         # the cap bounds the sets emitted, not the number of elements
         o = PartialOrder.from_pairs(30, [])
-        assert enumerate_connected_lower_sets(o) == [(i,) for i in range(30)]
-        assert len(enumerate_connected_lower_sets(o, cap=30)) == 30
+        assert _lower_sets(o) == [(i,) for i in range(30)]
+        assert len(_lower_sets(o, cap=30)) == 30
         with pytest.raises(ResourceCapExceeded):
-            enumerate_connected_lower_sets(o, cap=29)
+            enumerate_connected_lower_sets(o, cap=29, connected=True)
+        o = PartialOrder.from_pairs(5, [])
+        assert len(enumerate_connected_lower_sets(o, 31, connected=False)) == 31
+        with pytest.raises(ResourceCapExceeded):
+            enumerate_connected_lower_sets(o, 30, connected=False)
 
 
 @st.composite
@@ -95,10 +110,22 @@ def random_orders(draw):
 
 class TestLowerSetsAgainstReference:
     @settings(deadline=None)
-    @given(random_orders())
-    def test_random_orders(self, order):
+    @given(random_orders(), st.booleans())
+    def test_random_orders(self, order, connected):
         for o in (order, order.opposite()):
-            assert enumerate_connected_lower_sets(o) == lower_sets_reference(o)
+            assert _lower_sets(o, connected) == lower_sets_reference(o, connected)
+
+    @settings(deadline=None)
+    @given(random_orders())
+    def test_least_element_makes_every_lower_set_connected(self, order):
+        # the closure's case: a new element 0 below all others
+        n = order.n + 1
+        pairs = [(0, j) for j in range(1, n)]
+        pairs += [(i + 1, j + 1) for i in range(order.n) for j in range(order.n) if order.leq(i, j)]
+        o = PartialOrder.from_pairs(n, pairs)
+        on = enumerate_connected_lower_sets(o, connected=True)
+        assert enumerate_connected_lower_sets(o, connected=False) == on
+        assert all(m & 1 for m in on)
 
 
 class TestExampleRays:
@@ -183,10 +210,26 @@ class TestRayFromLowerSet:
 
     @pytest.mark.parametrize("side", list(Side))
     def test_member_forms_give_one_ray(self, ex1_full, side):
-        for members in enumerate_connected_lower_sets(_side_order(ex1_full, side)):
+        for mask in enumerate_connected_lower_sets(_side_order(ex1_full, side), connected=True):
+            members = bits(mask)
             r = ray_from_lower_set(ex1_full, members, side)
-            for given in (members[::-1], members + members, set(members), iter(members)):
+            for given in (members[::-1], members + members, set(members), iter(members), mask):
                 assert ray_from_lower_set(ex1_full, given, side) == r
+
+    def test_rejects_bad_masks(self):
+        # the bitmask form meets the same refusals as the member lists
+        m = Plm([("a",), ("a", "b"), ("c",)], "two-sided", {(0, 1): F(1, 2)})
+        for side, below, apart in ((Side.LOWER, 0b010, 0b101), (Side.UPPER, 0b001, 0b110)):
+            for mask, message in (
+                (0, "carrier must be nonempty"),
+                (0b1001, "index 3 out of range"),
+                (0b110001, "index 4 out of range"),
+                (-1, "index 3 out of range"),
+                (below, "carrier is not downward closed on this side"),
+                (apart, "carrier is not connected"),
+            ):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    ray_from_lower_set(m, mask, side)
 
     def test_principal_down_sets(self, ex1):
         r = ray_from_lower_set(ex1, [0, 1, 2])
@@ -565,7 +608,7 @@ class TestOnePassGenerator:
     )
     def test_against_two_pass_route(self, seed, n, draw_model, side):
         m = draw_model(random.Random(seed), n)
-        lower_sets = enumerate_connected_lower_sets(_side_order(m, side))
+        lower_sets = _lower_sets(_side_order(m, side))
         for members, r in zip(lower_sets, enumerate_rays(m, side), strict=True):
             ref = two_pass_generator_reference(m, members, side)
             assert r.generator.entries == ref.entries
@@ -574,6 +617,47 @@ class TestOnePassGenerator:
             # the carrier is the ascending member tuple, the generator's support
             assert type(r.carrier) is tuple and r.carrier == tuple(sorted(members))
             assert r.carrier == r.generator.support
+
+
+class TestRaysFromEmittedMasks:
+    """`enumerate_rays` builds each ray from the bitmask the search emits;
+    the checked route from the member tuple gives the same ray, in the
+    search's order."""
+
+    @settings(deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 10),
+        st.sampled_from([random_plm, random_forest_plm]),
+        st.sampled_from(list(Side)),
+    )
+    def test_same_ray_as_the_checked_route(self, seed, n, draw_model, side):
+        m = draw_model(random.Random(seed), n)
+        masks = enumerate_connected_lower_sets(_side_order(m, side), connected=True)
+        rays = enumerate_rays(m, side)
+        assert [sum(1 << i for i in r.carrier) for r in rays] == masks
+        for mask, r in zip(masks, rays, strict=True):
+            assert ray_from_lower_set(m, bits(mask), side) == r
+
+
+class TestRayValue:
+    def test_equality_hash_and_immutability(self, ex1):
+        a, b = enumerate_rays(ex1), enumerate_rays(ex1)
+        assert a == b and a[0] is not b[0]
+        assert len({*a, *b}) == len(a) == 3
+        assert a[0] != a[1] and a[0] != (a[0].generator, a[0].carrier)
+        copy = rays_module.Ray(
+            a[2].generator, a[2].carrier, a[2].side, None, a[2].certificate_rank
+        )
+        assert copy != a[2]  # every field takes part
+        for name in rays_module.Ray.__slots__ + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(a[0], name, None)
+            with pytest.raises(AttributeError):
+                delattr(a[0], name)
+        assert not hasattr(a[0], "__dict__")
+        assert a[0] == b[0] and hash(a[0]) == hash(b[0])
+        assert repr(a[0]).startswith("Ray(generator=TropVector(")
 
 
 def _side_order(m, side):
